@@ -8,6 +8,8 @@ line. Defaults are the reference parameter set of :class:`ModelParams`; CLI
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, fields
 
 from .exceptions import ConfigError
@@ -45,12 +47,24 @@ _INT_OPTIONS = {"grid", "seed", "workers", "instances", "trials"}
 _LIST_OPTIONS = {"t21_values"}
 OPTION_KEYS = tuple(f.name for f in fields(RunOptions))
 
+# Full-grid float64 arrays alive at once at the peak of the leanest scenario
+# (resonance holds about five; fig1a about twelve). A grid whose arrays cannot
+# fit in physical memory even then is refused before anything is allocated.
+_PEAK_MESH_ARRAYS = 5
+
 
 def _parse_float(key, raw, line):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"line {line}: value for {key!r} is not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line}: value for {key!r} must be finite, got {raw!r}")
+    return value
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _parse_value(key: str, raw: str, line):
@@ -69,8 +83,14 @@ def _check_range(key: str, value, line):
         raise ConfigError(f"line {line}: doping must lie in [0, 1), got {value}")
     if key in ("u11", "u12") and value < 0.0:
         raise ConfigError(f"line {line}: {key} must be non-negative, got {value}")
-    if key == "grid" and (value < 2 or value % 2 != 0):
-        raise ConfigError(f"line {line}: grid must be an even integer >= 2, got {value}")
+    if key == "grid":
+        if value < 2 or value % 2 != 0:
+            raise ConfigError(f"line {line}: grid must be an even integer >= 2, got {value}")
+        need, have = _PEAK_MESH_ARRAYS * 8 * value * value, _physical_memory_bytes()
+        if need > have:
+            raise ConfigError(f"line {line}: grid {value} needs about {need / 2**30:.1f} GiB "
+                              f"of mesh arrays, more than the {have / 2**30:.1f} GiB of "
+                              f"physical memory")
     if key == "workers" and value < 1:
         raise ConfigError(f"line {line}: workers must be >= 1, got {value}")
     if key in ("detuning", "gamma", "omega_step", "gl_step", "u12_step", "det_step") \

@@ -38,7 +38,7 @@ def effective_band(params: ModelParams, grid: BZGrid, occ: Occupation) -> Effect
     """Dressed band over the grid; the chemical potential (a constant) is omitted."""
     g2 = params.g_l * params.g_l
     dets = screened_detunings(params, grid, occ)
-    eps1 = dispersion(params, 1, (grid.kx, grid.ky))
+    eps1 = dispersion(params, 1, grid)
     stark = -g2 / dets.delta
     bs = -g2 / dets.delta_bs
     return EffectiveBand(energies=eps1 + stark + bs, stark=stark, bs=bs)

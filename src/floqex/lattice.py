@@ -9,6 +9,7 @@ all operations are pure, so values can be shared freely between workers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,24 +88,48 @@ class BZGrid:
     Points are stored flat in row-major (nx, ny) order; this order is the
     canonical reduction order for every k-sum in the library. The mesh is
     closed under k -> -k (mod 2*pi) by construction.
+
+    The grid keeps the 1-D table ``k`` of the l coordinates and the read-only
+    structure factor ``gamma_k = cos kx + cos ky`` over the flat mesh, the only
+    k-dependence of every band. It is built as the outer sum of l cosines, so
+    no full-grid cosine is ever evaluated; each entry is bit-identical to
+    ``np.cos(kx) + np.cos(ky)`` because the same two cosines are added. The
+    flat coordinate arrays ``kx`` and ``ky`` are built only when first read,
+    so full-grid computations, which need just the band, never hold them.
     """
 
     l: int
-    kx: np.ndarray
-    ky: np.ndarray
+    k: np.ndarray
+    gamma_k: np.ndarray
 
     @classmethod
     def square(cls, l: int) -> "BZGrid":
         if l < 1:
             raise ValueError(f"grid size must be positive, got {l}")
-        n = np.arange(l)
-        k = 2.0 * np.pi * n / l
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        kx = np.ascontiguousarray(kx.ravel())
-        ky = np.ascontiguousarray(ky.ravel())
+        k = 2.0 * np.pi * np.arange(l) / l
+        c = np.cos(k)
+        gamma_k = (c[:, None] + c[None, :]).ravel()
+        k.setflags(write=False)
+        gamma_k.setflags(write=False)
+        return cls(l=l, k=k, gamma_k=gamma_k)
+
+    @functools.cached_property
+    def kx(self) -> np.ndarray:
+        """Flat kx of every mesh point (built on first access)."""
+        kx = np.repeat(self.k, self.l)
         kx.setflags(write=False)
+        return kx
+
+    @functools.cached_property
+    def ky(self) -> np.ndarray:
+        """Flat ky of every mesh point (built on first access)."""
+        ky = np.tile(self.k, self.l)
         ky.setflags(write=False)
-        return cls(l=l, kx=kx, ky=ky)
+        return ky
+
+    def point(self, i: int) -> tuple:
+        """Momentum (kx, ky) of the flat mesh index ``i``."""
+        return self.k[i // self.l], self.k[i % self.l]
 
     @property
     def n_sites(self) -> int:
@@ -160,10 +185,19 @@ class Occupation:
         self.n_k.setflags(write=False)
 
 
+def _structure_factor(k):
+    """cos kx + cos ky: the grid's stored gamma_k, or computed for a (kx, ky) pair."""
+    if isinstance(k, BZGrid):
+        return k.gamma_k
+    kx, ky = k
+    return np.cos(kx) + np.cos(ky)
+
+
 def dispersion(params: ModelParams, band: int, k) -> np.ndarray | float:
     """Tight-binding band energy eps_b + 2 t_b (cos kx + cos ky).
 
-    ``k`` is a (kx, ky) pair of scalars or of equal-length arrays.
+    ``k`` is a :class:`BZGrid` (values over the whole mesh, in flat order) or
+    a (kx, ky) pair of scalars or of equal-length arrays.
     """
     if band == 1:
         center, t = 0.0, params.t1
@@ -171,14 +205,15 @@ def dispersion(params: ModelParams, band: int, k) -> np.ndarray | float:
         center, t = params.eps21, params.t2
     else:
         raise ValueError(f"band must be 1 or 2, got {band!r}")
-    kx, ky = k
-    return center + 2.0 * t * (np.cos(kx) + np.cos(ky))
+    return center + 2.0 * t * _structure_factor(k)
 
 
 def band_gap(params: ModelParams, k) -> np.ndarray | float:
-    """Momentum-dependent interband gap eps21 + 2 t21 (cos kx + cos ky)."""
-    kx, ky = k
-    return params.eps21 + 2.0 * params.t21 * (np.cos(kx) + np.cos(ky))
+    """Momentum-dependent interband gap eps21 + 2 t21 (cos kx + cos ky).
+
+    ``k`` is a :class:`BZGrid` or a (kx, ky) pair, as for :func:`dispersion`.
+    """
+    return params.eps21 + 2.0 * params.t21 * _structure_factor(k)
 
 
 def bare_detuning(params: ModelParams, k) -> np.ndarray | float:
@@ -191,12 +226,16 @@ def occupations(params: ModelParams, grid: BZGrid) -> Occupation:
 
     The (1 - doping) fraction of lowest-energy band-1 states is filled, with
     ties broken lexicographically in (kx, ky) so the result is independent of
-    enumeration order.
+    enumeration order. Flat row-major order is already (kx, ky) order, because
+    k = 2*pi*n/l increases with n, so a stable sort of the energies alone gives
+    that tie-break. A full band needs no sort.
     """
     n_sites = grid.n_sites
     n_filled = int(round((1.0 - params.doping) * n_sites))
-    eps1 = dispersion(params, 1, (grid.kx, grid.ky))
-    order = np.lexsort((grid.ky, grid.kx, eps1))
-    n_k = np.zeros(n_sites)
-    n_k[order[:n_filled]] = 1.0
+    if n_filled == n_sites:
+        n_k = np.ones(n_sites)
+    else:
+        order = np.argsort(dispersion(params, 1, grid), kind="stable")
+        n_k = np.zeros(n_sites)
+        n_k[order[:n_filled]] = 1.0
     return Occupation(n_k=n_k, nu=n_filled / n_sites, n_filled=n_filled)

@@ -36,6 +36,9 @@ from .spectra import absorbance, peak_location
 
 SCENARIOS = {}
 
+# Largest scan axis accepted; refused before the axis is allocated.
+MAX_AXIS_POINTS = 1_000_000
+
 
 def _scenario(name):
     def register(fn):
@@ -61,7 +64,12 @@ def _default(value, fallback):
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(round((hi - lo) / step))
+    span = (hi - lo) / step
+    if not span <= MAX_AXIS_POINTS - 1:
+        raise ConfigError(
+            f"axis [{lo}, {hi}] with step {step} has more than {MAX_AXIS_POINTS} points"
+        )
+    n = int(round(span))
     if n < 0:
         raise ConfigError(f"empty axis: [{lo}, {hi}] with step {step}")
     return lo + step * np.arange(n + 1)
@@ -97,7 +105,7 @@ def _run_resonance(params: ModelParams, opts: RunOptions):
 
 def _path_table(grid: BZGrid):
     path = grid.path_y_gamma_m()
-    return path, grid.kx[path], grid.ky[path]
+    return path, grid.k[path // grid.l], grid.k[path % grid.l]
 
 
 @_scenario("fig1a")
@@ -166,11 +174,7 @@ def _run_fig1b(params: ModelParams, opts: RunOptions):
 def _ratio_row(params, grid, occ, omega_ex, delta_ex):
     """Stark/BS magnitude ratios at Gamma/Y/M plus the two-level comparator."""
     p = params.with_laser(omega_ex - delta_ex)
-    points = [
-        (grid.kx[grid.gamma_index], grid.ky[grid.gamma_index]),
-        (grid.kx[grid.y_index], grid.ky[grid.y_index]),
-        (grid.kx[grid.m_index], grid.ky[grid.m_index]),
-    ]
+    points = [grid.point(i) for i in (grid.gamma_index, grid.y_index, grid.m_index)]
     ratios = [stark_bs_ratio(p, grid, occ, k) for k in points]
     st, bs = tla_shifts(p, omega_ex)
     return (*ratios, abs(st / bs))

@@ -65,7 +65,7 @@ def hartree_shift(params: ModelParams, occ: Occupation) -> float:
 
 def shifted_detunings(params, grid, occ, bs: bool = False) -> np.ndarray:
     """Hartree-shifted detuning D_k over the grid; ``bs`` adds the 2*omega_l shift."""
-    d0 = bare_detuning(params, (grid.kx, grid.ky))
+    d0 = bare_detuning(params, grid)
     extra = 2.0 * params.omega_l if bs else 0.0
     return d0 + extra + hartree_shift(params, occ)
 
@@ -82,7 +82,7 @@ def ladder_sum(shifted: np.ndarray, occupancy: np.ndarray, u12: float, n_sites: 
 
 def screened_detunings(params: ModelParams, grid: BZGrid, occ: Occupation) -> ScreenedDetunings:
     """Evaluate bare, screened, and counter-rotating detunings on the full grid."""
-    d0 = bare_detuning(params, (grid.kx, grid.ky))
+    d0 = bare_detuning(params, grid)
     d = shifted_detunings(params, grid, occ)
     d_bs = shifted_detunings(params, grid, occ, bs=True)
     factor = 1.0 - ladder_sum(d, occ.n_k, params.u12, grid.n_sites)
@@ -110,7 +110,7 @@ def screened_detuning_bs(params: ModelParams, grid: BZGrid, occ: Occupation, k) 
 
 def band_resonance_edge(params: ModelParams, grid: BZGrid, occ: Occupation) -> float:
     """Continuum edge: minimum Hartree-shifted gap over the grid (omega_l-independent)."""
-    gaps = band_gap(params, (grid.kx, grid.ky))
+    gaps = band_gap(params, grid)
     return float(np.min(gaps)) + hartree_shift(params, occ)
 
 
@@ -127,7 +127,7 @@ def bound_state_lhs(gaps, occupancy, u11: float, u12: float, nu: float,
 
 def exciton_lhs(params: ModelParams, grid: BZGrid, occ: Occupation, omega: float) -> float:
     """F(omega) evaluated on the grid's band structure and occupations."""
-    gaps = band_gap(params, (grid.kx, grid.ky))
+    gaps = band_gap(params, grid)
     return bound_state_lhs(gaps, occ.n_k, params.u11, params.u12, occ.nu,
                            grid.n_sites, omega)
 
@@ -174,7 +174,7 @@ def solve_bound_state(gaps, occupancy, u11: float, u12: float, nu: float,
 def solve_exciton_resonance(params: ModelParams, grid: BZGrid, occ: Occupation,
                             tol: float = 1e-10) -> ResonanceReport:
     """Locate the exciton resonance: the unique F(omega) = 1 root below the edge."""
-    gaps = band_gap(params, (grid.kx, grid.ky))
+    gaps = band_gap(params, grid)
     omega, edge, residual, converged = solve_bound_state(
         gaps, occ.n_k, params.u11, params.u12, occ.nu, grid.n_sites, tol=tol
     )

@@ -45,7 +45,7 @@ def absorbance(params: ModelParams, grid: BZGrid, occ: Occupation,
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     omegas = np.asarray(omegas, dtype=float)
-    gaps = band_gap(params, (grid.kx, grid.ky))
+    gaps = band_gap(params, grid)
     shift = hartree_shift(params, occ)
     u12_per_site = params.u12 / grid.n_sites
     raw = np.empty(len(omegas))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from floqex import ModelParams
+from floqex import ModelParams, config, scenarios
 from floqex.cli import main
 from floqex.config import RunOptions, parse_config
 from floqex.exceptions import ConfigError
@@ -44,6 +44,49 @@ def test_out_of_range_values_rejected():
         parse_config("doping = 1.5\n")
     with pytest.raises(ConfigError, match="grid"):
         parse_config("grid = 13\n")
+
+
+@pytest.mark.parametrize("assignment", ["detuning = nan", "gamma = inf", "u12 = -inf",
+                                        "t21_values = -0.1, nan"])
+def test_non_finite_values_rejected(assignment):
+    key = assignment.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"{key}.*finite"):
+        parse_config("", overrides=[assignment])
+
+
+def test_non_finite_override_exits_2_without_output(tmp_path, capsys):
+    for assignment in ("detuning=nan", "gamma=inf"):
+        out = tmp_path / assignment.split("=")[0]
+        assert main(["run", "absorbance", "--grid", "8", "--set", assignment,
+                     "--out", str(out)]) == 2
+        assert assignment.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_grid_beyond_physical_memory_rejected(monkeypatch):
+    # parsing allocates nothing, so the ceiling is checked against a pretend 1 GiB
+    with monkeypatch.context() as m:
+        m.setattr(config, "_physical_memory_bytes", lambda: 2**30)
+        assert parse_config("grid = 4096\n")[1].grid == 4096
+        with pytest.raises(ConfigError, match="grid 8192.*physical memory"):
+            parse_config("grid = 8192\n")
+    with pytest.raises(ConfigError, match="grid 100000.*physical memory"):
+        parse_config("grid = 100000\n")
+
+
+def test_axis_point_ceiling(tmp_path, capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "MAX_AXIS_POINTS", 11)
+        assert len(scenarios._axis(0.0, 1.0, 0.1)) == 11
+        with pytest.raises(ConfigError, match="more than 11 points"):
+            scenarios._axis(0.0, 1.0, 0.09)
+    with pytest.raises(ConfigError, match="more than"):
+        scenarios._axis(2.4, 5.0, 1e-300)
+    with pytest.raises(ConfigError, match="more than"):
+        scenarios._axis(-1e308, 1e308, 1.0)
+    assert main(["run", "absorbance", "--grid", "8", "--set", "omega_step=1e-300",
+                 "--out", str(tmp_path)]) == 2
+    assert "more than" in capsys.readouterr().err
 
 
 def test_overrides_win_over_file():

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from floqex import BZGrid, ModelParams, band_gap, bare_detuning, dispersion, occupations
+from floqex import (
+    BZGrid,
+    ModelParams,
+    band_gap,
+    bare_detuning,
+    dispersion,
+    effective_band,
+    occupations,
+    solve_exciton_resonance,
+)
 
 GAMMA = (0.0, 0.0)
 M = (np.pi, np.pi)
@@ -110,6 +119,70 @@ def test_path_endpoints(grid64):
     assert path[grid64.l // 2] == grid64.gamma_index
     assert path[-1] == grid64.m_index
     assert len(path) == grid64.l + 1
+
+
+def _literal_mesh(l):
+    """Flat (kx, ky) as the mesh was first built: meshgrid of k = 2*pi*n/l."""
+    k = 2.0 * np.pi * np.arange(l) / l
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    return kx.ravel(), ky.ravel()
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 17, 64, 256])
+def test_structure_factor_is_bitwise_cos_sum(l):
+    g = BZGrid.square(l)
+    kx, ky = _literal_mesh(l)
+    assert np.array_equal(_bits(g.gamma_k), _bits(np.cos(kx) + np.cos(ky)))
+    assert np.array_equal(g.kx, kx) and np.array_equal(g.ky, ky)
+    assert not g.gamma_k.flags.writeable and not g.kx.flags.writeable
+
+
+@pytest.mark.parametrize("l", [3, 17, 64])
+def test_grid_band_functions_match_pair_path_bitwise(l):
+    g = BZGrid.square(l)
+    pair = (g.kx, g.ky)
+    for p in (ModelParams(), ModelParams(t1=-0.07, t2=0.11, eps21=2.3, omega_l=2.1)):
+        assert np.array_equal(_bits(band_gap(p, g)), _bits(band_gap(p, pair)))
+        assert np.array_equal(_bits(bare_detuning(p, g)), _bits(bare_detuning(p, pair)))
+        for band in (1, 2):
+            assert np.array_equal(_bits(dispersion(p, band, g)),
+                                  _bits(dispersion(p, band, pair)))
+
+
+@pytest.mark.parametrize("l", [3, 8, 17])
+def test_point_matches_flat_coordinates(l):
+    g = BZGrid.square(l)
+    for i in range(g.n_sites):
+        assert g.point(i) == (g.kx[i], g.ky[i])
+
+
+def test_full_grid_pipeline_builds_no_coordinate_arrays():
+    g = BZGrid.square(16)
+    p = ModelParams()
+    occ = occupations(p, g)
+    omega_ex = solve_exciton_resonance(p, g, occ).omega_ex
+    effective_band(p.with_laser(omega_ex - 0.03), g, occ)
+    assert "kx" not in vars(g) and "ky" not in vars(g)
+
+
+@pytest.mark.parametrize("l", [9, 16, 17])
+@pytest.mark.parametrize("t1", [0.05, -0.05])
+@pytest.mark.parametrize("doping", [0.0, 0.05, 0.5])
+def test_filling_matches_lexsort_reference(l, t1, doping):
+    p = ModelParams(t1=t1, doping=doping)
+    g = BZGrid.square(l)
+    kx, ky = _literal_mesh(l)
+    eps1 = 2.0 * t1 * (np.cos(kx) + np.cos(ky))
+    n_filled = int(round((1.0 - doping) * g.n_sites))
+    expected = np.zeros(g.n_sites)
+    expected[np.lexsort((ky, kx, eps1))[:n_filled]] = 1.0
+    occ = occupations(p, g)
+    assert occ.n_filled == n_filled
+    assert np.array_equal(_bits(occ.n_k), _bits(expected))
 
 
 def test_full_filling():
