@@ -31,6 +31,7 @@ from .screening import (
     exciton_lhs,
     grpa_stark_equivalence,
     grpa_tmatrix,
+    pair_resolvent,
     screened_detuning,
     screened_detuning_bs,
     screened_detunings,
@@ -81,6 +82,7 @@ __all__ = [
     "grpa_tmatrix",
     "interaction_kernel",
     "occupations",
+    "pair_resolvent",
     "peak_location",
     "screened_detuning",
     "screened_detuning_bs",

@@ -102,8 +102,11 @@ def u12_sweep(params: ModelParams, grid: BZGrid, detuning: float,
     """Forward kernel and excitonic enhancement at Gamma versus the interband repulsion.
 
     The first row is the u12 = 0 baseline: the non-interacting kernel at the
-    same detuning, enhancement exactly 1. Rows whose exciton solve fails are
-    kept with ``converged = 0`` and NaN observables rather than dropped.
+    same detuning, enhancement exactly 1. Each enhancement is v / v_base, the
+    value :func:`enhancement_ratio` returns, from one solve per point (the
+    free twin's filling does not depend on its drive). Rows whose exciton solve
+    fails are kept with ``converged = 0`` and NaN observables rather than
+    dropped.
     """
     gamma = grid.gamma_index
     free = params.without_interactions()
@@ -124,9 +127,8 @@ def u12_sweep(params: ModelParams, grid: BZGrid, detuning: float,
             report = solve_exciton_resonance(p, grid, occ)
             p_run = p.with_laser(report.omega_ex - detuning)
             v = interaction_kernel(p_run, grid, occ).forward()[gamma]
-            ratio = enhancement_ratio(p, free, grid, gamma, detuning)
             v_forward.append(v)
-            enhancement.append(ratio)
+            enhancement.append(v / v_base)
             omega_ex.append(report.omega_ex)
             converged.append(1)
         except NoResonance:

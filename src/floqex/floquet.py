@@ -20,6 +20,9 @@ from .screening import screened_detuning, screened_detuning_bs, screened_detunin
 # Square-lattice sanity bound: kx- and ky-curvatures of the dressed band must agree.
 _CURVATURE_SYMMETRY_TOL = 1e-10
 
+# Smallest grid on which the curvature at Gamma is extracted.
+HOPPING_MIN_L = 16
+
 
 @dataclass(frozen=True)
 class EffectiveBand:
@@ -51,8 +54,8 @@ def effective_hopping(band: EffectiveBand, grid: BZGrid) -> float:
     t = -(1/2) d^2 eps / dkx^2 at Gamma via a second-order central difference
     with the mesh spacing h = 2*pi/l.
     """
-    if grid.l < 16:
-        raise ValueError(f"hopping extraction needs l >= 16, got l={grid.l}")
+    if grid.l < HOPPING_MIN_L:
+        raise ValueError(f"hopping extraction needs l >= {HOPPING_MIN_L}, got l={grid.l}")
     h = 2.0 * np.pi / grid.l
     e = band.energies
     center = e[grid.gamma_index]

@@ -114,6 +114,13 @@ class BZGrid:
         return cls(l=l, k=k, gamma_k=gamma_k)
 
     @functools.cached_property
+    def cos_k(self) -> np.ndarray:
+        """The l cosines cos(k) that ``gamma_k`` is summed from (built on first access)."""
+        c = np.cos(self.k)
+        c.setflags(write=False)
+        return c
+
+    @functools.cached_property
     def kx(self) -> np.ndarray:
         """Flat kx of every mesh point (built on first access)."""
         kx = np.repeat(self.k, self.l)
@@ -184,6 +191,23 @@ class Occupation:
     def __post_init__(self):
         self.n_k.setflags(write=False)
 
+    @functools.cached_property
+    def minority(self) -> tuple:
+        """(indices, filled): the smaller of the filled and the empty state sets.
+
+        ``filled`` tells which of the two the flat indices list; a tie lists the
+        filled states. The sets are read from ``n_k``, so they keep the (kx, ky)
+        tie-break that :func:`occupations` applied.
+        """
+        n_sites = self.n_k.size
+        filled = self.n_filled <= n_sites - self.n_filled
+        if self.n_filled in (0, n_sites):
+            idx = np.empty(0, dtype=np.intp)
+        else:
+            idx = np.flatnonzero(self.n_k if filled else self.n_k == 0.0)
+        idx.setflags(write=False)
+        return idx, filled
+
 
 def _structure_factor(k):
     """cos kx + cos ky: the grid's stored gamma_k, or computed for a (kx, ky) pair."""
@@ -213,7 +237,24 @@ def band_gap(params: ModelParams, k) -> np.ndarray | float:
 
     ``k`` is a :class:`BZGrid` or a (kx, ky) pair, as for :func:`dispersion`.
     """
-    return params.eps21 + 2.0 * params.t21 * _structure_factor(k)
+    return gap_from_structure_factor(params, _structure_factor(k))
+
+
+def gap_from_structure_factor(params: ModelParams, gamma) -> np.ndarray | float:
+    """Interband gap eps21 + 2 t21 gamma at given values of gamma = cos kx + cos ky."""
+    return params.eps21 + 2.0 * params.t21 * gamma
+
+
+def gap_range(params: ModelParams, grid: BZGrid) -> tuple:
+    """Smallest and largest :func:`band_gap` over the grid, from its l cosines in O(l).
+
+    gamma_k = c_i + c_j is extremal where both cosines are, and rounding is
+    monotone, so both values equal the min and max of ``band_gap(params, grid)``
+    bit for bit.
+    """
+    lo, hi = grid.cos_k.min(), grid.cos_k.max()
+    ends = gap_from_structure_factor(params, np.array([lo + lo, hi + hi]))
+    return float(np.min(ends)), float(np.max(ends))
 
 
 def bare_detuning(params: ModelParams, k) -> np.ndarray | float:

@@ -2,12 +2,14 @@
 
 Floats are written with ``repr`` (shortest round-trip form), so parsing the
 emitted CSV recovers every value bit-exactly and identical runs produce
-byte-identical files.
+byte-identical files. JSON has no NaN or infinity (RFC 8259), so the JSON
+files write non-finite values as ``null``; the CSV keeps ``nan``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,7 +64,7 @@ class ScanResult:
                 name: [_jsonify(x) for x in col] for name, col in self.columns.items()
             },
         }
-        return json.dumps(payload, indent=1)
+        return json.dumps(payload, indent=1, allow_nan=False)
 
     def write(self, out_dir, name: str) -> list:
         """Write <name>.csv, <name>.json, and <name>.meta.json; returns the paths."""
@@ -76,7 +78,8 @@ class ScanResult:
         json_path.write_text(self.to_json())
         paths.append(json_path)
         meta_path = out / f"{name}.meta.json"
-        meta_path.write_text(json.dumps(self.metadata, indent=1, sort_keys=True))
+        meta_path.write_text(json.dumps(_finite_or_null(self.metadata), indent=1,
+                                        sort_keys=True, allow_nan=False))
         paths.append(meta_path)
         return paths
 
@@ -86,7 +89,18 @@ def _jsonify(x):
         return int(x)
     if isinstance(x, (int, np.integer)):
         return int(x)
-    return float(x)
+    return _finite_or_null(float(x))
+
+
+def _finite_or_null(x):
+    """``x`` with every non-finite float, also inside dicts and lists, replaced by None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {key: _finite_or_null(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(value) for value in x]
+    return x
 
 
 def parse_csv(text: str):

@@ -28,7 +28,13 @@ from .exactdiag import (
     random_system,
     restriction_leakage,
 )
-from .floquet import effective_band, effective_hopping, stark_bs_ratio, tla_shifts
+from .floquet import (
+    HOPPING_MIN_L,
+    effective_band,
+    effective_hopping,
+    stark_bs_ratio,
+    tla_shifts,
+)
 from .lattice import BZGrid, ModelParams, band_gap, occupations
 from .scan import ScanResult
 from .screening import screened_detunings, solve_exciton_resonance
@@ -55,8 +61,11 @@ def _pmap(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _grid(opts: RunOptions, default_l: int) -> BZGrid:
-    return BZGrid.square(opts.grid if opts.grid is not None else default_l)
+def _grid(opts: RunOptions, default_l: int, min_l: int = 1) -> BZGrid:
+    l = opts.grid if opts.grid is not None else default_l
+    if l < min_l:
+        raise ConfigError(f"grid must be at least {min_l} for this scenario, got {l}")
+    return BZGrid.square(l)
 
 
 def _default(value, fallback):
@@ -143,7 +152,7 @@ def _run_fig1a(params: ModelParams, opts: RunOptions):
 @_scenario("fig1b")
 def _run_fig1b(params: ModelParams, opts: RunOptions):
     """Effective hopping vs drive strength for the interacting and free models."""
-    grid = _grid(opts, 256)
+    grid = _grid(opts, 256, min_l=HOPPING_MIN_L)
     detuning = opts.detuning if opts.detuning is not None else 0.03
     gl_values = _axis(0.0, opts.gl_max, opts.gl_step)
 

@@ -8,12 +8,15 @@ and their excitonically screened counterparts Delta_k = D_k * (1 - S), where
 S = (u12/N) * sum_k' n_k' / D_k' resums the interband electron-hole ladder.
 The same S appears in the particle-hole t-matrix T = 1/(1 - S), so the
 screened Stark shift and the ladder-bubble evaluation are algebraically
-identical; both code paths below share the elementwise denominators bit-for-bit
-so the identity holds to a few ulp even close to the exciton pole.
+identical; both code paths below take S from the same evaluation, so the
+identity holds to a few ulp even close to the exciton pole.
 
-All k'-reductions use ``np.sum`` over arrays in the grid's canonical
-row-major order; numpy's pairwise summation makes every reduction
-deterministic and independent of worker counts.
+Every k'-reduction is one pair resolvent R(z) = (1/N) sum_k n_k / (gap_k +
+shift - z) (:func:`pair_resolvent`): S = u12 R(omega_l), the ladder closure is
+F(omega) = u12 R(omega), and the absorbance continues R to complex z. R is an
+exact O(l) sum over mesh rows; the literal O(l^2) mesh sum (:func:`ladder_sum`)
+remains where that closed form does not hold. Both are deterministic, so
+results do not depend on worker counts.
 """
 
 from __future__ import annotations
@@ -23,11 +26,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NoResonance, ResonantDenominator
-from .lattice import BZGrid, ModelParams, Occupation, band_gap, bare_detuning
+from .lattice import (
+    BZGrid,
+    ModelParams,
+    Occupation,
+    band_gap,
+    bare_detuning,
+    gap_from_structure_factor,
+    gap_range,
+)
 
 # Grid points closer than this to a Hartree-shifted band resonance poison the
 # ladder sum; evaluation refuses rather than returning huge screened values.
 RESONANCE_GUARD_EV = 1e-9
+
+# A complex z with |1 - rho^l| below this in some mesh row takes the literal mesh
+# sum. |rho|^l ~ exp(-l Im z / sqrt(B^2 - A^2)), so this happens when the
+# broadening is narrower than about one mesh step of the band: the sum is then
+# dominated by a few resonant mesh points, each as sensitive to the rounding of
+# its own gap (relative u*gap/Im z) as the closed form is to its rounding, and
+# the mesh sum is the definition the rest of the library agrees with.
+ROW_SUM_GUARD = 0.5
+
+# Largest relative rounding error of R, as estimated below, that the closed form
+# may carry; above it the mesh sum is taken.
+ROUNDING_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -72,7 +96,11 @@ def shifted_detunings(params, grid, occ, bs: bool = False) -> np.ndarray:
 
 def ladder_sum(shifted: np.ndarray, occupancy: np.ndarray, u12: float, n_sites: int,
                guard: float = RESONANCE_GUARD_EV) -> float:
-    """S = (u12/N) * sum_k n_k / D_k with the band-resonance guard applied."""
+    """Literal S = (u12/N) * sum_k n_k / D_k with the band-resonance guard applied.
+
+    ``guard = 0`` never refuses. This is the reference sum for small systems
+    without lattice structure and the fallback of :func:`pair_resolvent`.
+    """
     if np.min(np.abs(shifted)) < guard:
         raise ResonantDenominator(
             f"a grid point sits within {guard} eV of the Hartree-shifted band resonance"
@@ -80,22 +108,99 @@ def ladder_sum(shifted: np.ndarray, occupancy: np.ndarray, u12: float, n_sites: 
     return (u12 / n_sites) * np.sum(occupancy / shifted)
 
 
+def pair_resolvent(params: ModelParams, grid: BZGrid, occ: Occupation,
+                   guard: float = RESONANCE_GUARD_EV):
+    """The function z -> R(z) = (1/N) sum_k n_k / (gap_k + shift - z) over ``grid``.
+
+    On mesh row i, gap_k + shift - z = A_i + B c_j with B = 2 t21, c = cos(k)
+    and A_i = eps21 + shift - z + B c_i. Each row is a periodic trapezoidal rule
+    with the closed form
+
+        (1/l) sum_j 1 / (A + B cos(2 pi j / l)) = (1 + rho^l) / ((1 - rho^l) s),
+
+    s = sqrt(A^2 - B^2), rho = -B / (A + s) with the root |rho| <= 1, and 1/A
+    when B = 0, so a full band costs O(l) per z. A partial filling starts from
+    the full band and subtracts the empty states, or sums the filled states
+    directly when they are no more, taken from ``occ.minority``.
+
+    Two cases take the literal mesh sum (:func:`ladder_sum`) instead:
+
+    - a real z within ``guard`` (doubled, to cover the rounding of D_k) of the
+      shifted band [gap_min, gap_max] + shift, where the row sums have poles. The
+      mesh sum refuses when a grid point sits within ``guard`` of z; with
+      ``guard = 0`` only z inside the band takes it, and it never refuses;
+    - a complex z with |1 - rho^l| < :data:`ROW_SUM_GUARD` in some row.
+    """
+    shift = hartree_shift(params, occ)
+    b = 2.0 * params.t21
+    lo, hi = gap_range(params, grid)
+    lo, hi = lo + shift - 2.0 * guard, hi + shift + 2.0 * guard
+    idx, filled = occ.minority
+    minority = gap_from_structure_factor(params, grid.gamma_k[idx])
+    l, n = grid.l, grid.n_sites
+
+    def mesh(z):
+        return ladder_sum(band_gap(params, grid) - z + shift, occ.n_k, 1.0, n, guard)
+
+    def resolvent(z):
+        real = np.imag(z) == 0.0
+        if real:
+            z = float(np.real(z))
+            if lo <= z <= hi:
+                return mesh(z)
+        inv = 1.0 / (minority - z + shift)
+        part = np.sum(inv) / n
+        if filled:
+            return float(part) if real else complex(part)
+        a = (params.eps21 + shift - z) + b * grid.cos_k
+        if b == 0.0:
+            rows = 1.0 / a
+        else:
+            s = np.sqrt((a - b) * (a + b) + 0j)
+            s = np.where((s * np.conj(a)).real < 0.0, -s, s)
+            q = (-b / (a + s)) ** l
+            if not real and np.min(np.abs(1.0 - q)) < ROW_SUM_GUARD:
+                return mesh(z)
+            rows = (1.0 + q) / ((1.0 - q) * s)
+        full = np.sum(rows) / l
+        value = full - part
+        # Rounding each D_k moves R by up to eps*scale*sum|1/D_k|^2/N, summed over
+        # the terms the closed form rounds otherwise than the mesh sum: the empty
+        # states it subtracts at real z, every state at complex z, where that sum
+        # is Im R_full / Im z.
+        scale = abs(z) + max(abs(lo), abs(hi))
+        spread = np.vdot(inv, inv).real / n if real else full.imag / z.imag
+        if _EPS * scale * spread > ROUNDING_TOL * abs(value):
+            return mesh(z)
+        return float(value.real) if real else complex(value)
+
+    return resolvent
+
+
+def screening_factor(params: ModelParams, grid: BZGrid, occ: Occupation,
+                     bs: bool = False) -> float:
+    """1 - S with S = u12 R(z) at z = omega_l, or z = -omega_l for ``bs``."""
+    z = -params.omega_l if bs else params.omega_l
+    return 1.0 - params.u12 * pair_resolvent(params, grid, occ)(z)
+
+
 def screened_detunings(params: ModelParams, grid: BZGrid, occ: Occupation) -> ScreenedDetunings:
     """Evaluate bare, screened, and counter-rotating detunings on the full grid."""
     d0 = bare_detuning(params, grid)
     d = shifted_detunings(params, grid, occ)
     d_bs = shifted_detunings(params, grid, occ, bs=True)
-    factor = 1.0 - ladder_sum(d, occ.n_k, params.u12, grid.n_sites)
-    factor_bs = 1.0 - ladder_sum(d_bs, occ.n_k, params.u12, grid.n_sites)
+    factor = screening_factor(params, grid, occ)
+    factor_bs = screening_factor(params, grid, occ, bs=True)
     return ScreenedDetunings(delta0=d0, delta=d * factor, delta_bs=d_bs * factor_bs)
 
 
-def _screened_at(params, grid, occ, k, bs: bool):
-    shifted_grid = shifted_detunings(params, grid, occ, bs=bs)
-    factor = 1.0 - ladder_sum(shifted_grid, occ.n_k, params.u12, grid.n_sites)
+def _shifted_at(params, occ, k, bs: bool):
     extra = 2.0 * params.omega_l if bs else 0.0
-    d_k = bare_detuning(params, k) + extra + hartree_shift(params, occ)
-    return d_k * factor
+    return bare_detuning(params, k) + extra + hartree_shift(params, occ)
+
+
+def _screened_at(params, grid, occ, k, bs: bool):
+    return _shifted_at(params, occ, k, bs) * screening_factor(params, grid, occ, bs)
 
 
 def screened_detuning(params: ModelParams, grid: BZGrid, occ: Occupation, k) -> float:
@@ -110,73 +215,57 @@ def screened_detuning_bs(params: ModelParams, grid: BZGrid, occ: Occupation, k) 
 
 def band_resonance_edge(params: ModelParams, grid: BZGrid, occ: Occupation) -> float:
     """Continuum edge: minimum Hartree-shifted gap over the grid (omega_l-independent)."""
-    gaps = band_gap(params, grid)
-    return float(np.min(gaps)) + hartree_shift(params, occ)
+    return gap_range(params, grid)[0] + hartree_shift(params, occ)
 
 
-def bound_state_lhs(gaps, occupancy, u11: float, u12: float, nu: float,
-                    n_sites: int, omega: float) -> float:
-    """Ladder closure function F(omega) = (u12/N) sum_k n_k / (gap_k - omega + shift).
+def exciton_lhs(params: ModelParams, grid: BZGrid, occ: Occupation, omega: float) -> float:
+    """Ladder closure F(omega) = (u12/N) sum_k n_k / (gap_k - omega + shift).
 
     Strictly increasing in omega below the continuum edge; F = 1 marks the
     bound electron-hole pair.
     """
-    shift = (-u11 + 2.0 * u12) * nu
-    return (u12 / n_sites) * np.sum(occupancy / (gaps - omega + shift))
+    return params.u12 * pair_resolvent(params, grid, occ, guard=0.0)(omega)
 
 
-def exciton_lhs(params: ModelParams, grid: BZGrid, occ: Occupation, omega: float) -> float:
-    """F(omega) evaluated on the grid's band structure and occupations."""
-    gaps = band_gap(params, grid)
-    return bound_state_lhs(gaps, occ.n_k, params.u11, params.u12, occ.nu,
-                           grid.n_sites, omega)
+def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float,
+                      tol: float = 1e-10):
+    """Bisect the ladder closure ``lhs(omega) = 1`` below the continuum ``edge``.
 
-
-def solve_bound_state(gaps, occupancy, u11: float, u12: float, nu: float,
-                      n_sites: int, tol: float = 1e-10):
-    """Bisect F(omega) = 1 below the continuum edge.
-
-    Returns (omega, edge, residual, converged). Bisection is iterated to
+    Returns (omega, residual, converged). Bisection is iterated to
     floating-point resolution (the bracket endpoints have poles just above,
     so robustness beats speed); ``converged`` reports whether the final
     bracket is narrower than ``tol``.
     """
     if u12 <= 0.0 or nu <= 0.0:
         raise NoResonance("a bound state requires u12 > 0 and a partially filled band")
-    gaps = np.asarray(gaps, dtype=float)
-    shift = (-u11 + 2.0 * u12) * nu
-    edge = float(np.min(gaps)) + shift
-
-    def f(omega):
-        return (u12 / n_sites) * np.sum(occupancy / (gaps - omega + shift))
-
     lo = edge - u11 - 5.0 * u12
     hi = edge - 1e-9
-    if f(hi) < 1.0:
+    if lhs(hi) < 1.0:
         raise NoResonance(
             "no sign change inside the bracket (u12 too small for a bound state "
             "on this grid)"
         )
-    # f(lo) < 1 always: every denominator is at least u11 + 5*u12 there.
+    # lhs(lo) < 1 always: every denominator is at least u11 + 5*u12 there.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if f(mid) < 1.0:
+        if lhs(mid) < 1.0:
             lo = mid
         else:
             hi = mid
     omega = 0.5 * (lo + hi)
-    residual = abs(f(omega) - 1.0)
-    return omega, edge, residual, (hi - lo) <= tol
+    residual = abs(lhs(omega) - 1.0)
+    return omega, residual, (hi - lo) <= tol
 
 
 def solve_exciton_resonance(params: ModelParams, grid: BZGrid, occ: Occupation,
                             tol: float = 1e-10) -> ResonanceReport:
     """Locate the exciton resonance: the unique F(omega) = 1 root below the edge."""
-    gaps = band_gap(params, grid)
-    omega, edge, residual, converged = solve_bound_state(
-        gaps, occ.n_k, params.u11, params.u12, occ.nu, grid.n_sites, tol=tol
+    edge = band_resonance_edge(params, grid, occ)
+    resolvent = pair_resolvent(params, grid, occ, guard=0.0)
+    omega, residual, converged = solve_bound_state(
+        lambda w: params.u12 * resolvent(w), edge, params.u11, params.u12, occ.nu, tol=tol
     )
     return ResonanceReport(
         omega_ex=omega,
@@ -189,15 +278,12 @@ def solve_exciton_resonance(params: ModelParams, grid: BZGrid, occ: Occupation,
 
 
 def grpa_tmatrix(params: ModelParams, grid: BZGrid, occ: Occupation) -> float:
-    """Electron-hole t-matrix T = (1 + (u12/N) sum_k n_k / (-D_k))^(-1).
+    """Electron-hole t-matrix T = (1 + (u12/N) sum_k n_k / (-D_k))^(-1) = 1 / (1 - S).
 
     The beta -> infinity limit of the Matsubara ladder: unity at u12 = 0 and
     divergent at the exciton pole.
     """
-    minus_d = -shifted_detunings(params, grid, occ)
-    if np.min(np.abs(minus_d)) < RESONANCE_GUARD_EV:
-        raise ResonantDenominator("t-matrix evaluated on the Hartree-shifted band resonance")
-    inverse_t = 1.0 + (params.u12 / grid.n_sites) * np.sum(occ.n_k / minus_d)
+    inverse_t = screening_factor(params, grid, occ)
     if abs(inverse_t) < 1e-12:
         raise ResonantDenominator("t-matrix pole: laser sits on the exciton resonance")
     return 1.0 / inverse_t
@@ -213,9 +299,8 @@ def grpa_stark_equivalence(params: ModelParams, grid: BZGrid, occ: Occupation,
     """
     g2 = params.g_l * params.g_l
     n_k = occ.n_k[k_index]
-    d = shifted_detunings(params, grid, occ)
+    d = _shifted_at(params, occ, grid.point(k_index), bs=False)
     t = grpa_tmatrix(params, grid, occ)
-    bubble = g2 * (-n_k / d[k_index]) * t
-    factor = 1.0 - ladder_sum(d, occ.n_k, params.u12, grid.n_sites)
-    screened = -g2 * n_k / (d[k_index] * factor)
+    bubble = g2 * (-n_k / d) * t
+    screened = -g2 * n_k / (d * screening_factor(params, grid, occ))
     return bubble, screened

@@ -2,7 +2,7 @@
 
 alpha(omega) is proportional to (1/pi) sum_k n_k Im[1 / Delta_k(omega + i*gamma)],
 where the complex frequency enters only through the bare detuning; the Hartree
-shifts stay real. Curves are normalized to unit peak (the overall scale is a
+shifts stay real. Each frequency costs one O(l) pair resolvent. Curves are normalized to unit peak (the overall scale is a
 convention), with the raw peak value kept on the curve for sum-rule checks.
 """
 
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NoPeak
-from .lattice import BZGrid, ModelParams, Occupation, band_gap
-from .screening import hartree_shift
+from .lattice import BZGrid, ModelParams, Occupation
+from .screening import pair_resolvent
 
 
 @dataclass(frozen=True)
@@ -38,21 +38,21 @@ def absorbance(params: ModelParams, grid: BZGrid, occ: Occupation,
                omegas, gamma: float) -> SpectrumCurve:
     """Absorbance sampled at ``omegas`` with Lorentzian broadening ``gamma`` > 0.
 
-    gamma regularizes every pole, so no resonance guard applies; the in-gap
-    peak sits at the exciton resonance, band absorption covers the shifted
-    continuum.
+    Per frequency, raw = Im[R / (1 - u12 R)] / pi with the pair resolvent R at
+    z = omega + i*gamma (:func:`floqex.screening.pair_resolvent`), which is
+    (1/(pi N)) sum_k n_k Im[1 / (d_k (1 - (u12/N) sum_k' n_k'/d_k'))] for
+    d_k = gap_k - z + shift. gamma regularizes every pole, so no resonance
+    guard applies; the in-gap peak sits at the exciton resonance, band
+    absorption covers the shifted continuum.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     omegas = np.asarray(omegas, dtype=float)
-    gaps = band_gap(params, grid)
-    shift = hartree_shift(params, occ)
-    u12_per_site = params.u12 / grid.n_sites
+    resolvent = pair_resolvent(params, grid, occ, guard=0.0)
     raw = np.empty(len(omegas))
     for i, omega in enumerate(omegas):
-        d = gaps - complex(omega, gamma) + shift
-        factor = 1.0 - u12_per_site * np.sum(occ.n_k / d)
-        raw[i] = np.sum(occ.n_k * (1.0 / (d * factor)).imag) / (np.pi * grid.n_sites)
+        r = resolvent(complex(omega, gamma))
+        raw[i] = (r / (1.0 - params.u12 * r)).imag / np.pi
     peak = float(np.max(raw))
     if peak <= 0.0:
         raise ValueError("spectrum has no positive weight on this frequency window")

@@ -139,6 +139,16 @@ def test_u12_sweep_baseline_and_consistency(grid64, params):
     assert result.columns["enhancement"][1] == direct
 
 
+def test_u12_sweep_rows_equal_enhancement_ratio_when_doped(grid64):
+    p = ModelParams(doping=0.02)
+    values = [0.6, 0.8, 1.0]
+    result = u12_sweep(p, grid64, 0.05, values)
+    assert np.all(result.columns["converged"] == 1)
+    for u12, row in zip(values, result.columns["enhancement"][1:]):
+        assert row == enhancement_ratio(p.replace(u12=u12), p.without_interactions(),
+                                        grid64, grid64.gamma_index, 0.05)
+
+
 def test_u12_sweep_peak_position(grid128, params):
     values = np.arange(0.1, 1.2001, 0.05)
     result = u12_sweep(params, grid128, 0.05, values)

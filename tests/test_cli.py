@@ -63,6 +63,14 @@ def test_non_finite_override_exits_2_without_output(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_fig1b_grid_below_hopping_stencil_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "small"
+    assert main(["run", "fig1b", "--grid", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "16" in err
+    assert not out.exists()
+
+
 def test_grid_beyond_physical_memory_rejected(monkeypatch):
     # parsing allocates nothing, so the ceiling is checked against a pretend 1 GiB
     with monkeypatch.context() as m:
@@ -137,6 +145,31 @@ def test_write_emits_three_files(tmp_path):
     assert names == {"demo.csv", "demo.json", "demo.meta.json"}
     payload = json.loads((tmp_path / "demo.json").read_text())
     assert payload["columns"]["y"] == [0.0, 1.0, 2.0]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"invalid JSON constant {name}")
+
+
+def test_json_writes_non_finite_values_as_null(tmp_path):
+    result = ScanResult("x", np.arange(3), {"y": np.array([1.0, np.nan, np.inf])},
+                        metadata={"peak": float("nan"), "axis": (0.5, float("-inf"))})
+    result.write(tmp_path, "demo")
+    payload = json.loads((tmp_path / "demo.json").read_text(), parse_constant=_refuse_constant)
+    assert payload["columns"]["y"] == [1.0, None, None]
+    meta = json.loads((tmp_path / "demo.meta.json").read_text(),
+                      parse_constant=_refuse_constant)
+    assert meta["peak"] is None and meta["axis"] == [0.5, None]
+    # the CSV keeps the values
+    assert (tmp_path / "demo.csv").read_text().splitlines()[2:] == ["1,nan", "2,inf"]
+
+
+def test_fig3c_json_is_valid_where_the_baseline_row_has_no_exciton(tmp_path):
+    assert main(["run", "fig3c", "--grid", "32", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "fig3c.json").read_text(), parse_constant=_refuse_constant)
+    assert payload["columns"]["omega_ex"][0] is None
+    header, data = parse_csv((tmp_path / "fig3c.csv").read_text())
+    assert np.isnan(data[0, header.index("omega_ex")])
 
 
 # ---------------------------------------------------------------------------
