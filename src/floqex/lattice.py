@@ -242,7 +242,11 @@ def band_gap(params: ModelParams, k) -> np.ndarray | float:
 
 def gap_from_structure_factor(params: ModelParams, gamma) -> np.ndarray | float:
     """Interband gap eps21 + 2 t21 gamma at given values of gamma = cos kx + cos ky."""
-    return params.eps21 + 2.0 * params.t21 * gamma
+    gap = 2.0 * params.t21 * gamma
+    if isinstance(gap, np.ndarray):
+        gap += params.eps21  # in place: one array per call, same bits as eps21 + gap
+        return gap
+    return params.eps21 + gap
 
 
 def gap_range(params: ModelParams, grid: BZGrid) -> tuple:
@@ -252,14 +256,18 @@ def gap_range(params: ModelParams, grid: BZGrid) -> tuple:
     monotone, so both values equal the min and max of ``band_gap(params, grid)``
     bit for bit.
     """
-    lo, hi = grid.cos_k.min(), grid.cos_k.max()
-    ends = gap_from_structure_factor(params, np.array([lo + lo, hi + hi]))
-    return float(np.min(ends)), float(np.max(ends))
+    lo, hi = float(grid.cos_k.min()), float(grid.cos_k.max())
+    ends = gap_from_structure_factor(params, lo + lo), gap_from_structure_factor(params, hi + hi)
+    return min(ends), max(ends)
 
 
 def bare_detuning(params: ModelParams, k) -> np.ndarray | float:
     """Laser-bandgap detuning: gap(k) - omega_l."""
-    return band_gap(params, k) - params.omega_l
+    d = band_gap(params, k)
+    if isinstance(d, np.ndarray):
+        d -= params.omega_l
+        return d
+    return d - params.omega_l
 
 
 def occupations(params: ModelParams, grid: BZGrid) -> Occupation:

@@ -89,9 +89,10 @@ def hartree_shift(params: ModelParams, occ: Occupation) -> float:
 
 def shifted_detunings(params, grid, occ, bs: bool = False) -> np.ndarray:
     """Hartree-shifted detuning D_k over the grid; ``bs`` adds the 2*omega_l shift."""
-    d0 = bare_detuning(params, grid)
-    extra = 2.0 * params.omega_l if bs else 0.0
-    return d0 + extra + hartree_shift(params, occ)
+    d = bare_detuning(params, grid)
+    d += 2.0 * params.omega_l if bs else 0.0
+    d += hartree_shift(params, occ)
+    return d
 
 
 def ladder_sum(shifted: np.ndarray, occupancy: np.ndarray, u12: float, n_sites: int,
@@ -123,16 +124,22 @@ def pair_resolvent(params: ModelParams, grid: BZGrid, occ: Occupation,
     the full band and subtracts the empty states, or sums the filled states
     directly when they are no more, taken from ``occ.minority``.
 
-    Two cases take the literal mesh sum (:func:`ladder_sum`) instead:
+    The literal mesh sum (:func:`ladder_sum`) is taken instead
 
-    - a real z within ``guard`` (doubled, to cover the rounding of D_k) of the
-      shifted band [gap_min, gap_max] + shift, where the row sums have poles. The
-      mesh sum refuses when a grid point sits within ``guard`` of z; with
-      ``guard = 0`` only z inside the band takes it, and it never refuses;
-    - a complex z with |1 - rho^l| < :data:`ROW_SUM_GUARD` in some row.
+    - at a real z within ``guard`` (doubled, to cover the rounding of D_k) of
+      the shifted band [gap_min, gap_max] + shift, where the row sums have
+      poles. The mesh sum refuses when a grid point sits within ``guard`` of z;
+      with ``guard = 0`` only z inside the band takes it, and it never refuses;
+    - at a complex z with |1 - rho^l| < :data:`ROW_SUM_GUARD` in some row;
+    - where the closed form's rounding error, estimated as
+      eps * scale * sum |1/D_k|^2 / N over the terms it rounds otherwise than
+      the mesh sum, exceeds :data:`ROUNDING_TOL` relative: the subtracted empty
+      states at real z (near-resonant ones cancel their full-band twins), every
+      state at complex z (there the sum is Im R_full / Im z).
     """
     shift = hartree_shift(params, occ)
     b = 2.0 * params.t21
+    bc = b * grid.cos_k
     lo, hi = gap_range(params, grid)
     lo, hi = lo + shift - 2.0 * guard, hi + shift + 2.0 * guard
     idx, filled = occ.minority
@@ -142,35 +149,43 @@ def pair_resolvent(params: ModelParams, grid: BZGrid, occ: Occupation,
     def mesh(z):
         return ladder_sum(band_gap(params, grid) - z + shift, occ.n_k, 1.0, n, guard)
 
+    def rows(z, real):
+        """Row means (1/l) sum_j 1/(A_i + B c_j), or None where |1 - rho^l| is too small."""
+        a = (params.eps21 + shift - z) + bc
+        if b == 0.0:
+            return 1.0 / a
+        disc = (a - b) * (a + b)
+        if real and disc.min() > 0.0:
+            s = np.copysign(np.sqrt(disc), a)
+        else:
+            s = np.sqrt(disc + 0j)
+            s = np.where((s * np.conj(a)).real < 0.0, -s, s)
+        q = (-b / (a + s)) ** l
+        if not real and np.min(np.abs(1.0 - q)) < ROW_SUM_GUARD:
+            return None
+        return (1.0 + q) / ((1.0 - q) * s)
+
     def resolvent(z):
         real = np.imag(z) == 0.0
         if real:
             z = float(np.real(z))
             if lo <= z <= hi:
                 return mesh(z)
-        inv = 1.0 / (minority - z + shift)
-        part = np.sum(inv) / n
-        if filled:
-            return float(part) if real else complex(part)
-        a = (params.eps21 + shift - z) + b * grid.cos_k
-        if b == 0.0:
-            rows = 1.0 / a
-        else:
-            s = np.sqrt((a - b) * (a + b) + 0j)
-            s = np.where((s * np.conj(a)).real < 0.0, -s, s)
-            q = (-b / (a + s)) ** l
-            if not real and np.min(np.abs(1.0 - q)) < ROW_SUM_GUARD:
-                return mesh(z)
-            rows = (1.0 + q) / ((1.0 - q) * s)
-        full = np.sum(rows) / l
+        part = spread = 0.0
+        if filled or minority.size:
+            inv = 1.0 / (minority - z + shift)
+            part = np.sum(inv) / n
+            if filled:
+                return float(part) if real else complex(part)
+            spread = np.vdot(inv, inv).real / n
+        means = rows(z, real)
+        if means is None:
+            return mesh(z)
+        full = np.sum(means) / l
         value = full - part
-        # Rounding each D_k moves R by up to eps*scale*sum|1/D_k|^2/N, summed over
-        # the terms the closed form rounds otherwise than the mesh sum: the empty
-        # states it subtracts at real z, every state at complex z, where that sum
-        # is Im R_full / Im z.
-        scale = abs(z) + max(abs(lo), abs(hi))
-        spread = np.vdot(inv, inv).real / n if real else full.imag / z.imag
-        if _EPS * scale * spread > ROUNDING_TOL * abs(value):
+        if not real:
+            spread = full.imag / z.imag
+        if _EPS * (abs(z) + max(abs(lo), abs(hi))) * spread > ROUNDING_TOL * abs(value):
             return mesh(z)
         return float(value.real) if real else complex(value)
 
@@ -189,9 +204,10 @@ def screened_detunings(params: ModelParams, grid: BZGrid, occ: Occupation) -> Sc
     d0 = bare_detuning(params, grid)
     d = shifted_detunings(params, grid, occ)
     d_bs = shifted_detunings(params, grid, occ, bs=True)
-    factor = screening_factor(params, grid, occ)
-    factor_bs = screening_factor(params, grid, occ, bs=True)
-    return ScreenedDetunings(delta0=d0, delta=d * factor, delta_bs=d_bs * factor_bs)
+    resolvent = pair_resolvent(params, grid, occ)
+    d *= 1.0 - params.u12 * resolvent(params.omega_l)
+    d_bs *= 1.0 - params.u12 * resolvent(-params.omega_l)
+    return ScreenedDetunings(delta0=d0, delta=d, delta_bs=d_bs)
 
 
 def _shifted_at(params, occ, k, bs: bool):
