@@ -9,7 +9,6 @@ line. Defaults are the reference parameter set of :class:`ModelParams`; CLI
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 
 from .exceptions import ConfigError
@@ -47,12 +46,6 @@ _INT_OPTIONS = {"grid", "seed", "workers", "instances", "trials"}
 _LIST_OPTIONS = {"t21_values"}
 OPTION_KEYS = tuple(f.name for f in fields(RunOptions))
 
-# Full-grid float64 arrays alive at once at the peak of the leanest scenario
-# (resonance holds about five; fig1a about twelve). A grid whose arrays cannot
-# fit in physical memory even then is refused before anything is allocated.
-_PEAK_MESH_ARRAYS = 5
-
-
 def _parse_float(key, raw, line):
     try:
         value = float(raw)
@@ -61,10 +54,6 @@ def _parse_float(key, raw, line):
     if not math.isfinite(value):
         raise ConfigError(f"line {line}: value for {key!r} must be finite, got {raw!r}")
     return value
-
-
-def _physical_memory_bytes() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _parse_value(key: str, raw: str, line):
@@ -86,11 +75,6 @@ def _check_range(key: str, value, line):
     if key == "grid":
         if value < 2 or value % 2 != 0:
             raise ConfigError(f"line {line}: grid must be an even integer >= 2, got {value}")
-        need, have = _PEAK_MESH_ARRAYS * 8 * value * value, _physical_memory_bytes()
-        if need > have:
-            raise ConfigError(f"line {line}: grid {value} needs about {need / 2**30:.1f} GiB "
-                              f"of mesh arrays, more than the {have / 2**30:.1f} GiB of "
-                              f"physical memory")
     if key == "workers" and value < 1:
         raise ConfigError(f"line {line}: workers must be >= 1, got {value}")
     if key in ("detuning", "gamma", "omega_step", "gl_step", "u12_step", "det_step") \

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Mesh points per block when a full-mesh pass runs over blocks of rows: small
+# enough that a block's temporaries stay far below one l x l array at large l.
+MESH_BLOCK = 2**16
+
 _ENERGY_FIELDS = (
     "u11", "u12", "u22", "eps21", "t1", "t2",
     "g_l", "g_c", "omega_l", "omega_c", "mu",
@@ -89,18 +93,19 @@ class BZGrid:
     canonical reduction order for every k-sum in the library. The mesh is
     closed under k -> -k (mod 2*pi) by construction.
 
-    The grid keeps the 1-D table ``k`` of the l coordinates and the read-only
-    structure factor ``gamma_k = cos kx + cos ky`` over the flat mesh, the only
-    k-dependence of every band. It is built as the outer sum of l cosines, so
-    no full-grid cosine is ever evaluated; each entry is bit-identical to
-    ``np.cos(kx) + np.cos(ky)`` because the same two cosines are added. The
-    flat coordinate arrays ``kx`` and ``ky`` are built only when first read,
-    so full-grid computations, which need just the band, never hold them.
+    The grid keeps only O(l) data: the 1-D table ``k`` of the l coordinates and
+    their cosines ``cos_k``. Every band depends on k only through the structure
+    factor gamma = cos kx + cos ky = cos_k[i] + cos_k[j] at the flat index
+    i * l + j, so reductions read the two cosines of the points they need. The
+    full-mesh arrays are built only when first read: ``gamma_k`` as the outer
+    sum of the l cosines (each entry bit-identical to ``np.cos(kx) +
+    np.cos(ky)``, because the same two cosines are added), and the flat
+    coordinates ``kx`` and ``ky``.
     """
 
     l: int
     k: np.ndarray
-    gamma_k: np.ndarray
+    cos_k: np.ndarray
 
     @classmethod
     def square(cls, l: int) -> "BZGrid":
@@ -108,17 +113,21 @@ class BZGrid:
             raise ValueError(f"grid size must be positive, got {l}")
         k = 2.0 * np.pi * np.arange(l) / l
         c = np.cos(k)
-        gamma_k = (c[:, None] + c[None, :]).ravel()
         k.setflags(write=False)
-        gamma_k.setflags(write=False)
-        return cls(l=l, k=k, gamma_k=gamma_k)
+        c.setflags(write=False)
+        return cls(l=l, k=k, cos_k=c)
 
     @functools.cached_property
-    def cos_k(self) -> np.ndarray:
-        """The l cosines cos(k) that ``gamma_k`` is summed from (built on first access)."""
-        c = np.cos(self.k)
-        c.setflags(write=False)
-        return c
+    def gamma_k(self) -> np.ndarray:
+        """Read-only structure factor cos kx + cos ky over the flat mesh (built on first access)."""
+        gamma_k = self.gamma_rows(0, self.l)
+        gamma_k.setflags(write=False)
+        return gamma_k
+
+    def gamma_rows(self, start: int, stop: int) -> np.ndarray:
+        """Flat structure factor of the mesh rows ``start <= nx < stop``, a fresh array."""
+        c = self.cos_k
+        return (c[start:stop, None] + c[None, :]).ravel()
 
     @functools.cached_property
     def kx(self) -> np.ndarray:
@@ -182,31 +191,42 @@ class BZGrid:
 
 @dataclass(frozen=True)
 class Occupation:
-    """Zero-temperature lower-band occupancies and the per-spin filling."""
+    """Zero-temperature lower-band filling, stored as its minority state set.
 
-    n_k: np.ndarray
-    nu: float
+    ``minority`` is (indices, filled): the sorted flat indices of the smaller
+    of the filled and the empty state sets, and whether they list the filled
+    ones; a tie lists the filled states. A full or an empty band lists no
+    states. The per-point occupancies ``n_k`` (1.0 filled, 0.0 empty) are built
+    from it only when first read; :meth:`n_range` gives a stretch of them
+    without building the whole mesh.
+    """
+
+    n_sites: int
     n_filled: int
+    minority: tuple
 
     def __post_init__(self):
-        self.n_k.setflags(write=False)
+        self.minority[0].setflags(write=False)
+
+    @property
+    def nu(self) -> float:
+        """Per-spin filling n_filled / n_sites."""
+        return self.n_filled / self.n_sites
 
     @functools.cached_property
-    def minority(self) -> tuple:
-        """(indices, filled): the smaller of the filled and the empty state sets.
+    def n_k(self) -> np.ndarray:
+        """Read-only occupancies over the flat mesh (built on first access)."""
+        n_k = self.n_range(0, self.n_sites)
+        n_k.setflags(write=False)
+        return n_k
 
-        ``filled`` tells which of the two the flat indices list; a tie lists the
-        filled states. The sets are read from ``n_k``, so they keep the (kx, ky)
-        tie-break that :func:`occupations` applied.
-        """
-        n_sites = self.n_k.size
-        filled = self.n_filled <= n_sites - self.n_filled
-        if self.n_filled in (0, n_sites):
-            idx = np.empty(0, dtype=np.intp)
-        else:
-            idx = np.flatnonzero(self.n_k if filled else self.n_k == 0.0)
-        idx.setflags(write=False)
-        return idx, filled
+    def n_range(self, start: int, stop: int) -> np.ndarray:
+        """Occupancies of the flat indices ``start <= i < stop``, a fresh array."""
+        idx, filled = self.minority
+        lo, hi = np.searchsorted(idx, (start, stop))
+        n = np.zeros(stop - start) if filled else np.ones(stop - start)
+        n[idx[lo:hi] - start] = 1.0 if filled else 0.0
+        return n
 
 
 def _structure_factor(k):
@@ -273,18 +293,110 @@ def bare_detuning(params: ModelParams, k) -> np.ndarray | float:
 def occupations(params: ModelParams, grid: BZGrid) -> Occupation:
     """Step-function filling of the lower band at zero temperature.
 
-    The (1 - doping) fraction of lowest-energy band-1 states is filled, with
-    ties broken lexicographically in (kx, ky) so the result is independent of
-    enumeration order. Flat row-major order is already (kx, ky) order, because
-    k = 2*pi*n/l increases with n, so a stable sort of the energies alone gives
-    that tie-break. A full band needs no sort.
+    The round((1 - doping) * N) lowest-energy band-1 states are filled, with
+    ties broken lexicographically in (kx, ky), i.e. in flat row-major order, so
+    the result is independent of enumeration order. Nothing of size N is sorted
+    or built: the energies 0.0 + 2 t1 (c_i + c_j) of mesh row i are monotone
+    in c_j, rounding included, so once the l cosines are sorted, the number of
+    states at or below an energy in each row is a binary search, and a
+    bisection over energies finds the n_filled-th one (:func:`_filled_per_row`).
+    The minority states are then read off row by row.
     """
     n_sites = grid.n_sites
     n_filled = int(round((1.0 - params.doping) * n_sites))
-    if n_filled == n_sites:
-        n_k = np.ones(n_sites)
+    filled = n_filled <= n_sites - n_filled
+    if n_filled in (0, n_sites):
+        idx = np.empty(0, dtype=np.intp)
     else:
-        order = np.argsort(dispersion(params, 1, grid), kind="stable")
-        n_k = np.zeros(n_sites)
-        n_k[order[:n_filled]] = 1.0
-    return Occupation(n_k=n_k, nu=n_filled / n_sites, n_filled=n_filled)
+        idx = _minority_states(params.t1, grid, n_filled, filled)
+    return Occupation(n_sites=n_sites, n_filled=n_filled, minority=(idx, filled))
+
+
+def _band1(scale: float, ci, cj):
+    """Band-1 energy 0.0 + scale (ci + cj), rounded exactly as :func:`dispersion` rounds it."""
+    return 0.0 + scale * (ci + cj)
+
+
+def _count_at_or_below(scale, c, ranked, tau: float) -> np.ndarray:
+    """Per mesh row i, the number of states with energy <= ``tau``.
+
+    ``ranked`` holds the cosines in the order in which the energies of every
+    row ascend, so each count is a binary search over it.
+    """
+    l = c.size
+    lo, hi = np.zeros(l, dtype=np.intp), np.full(l, l)
+    for _ in range(l.bit_length()):
+        mid = (lo + hi) // 2
+        below = _band1(scale, c, ranked[np.minimum(mid, l - 1)]) <= tau
+        below &= lo < hi
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def _key(x: float) -> int:
+    """Integer that orders floats as their values do (-0.0 and 0.0 share key 0)."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _from_key(key: int) -> float:
+    """The float whose :func:`_key` is ``key``."""
+    bits = key if key >= 0 else -key | 1 << 63
+    return float(np.uint64(bits).view(np.float64))
+
+
+def _filled_per_row(t1: float, c: np.ndarray, n_filled: int):
+    """The filling, row by row: (order, count, row, row_filled).
+
+    ``order`` sorts the cosines so that band-1 energies ascend along every
+    row; mesh row i holds the ``count[i]`` lowest of them, at the columns
+    ``order[:count[i]]``, except row ``row``, whose filled columns are the
+    mask ``row_filled``. The n_filled-th lowest energy tau is found by
+    bisection over the floats (as ordered integers). Every state below tau is
+    filled; the states at tau (the tie shell) are filled in flat order, so the
+    rows before ``row`` take their whole shell and the rows after it none.
+    """
+    scale = 2.0 * t1
+    order = np.argsort(-c if scale < 0.0 else c, kind="stable")
+    ranked = c[order]
+    lo = _key(np.min(_band1(scale, c, ranked[0]))) - 1
+    hi = _key(np.max(_band1(scale, c, ranked[-1])))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _count_at_or_below(scale, c, ranked, _from_key(mid)).sum() >= n_filled:
+            hi = mid
+        else:
+            lo = mid
+    tau = _from_key(hi)
+    upto = _count_at_or_below(scale, c, ranked, tau)
+    below = _count_at_or_below(scale, c, ranked, np.nextafter(tau, -np.inf))
+    reach = np.cumsum(upto - below)
+    take = n_filled - int(below.sum())
+    row = int(np.searchsorted(reach, take))
+    count = np.where(np.arange(c.size) < row, upto, below)
+    from_shell = take - (int(reach[row - 1]) if row else 0)
+    shell = np.sort(order[below[row]:upto[row]])[:from_shell]
+    row_filled = np.zeros(c.size, dtype=bool)
+    row_filled[order[:below[row]]] = True
+    row_filled[shell] = True
+    count[row] = below[row] + from_shell
+    return order, count, row, row_filled
+
+
+def _minority_states(t1: float, grid: BZGrid, n_filled: int, filled: bool) -> np.ndarray:
+    """Sorted flat indices of the filled states (``filled``) or of the empty ones."""
+    l = grid.l
+    order, count, row, row_filled = _filled_per_row(t1, grid.cos_k, n_filled)
+    rank = np.empty(l, dtype=np.intp)
+    rank[order] = np.arange(l)
+    step = max(1, MESH_BLOCK // l)
+    parts = []
+    for start in range(0, l, step):
+        mask = rank < count[start:start + step, None]
+        if start <= row < start + step:
+            mask[row - start] = row_filled
+        if not filled:
+            np.logical_not(mask, out=mask)
+        parts.append(np.flatnonzero(mask) + start * l)
+    return np.concatenate(parts)

@@ -10,6 +10,7 @@ emitted files byte-identical for any worker count.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -45,6 +46,24 @@ SCENARIOS = {}
 # Largest scan axis accepted; refused before the axis is allocated.
 MAX_AXIS_POINTS = 1_000_000
 
+# Peak memory of each grid scenario in l x l float64 arrays: the tracemalloc
+# peak at l = 128 over doping 0, 0.05 and 0.5, rounded up. The ratio falls
+# with l (resonance holds no full-mesh array once its mesh fallback takes more
+# than one block, l > 256), so these over-estimate large grids. A grid whose
+# scenario cannot fit in physical memory is refused before anything is
+# allocated.
+PEAK_MESH_ARRAYS = {
+    "resonance": 4,
+    "fig1a": 13,
+    "fig1b": 10,
+    "fig2": 4,
+    "fig3a": 6,
+    "fig3b": 7,
+    "fig3c": 8,
+    "fig4": 9,
+    "absorbance": 4,
+}
+
 
 def _scenario(name):
     def register(fn):
@@ -61,10 +80,18 @@ def _pmap(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _grid(opts: RunOptions, default_l: int, min_l: int = 1) -> BZGrid:
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _grid(opts: RunOptions, scenario: str, default_l: int, min_l: int = 1) -> BZGrid:
     l = opts.grid if opts.grid is not None else default_l
     if l < min_l:
         raise ConfigError(f"grid must be at least {min_l} for this scenario, got {l}")
+    need, have = PEAK_MESH_ARRAYS[scenario] * 8 * l * l, _physical_memory_bytes()
+    if need > have:
+        raise ConfigError(f"grid {l} needs about {need / 2**30:.1f} GiB for {scenario}, "
+                          f"more than the {have / 2**30:.1f} GiB of physical memory")
     return BZGrid.square(l)
 
 
@@ -93,7 +120,7 @@ def _laser_reference(params: ModelParams, grid, occ) -> float:
 
 @_scenario("resonance")
 def _run_resonance(params: ModelParams, opts: RunOptions):
-    grid = _grid(opts, 1024)
+    grid = _grid(opts, "resonance", 1024)
     occ = occupations(params, grid)
     rep = solve_exciton_resonance(params, grid, occ)
     result = ScanResult(
@@ -120,7 +147,7 @@ def _path_table(grid: BZGrid):
 @_scenario("fig1a")
 def _run_fig1a(params: ModelParams, opts: RunOptions):
     """Drive-induced band change per |g_l|^2 along Y -> Gamma -> M, screened vs free."""
-    grid = _grid(opts, 256)
+    grid = _grid(opts, "fig1a", 256)
     detuning = opts.detuning if opts.detuning is not None else 0.03
     path, kx, ky = _path_table(grid)
 
@@ -152,7 +179,7 @@ def _run_fig1a(params: ModelParams, opts: RunOptions):
 @_scenario("fig1b")
 def _run_fig1b(params: ModelParams, opts: RunOptions):
     """Effective hopping vs drive strength for the interacting and free models."""
-    grid = _grid(opts, 256, min_l=HOPPING_MIN_L)
+    grid = _grid(opts, "fig1b", 256, min_l=HOPPING_MIN_L)
     detuning = opts.detuning if opts.detuning is not None else 0.03
     gl_values = _axis(0.0, opts.gl_max, opts.gl_step)
 
@@ -192,7 +219,7 @@ def _ratio_row(params, grid, occ, omega_ex, delta_ex):
 @_scenario("fig2")
 def _run_fig2(params: ModelParams, opts: RunOptions):
     """Stark/BS ratio vs laser-exciton detuning, plus interaction-strength panels."""
-    grid = _grid(opts, 256)
+    grid = _grid(opts, "fig2", 256)
     occ = occupations(params, grid)
     det_axis = _axis(_default(opts.det_min, 0.005), _default(opts.det_max, 0.5),
                      _default(opts.det_step, 0.005))
@@ -251,7 +278,7 @@ def _run_fig2(params: ModelParams, opts: RunOptions):
 @_scenario("fig3a")
 def _run_fig3a(params: ModelParams, opts: RunOptions):
     """Forward-scattering kernel (prefactor removed) along Y -> Gamma -> M."""
-    grid = _grid(opts, 256)
+    grid = _grid(opts, "fig3a", 256)
     detuning = opts.detuning if opts.detuning is not None else 0.05
     path, kx, ky = _path_table(grid)
 
@@ -281,7 +308,7 @@ def _run_fig3a(params: ModelParams, opts: RunOptions):
 @_scenario("fig3b")
 def _run_fig3b(params: ModelParams, opts: RunOptions):
     """Excitonic enhancement of the forward kernel vs detuning at Gamma/Y/M."""
-    grid = _grid(opts, 256)
+    grid = _grid(opts, "fig3b", 256)
     det_axis = _axis(_default(opts.det_min, 0.05), _default(opts.det_max, 0.5),
                      _default(opts.det_step, 0.025))
     occ = occupations(params, grid)
@@ -315,7 +342,7 @@ def _run_fig3b(params: ModelParams, opts: RunOptions):
 @_scenario("fig3c")
 def _run_fig3c(params: ModelParams, opts: RunOptions):
     """Kernel strength and enhancement at Gamma vs the interband repulsion."""
-    grid = _grid(opts, 256)
+    grid = _grid(opts, "fig3c", 256)
     detuning = opts.detuning if opts.detuning is not None else 0.05
     u12_values = _axis(opts.u12_min, opts.u12_max, opts.u12_step)
     result = u12_sweep(params, grid, detuning, u12_values)
@@ -326,7 +353,7 @@ def _run_fig3c(params: ModelParams, opts: RunOptions):
 @_scenario("fig4")
 def _run_fig4(params: ModelParams, opts: RunOptions):
     """Screened detuning vs drive frequency at Gamma/Y/M for several gap dispersions."""
-    grid = _grid(opts, 256)
+    grid = _grid(opts, "fig4", 256)
     omega_axis = _axis(_default(opts.omega_min, 2.3), _default(opts.omega_max, 2.88),
                        opts.omega_step)
     indices = [grid.gamma_index, grid.y_index, grid.m_index]
@@ -369,7 +396,7 @@ def _run_fig4(params: ModelParams, opts: RunOptions):
 
 @_scenario("absorbance")
 def _run_absorbance(params: ModelParams, opts: RunOptions):
-    grid = _grid(opts, 256)
+    grid = _grid(opts, "absorbance", 256)
     omegas = _axis(_default(opts.omega_min, 2.4), _default(opts.omega_max, 5.0),
                    opts.omega_step)
     occ = occupations(params, grid)

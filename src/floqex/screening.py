@@ -27,10 +27,10 @@ import numpy as np
 
 from .exceptions import NoResonance, ResonantDenominator
 from .lattice import (
+    MESH_BLOCK,
     BZGrid,
     ModelParams,
     Occupation,
-    band_gap,
     bare_detuning,
     gap_from_structure_factor,
     gap_range,
@@ -136,6 +136,10 @@ def pair_resolvent(params: ModelParams, grid: BZGrid, occ: Occupation,
       the mesh sum, exceeds :data:`ROUNDING_TOL` relative: the subtracted empty
       states at real z (near-resonant ones cancel their full-band twins), every
       state at complex z (there the sum is Im R_full / Im z).
+
+    The mesh sum runs over blocks of :data:`~floqex.lattice.MESH_BLOCK` mesh
+    points (one block for l <= 256), so it holds no full-mesh array, and each
+    block passes the guard of :func:`ladder_sum` before it is divided.
     """
     shift = hartree_shift(params, occ)
     b = 2.0 * params.t21
@@ -143,11 +147,17 @@ def pair_resolvent(params: ModelParams, grid: BZGrid, occ: Occupation,
     lo, hi = gap_range(params, grid)
     lo, hi = lo + shift - 2.0 * guard, hi + shift + 2.0 * guard
     idx, filled = occ.minority
-    minority = gap_from_structure_factor(params, grid.gamma_k[idx])
     l, n = grid.l, grid.n_sites
+    nx, ny = np.divmod(idx, l)
+    minority = gap_from_structure_factor(params, grid.cos_k[nx] + grid.cos_k[ny])
+    step = max(1, MESH_BLOCK // l)
 
     def mesh(z):
-        return ladder_sum(band_gap(params, grid) - z + shift, occ.n_k, 1.0, n, guard)
+        total = 0.0
+        for a in range(0, l, step):
+            d = gap_from_structure_factor(params, grid.gamma_rows(a, a + step)) - z + shift
+            total += ladder_sum(d, occ.n_range(a * l, min(a + step, l) * l), 1.0, n, guard)
+        return total
 
     def rows(z, real):
         """Row means (1/l) sum_j 1/(A_i + B c_j), or None where |1 - rho^l| is too small."""
@@ -173,11 +183,14 @@ def pair_resolvent(params: ModelParams, grid: BZGrid, occ: Occupation,
                 return mesh(z)
         part = spread = 0.0
         if filled or minority.size:
-            inv = 1.0 / (minority - z + shift)
+            inv = minority - z
+            inv += shift
+            np.divide(1.0, inv, out=inv)  # in place: same bits as 1.0 / (minority - z + shift)
             part = np.sum(inv) / n
             if filled:
                 return float(part) if real else complex(part)
-            spread = np.vdot(inv, inv).real / n
+            if real:
+                spread = np.vdot(inv, inv).real / n
         means = rows(z, real)
         if means is None:
             return mesh(z)
@@ -314,7 +327,7 @@ def grpa_stark_equivalence(params: ModelParams, grid: BZGrid, occ: Occupation,
     1e-12 on identical grids.
     """
     g2 = params.g_l * params.g_l
-    n_k = occ.n_k[k_index]
+    n_k = occ.n_range(k_index, k_index + 1)[0]
     d = _shifted_at(params, occ, grid.point(k_index), bs=False)
     t = grpa_tmatrix(params, grid, occ)
     bubble = g2 * (-n_k / d) * t

@@ -1,12 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from floqex import ModelParams, config, scenarios
+from floqex import ModelParams, scenarios
 from floqex.cli import main
 from floqex.config import RunOptions, parse_config
-from floqex.exceptions import ConfigError
+from floqex.exceptions import ConfigError, NoResonance
 from floqex.scan import ScanResult, format_number, parse_csv
 from floqex.scenarios import run_scenario
 
@@ -71,15 +72,44 @@ def test_fig1b_grid_below_hopping_stencil_exits_2_without_output(tmp_path, capsy
     assert not out.exists()
 
 
-def test_grid_beyond_physical_memory_rejected(monkeypatch):
-    # parsing allocates nothing, so the ceiling is checked against a pretend 1 GiB
+def test_grid_beyond_physical_memory_rejected(monkeypatch, tmp_path, capsys):
+    # each scenario's ceiling is checked against a pretend memory size before the
+    # grid is built; the accepted grids below allocate only O(l)
     with monkeypatch.context() as m:
-        m.setattr(config, "_physical_memory_bytes", lambda: 2**30)
-        assert parse_config("grid = 4096\n")[1].grid == 4096
-        with pytest.raises(ConfigError, match="grid 8192.*physical memory"):
-            parse_config("grid = 8192\n")
-    with pytest.raises(ConfigError, match="grid 100000.*physical memory"):
-        parse_config("grid = 100000\n")
+        m.setattr(scenarios, "_physical_memory_bytes", lambda: 2**30)
+        assert scenarios._grid(RunOptions(grid=4096), "resonance", 1024).l == 4096
+        with pytest.raises(ConfigError, match="grid 8192.*resonance.*physical memory"):
+            scenarios._grid(RunOptions(grid=8192), "resonance", 1024)
+        with pytest.raises(ConfigError, match="grid 4096.*fig1a.*physical memory"):
+            scenarios._grid(RunOptions(grid=4096), "fig1a", 256)
+        m.setattr(scenarios, "_physical_memory_bytes", lambda: 8 * 2**30)
+        out = tmp_path / "fig1a"
+        assert main(["run", "fig1a", "--grid", "12000", "--out", str(out)]) == 2
+        assert "grid 12000" in capsys.readouterr().err and not out.exists()
+    assert parse_config("grid = 100000\n")[1].grid == 100000
+    for name in scenarios.PEAK_MESH_ARRAYS:
+        with pytest.raises(ConfigError, match="grid 100000.*physical memory"):
+            run_scenario(name, ModelParams(), RunOptions(grid=100000), tmp_path / name)
+        assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.PEAK_MESH_ARRAYS))
+def test_declared_grid_peak_covers_the_scenario(name):
+    """The tracemalloc peak of a scenario at small l stays within its declared arrays."""
+    l = 64
+    coarse = ["gl_step = 0.01", "det_step = 0.1", "u12_step = 0.3", "omega_step = 0.05",
+              "t21_values = -0.2, -0.05", f"grid = {l}"]
+    for doping in (0.05, 0.5):
+        params, opts = parse_config("", coarse + [f"doping = {doping}"])
+        tracemalloc.start()
+        try:
+            scenarios.SCENARIOS[name](params, opts)
+        except NoResonance:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= scenarios.PEAK_MESH_ARRAYS[name] * 8 * l * l, (doping, peak)
 
 
 def test_axis_point_ceiling(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floqex import (
     BZGrid,
@@ -169,20 +173,66 @@ def test_full_grid_pipeline_builds_no_coordinate_arrays():
     assert "kx" not in vars(g) and "ky" not in vars(g)
 
 
-@pytest.mark.parametrize("l", [9, 16, 17])
-@pytest.mark.parametrize("t1", [0.05, -0.05])
-@pytest.mark.parametrize("doping", [0.0, 0.05, 0.5])
-def test_filling_matches_lexsort_reference(l, t1, doping):
-    p = ModelParams(t1=t1, doping=doping)
-    g = BZGrid.square(l)
+@pytest.mark.parametrize("doping, ceiling", [(0.0, 0.1), (0.05, 1.0)])
+def test_resonance_path_holds_no_mesh_array(doping, ceiling):
+    """Grid, filling and exciton solve at l = 1024 stay below ``ceiling`` l x l float64 arrays."""
+    l = 1024
+    p = ModelParams(doping=doping)
+    tracemalloc.start()
+    try:
+        g = BZGrid.square(l)
+        occ = occupations(p, g)
+        solve_exciton_resonance(p, g, occ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling * 8 * l * l, peak / (8 * l * l)
+    assert not {"gamma_k", "kx", "ky"} & set(vars(g))
+    assert "n_k" not in vars(occ)
+
+
+def _lexsort_filling(l, t1, doping):
+    """(n_k, minority) from the literal lexsort of (energy, kx, ky) over the flat mesh."""
     kx, ky = _literal_mesh(l)
     eps1 = 2.0 * t1 * (np.cos(kx) + np.cos(ky))
-    n_filled = int(round((1.0 - doping) * g.n_sites))
-    expected = np.zeros(g.n_sites)
+    n_sites = l * l
+    n_filled = int(round((1.0 - doping) * n_sites))
+    expected = np.zeros(n_sites)
     expected[np.lexsort((ky, kx, eps1))[:n_filled]] = 1.0
-    occ = occupations(p, g)
-    assert occ.n_filled == n_filled
+    filled = n_filled <= n_sites - n_filled
+    return expected, (np.flatnonzero(expected == (1.0 if filled else 0.0)), filled)
+
+
+def _assert_filling_is_lexsort(l, t1, doping):
+    p = ModelParams(t1=t1, doping=doping)
+    occ = occupations(p, BZGrid.square(l))
+    expected, (idx, filled) = _lexsort_filling(l, t1, doping)
+    assert occ.n_filled == int(expected.sum())
+    assert occ.minority[1] == filled
+    assert occ.minority[0].dtype == np.intp and np.array_equal(occ.minority[0], idx)
+    n = l * l
+    for start, stop in ((0, n), (n // 3, n // 2), (n - 1, n)):
+        assert np.array_equal(_bits(occ.n_range(start, stop)), _bits(expected[start:stop]))
     assert np.array_equal(_bits(occ.n_k), _bits(expected))
+    return occ
+
+
+# t1 = 0 makes the whole band one tie shell; doping 0.999 lists the filled
+# states, and doping 0.5 on an even mesh is the tie that lists them too.
+@pytest.mark.parametrize("l", [1, 2, 3, 9, 16, 17])
+@pytest.mark.parametrize("t1", [0.05, -0.05, 0.0])
+@pytest.mark.parametrize("doping", [0.0, 0.05, 0.5, 0.999])
+def test_filling_matches_lexsort_reference(l, t1, doping):
+    occ = _assert_filling_is_lexsort(l, t1, doping)
+    if doping == 0.5 and l % 2 == 0:
+        assert occ.minority[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(l=st.integers(1, 33), t1=st.sampled_from((0.05, -0.05, 0.3, -1e-3, 0.0)),
+       doping=st.floats(0.0, 1.0, exclude_max=True))
+def test_filling_property_matches_lexsort(l, t1, doping):
+    _assert_filling_is_lexsort(l, t1, doping)
 
 
 def test_full_filling():

@@ -123,6 +123,30 @@ def test_row_sum_guard_decides_the_mesh_fallback(monkeypatch):
     assert seen == {True, False}
 
 
+def test_mesh_fallback_runs_over_row_blocks(monkeypatch):
+    p = model(0.3, 0.05)
+    grid = BZGrid.square(17)
+    occ = occupations(p, grid)
+    lo, hi = shifted_band(p, grid, occ)
+    inside = lo + 0.3137 * (hi - lo)
+    whole = pair_resolvent(p, grid, occ, guard=0.0)(inside)
+    sizes = []
+    literal = screening.ladder_sum
+    monkeypatch.setattr(screening, "ladder_sum",
+                        lambda *args: sizes.append(args[0].size) or literal(*args))
+    monkeypatch.setattr(screening, "MESH_BLOCK", 3 * 17)
+    blocked = pair_resolvent(p, grid, occ, guard=0.0)(inside)
+    assert sizes == [3 * 17] * 5 + [2 * 17]
+    assert abs(blocked - whole) <= TOL * abs(whole)
+    assert abs(blocked - mesh_sum(p, grid, occ, inside)) <= TOL * abs(whole)
+    # the band minimum of t21 > 0 lies in a middle block, whose guard refuses
+    # before that block is divided
+    sizes.clear()
+    with pytest.raises(ResonantDenominator):
+        pair_resolvent(p, grid, occ)(lo)
+    assert 1 < len(sizes) < 6
+
+
 def test_continuum_edge_is_the_mesh_minimum_bitwise():
     for t21 in T21:
         for l in SIZES:
