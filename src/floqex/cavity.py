@@ -4,7 +4,8 @@ The kernel V(k, k') = -|g_l g_c|^2 / (N * delta_c * Delta_k * Delta_k') is
 separable in momentum, so it is stored as a scalar prefactor times a rank-1
 outer product and only materialized densely for small grids. Enhancement
 scans compare the interacting model against the u11 = u12 = 0 twin at
-matched detuning from the respective resonance (exciton vs band edge).
+matched detuning from the respective resonance (exciton vs band edge), both
+built by :func:`matched_pair`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NoResonance, ResonantCavity
-from .lattice import BZGrid, ModelParams, band_gap, occupations
+from .lattice import BZGrid, ModelParams, Occupation, band_gap, occupations
 from .scan import ScanResult
 from .screening import screened_detunings, solve_exciton_resonance
 
 CAVITY_GUARD_EV = 1e-9
 _DENSE_MAX_L = 64
+GAMMA = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,9 @@ class InteractionKernel:
     """Rank-1 factorization of the photon-mediated density-density kernel.
 
     V(k, k') = scale * v_k * v_k' with v_k = g_l*g_c / Delta_k and
-    scale = -1 / (N * delta_c).
+    scale = -1 / (N * delta_c). ``v`` and the indices of :meth:`element` run
+    over the momenta the kernel was built at: the mesh in flat order, or the
+    points asked for.
     """
 
     v: np.ndarray
@@ -39,7 +43,7 @@ class InteractionKernel:
         self.v.setflags(write=False)
 
     def forward(self) -> np.ndarray:
-        """Forward-scattering diagonal V(k, k) over the grid."""
+        """Forward-scattering diagonal V(k, k) at the kernel's momenta."""
         return self.scale * self.v * self.v
 
     def element(self, i: int, j: int) -> float:
@@ -54,96 +58,91 @@ class InteractionKernel:
     def dense(self) -> np.ndarray:
         """Materialize the full V(k, k') matrix; gated to keep memory O(N) for scans."""
         if self.grid_l > _DENSE_MAX_L:
-            raise ValueError(
-                f"dense kernel is limited to l <= {_DENSE_MAX_L}, got l={self.grid_l}"
-            )
+            raise ValueError(f"dense kernel is limited to l <= {_DENSE_MAX_L}, "
+                             f"got l={self.grid_l}")
         return self.scale * np.outer(self.v, self.v)
 
 
-def interaction_kernel(params: ModelParams, grid: BZGrid, occ) -> InteractionKernel:
-    """Build the kernel from the screened detunings of the given model."""
+def interaction_kernel(params: ModelParams, grid: BZGrid, occ, k) -> InteractionKernel:
+    """The kernel at ``k`` (a :class:`BZGrid` or a (kx, ky) pair); N and the k'-sum are ``grid``'s."""
     delta_c = params.delta_c
     if abs(delta_c) < CAVITY_GUARD_EV:
-        raise ResonantCavity(
-            f"laser-cavity detuning {delta_c:.3e} eV is below the {CAVITY_GUARD_EV} eV guard"
-        )
-    dets = screened_detunings(params, grid, occ)
-    v = (params.g_l * params.g_c) / dets.delta
+        raise ResonantCavity(f"laser-cavity detuning {delta_c:.3e} eV is below the "
+                             f"{CAVITY_GUARD_EV} eV guard")
+    v = (params.g_l * params.g_c) / screened_detunings(params, grid, occ, k).delta
     return InteractionKernel(v=v, scale=-1.0 / (grid.n_sites * delta_c),
                              delta_c=delta_c, grid_l=grid.l)
+
+
+def free_drive(params: ModelParams, detuning: float) -> ModelParams:
+    """The u11 = u12 = 0 twin of ``params``, driven ``detuning`` below its band edge gap(Gamma)."""
+    free = params.without_interactions()
+    return free.with_laser(float(band_gap(free, GAMMA)) - detuning)
+
+
+@dataclass(frozen=True)
+class MatchedPair:
+    """A model, its exciton line and its filling, which its free twin shares
+    (occupations depend only on t1, doping and l); :meth:`drives` detunes both."""
+
+    params: ModelParams
+    occ: Occupation
+    omega_ex: float
+
+    def drives(self, detuning: float):
+        """(the model at omega_ex - detuning, its :func:`free_drive` at the same detuning)."""
+        return self.params.with_laser(self.omega_ex - detuning), free_drive(self.params, detuning)
+
+
+def matched_pair(params: ModelParams, grid: BZGrid, occ: Occupation | None = None,
+                 exciton_required: bool = True) -> MatchedPair:
+    """Solve the filling (unless given) and the exciton line of ``params``; with
+    ``exciton_required=False`` a u12 = 0 model takes gap(Gamma) instead of raising."""
+    occ = occupations(params, grid) if occ is None else occ
+    if params.u12 > 0.0 or exciton_required:
+        omega_ex = solve_exciton_resonance(params, grid, occ).omega_ex
+    else:
+        omega_ex = float(band_gap(params, GAMMA))
+    return MatchedPair(params=params, occ=occ, omega_ex=omega_ex)
 
 
 def enhancement_ratio(params_screened: ModelParams, params_unscreened: ModelParams,
                       grid: BZGrid, k_index: int, detuning: float) -> float:
     """Forward-kernel ratio V_int(k,k) / V_free(k,k) at matched detuning.
 
-    The interacting drive sits at omega_ex - detuning (omega_ex re-solved for
-    ``params_screened``); the non-interacting drive at gap(Gamma) - detuning.
-    Both kernels keep their laser-cavity detuning, so a shared delta_c cancels
-    exactly.
+    ``params_screened`` is driven at omega_ex - detuning, the
+    :func:`free_drive` of ``params_unscreened`` at gap(Gamma) - detuning. Both
+    kernels keep their laser-cavity detuning, so a shared delta_c cancels.
     """
     if detuning <= 0.0:
         raise ValueError(f"detuning must be positive, got {detuning!r}")
-    occ_s = occupations(params_screened, grid)
-    omega_ex = solve_exciton_resonance(params_screened, grid, occ_s).omega_ex
-    p_s = params_screened.with_laser(omega_ex - detuning)
-
-    gamma_gap = band_gap(params_unscreened, (0.0, 0.0))
-    p_u = params_unscreened.with_laser(gamma_gap - detuning)
-    occ_u = occupations(p_u, grid)
-
-    v_s = interaction_kernel(p_s, grid, occ_s).forward()[k_index]
-    v_u = interaction_kernel(p_u, grid, occ_u).forward()[k_index]
+    k = grid.point(k_index)
+    pair = matched_pair(params_screened, grid)
+    v_s = interaction_kernel(pair.drives(detuning)[0], grid, pair.occ, k).forward()
+    v_u = interaction_kernel(free_drive(params_unscreened, detuning), grid,
+                             occupations(params_unscreened, grid), k).forward()
     return v_s / v_u
 
 
-def u12_sweep(params: ModelParams, grid: BZGrid, detuning: float,
-              u12_values) -> ScanResult:
+def u12_sweep(params: ModelParams, grid: BZGrid, detuning: float, u12_values) -> ScanResult:
     """Forward kernel and excitonic enhancement at Gamma versus the interband repulsion.
 
-    The first row is the u12 = 0 baseline: the non-interacting kernel at the
-    same detuning, enhancement exactly 1. Each enhancement is v / v_base, the
-    value :func:`enhancement_ratio` returns, from one solve per point (the
-    free twin's filling does not depend on its drive). Rows whose exciton solve
-    fails are kept with ``converged = 0`` and NaN observables rather than
-    dropped.
+    The first row is the u12 = 0 baseline, the free kernel at the same
+    detuning; each enhancement is v / v_base, bitwise :func:`enhancement_ratio`,
+    from one solve per point on one filling. Rows whose exciton solve fails are
+    kept with ``converged = 0`` and NaN observables.
     """
-    gamma = grid.gamma_index
-    free = params.without_interactions()
-    occ_free = occupations(free, grid)
-    p_base = free.with_laser(band_gap(free, (0.0, 0.0)) - detuning)
-    v_base = interaction_kernel(p_base, grid, occ_free).forward()[gamma]
-
-    axis = [0.0]
-    v_forward = [v_base]
-    enhancement = [1.0]
-    omega_ex = [float("nan")]
-    converged = [1]
-    for u12 in u12_values:
-        p = params.replace(u12=float(u12))
-        axis.append(float(u12))
+    occ = occupations(params, grid)
+    v_base = interaction_kernel(free_drive(params, detuning), grid, occ, GAMMA).forward()
+    nan = float("nan")
+    rows = [(0.0, v_base, 1.0, nan, 1)]
+    for u12 in map(float, u12_values):
         try:
-            occ = occupations(p, grid)
-            report = solve_exciton_resonance(p, grid, occ)
-            p_run = p.with_laser(report.omega_ex - detuning)
-            v = interaction_kernel(p_run, grid, occ).forward()[gamma]
-            v_forward.append(v)
-            enhancement.append(v / v_base)
-            omega_ex.append(report.omega_ex)
-            converged.append(1)
+            pair = matched_pair(params.replace(u12=u12), grid, occ)
         except NoResonance:
-            v_forward.append(float("nan"))
-            enhancement.append(float("nan"))
-            omega_ex.append(float("nan"))
-            converged.append(0)
-    return ScanResult(
-        axis_name="u12",
-        axis=np.array(axis),
-        columns={
-            "v_forward": np.array(v_forward),
-            "enhancement": np.array(enhancement),
-            "omega_ex": np.array(omega_ex),
-            "converged": np.array(converged),
-        },
-        metadata={"detuning": detuning, "u11": params.u11},
-    )
+            rows.append((u12, nan, nan, nan, 0))
+            continue
+        v = interaction_kernel(pair.drives(detuning)[0], grid, occ, GAMMA).forward()
+        rows.append((u12, v, v / v_base, pair.omega_ex, 1))
+    return ScanResult.from_rows("u12", ("v_forward", "enhancement", "omega_ex", "converged"),
+                                rows, metadata={"detuning": detuning, "u11": params.u11})

@@ -33,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=".", help="output directory (default: .)")
     run.add_argument("--grid", type=int, help="momentum grid size l (l x l mesh)")
     run.add_argument("--seed", type=int, help="seed for randomized scenarios")
-    run.add_argument("--workers", type=int, help="thread count for scan points")
+    run.add_argument("--workers", type=int,
+                     help="accepted and validated (>= 1) but has no effect: scans run in one thread")
     return parser
 
 

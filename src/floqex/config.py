@@ -23,7 +23,7 @@ class RunOptions:
 
     grid: int | None = None
     seed: int = 7
-    workers: int = 1
+    workers: int = 1  # accepted and validated; scans run in one thread
     detuning: float | None = None
     gamma: float = 0.005
     omega_min: float | None = None
@@ -75,6 +75,8 @@ def _check_range(key: str, value, line):
     if key == "grid":
         if value < 2 or value % 2 != 0:
             raise ConfigError(f"line {line}: grid must be an even integer >= 2, got {value}")
+    if key == "seed" and value < 0:
+        raise ConfigError(f"line {line}: seed must be non-negative, got {value}")
     if key == "workers" and value < 1:
         raise ConfigError(f"line {line}: workers must be >= 1, got {value}")
     if key in ("detuning", "gamma", "omega_step", "gl_step", "u12_step", "det_step") \

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import ResonantDenominator
 from .lattice import BZGrid, ModelParams, Occupation, dispersion
-from .screening import screened_detuning, screened_detuning_bs, screened_detunings
+from .screening import screened_detunings
 
 # Square-lattice sanity bound: kx- and ky-curvatures of the dressed band must agree.
 _CURVATURE_SYMMETRY_TOL = 1e-10
@@ -37,30 +37,35 @@ class EffectiveBand:
             arr.setflags(write=False)
 
 
-def effective_band(params: ModelParams, grid: BZGrid, occ: Occupation) -> EffectiveBand:
-    """Dressed band over the grid; the chemical potential (a constant) is omitted."""
+def effective_band(params: ModelParams, grid: BZGrid, occ: Occupation, k) -> EffectiveBand:
+    """Dressed band at ``k`` (a :class:`BZGrid` or a (kx, ky) pair); the k'-sum runs over ``grid``.
+
+    The chemical potential (a constant) is omitted.
+    """
     g2 = params.g_l * params.g_l
-    dets = screened_detunings(params, grid, occ)
-    eps1 = dispersion(params, 1, grid)
+    dets = screened_detunings(params, grid, occ, k)
+    eps1 = dispersion(params, 1, k)
     stark = -g2 / dets.delta
     bs = -g2 / dets.delta_bs
     return EffectiveBand(energies=eps1 + stark + bs, stark=stark, bs=bs)
 
 
-def effective_hopping(band: EffectiveBand, grid: BZGrid) -> float:
+def effective_hopping(params: ModelParams, grid: BZGrid, occ: Occupation) -> float:
     """Hopping rate extracted from the dressed-band curvature at Gamma.
 
     Identifies eps(k) = 2*t*(cos kx + cos ky) + const and returns
     t = -(1/2) d^2 eps / dkx^2 at Gamma via a second-order central difference
-    with the mesh spacing h = 2*pi/l.
+    with the mesh spacing h = 2*pi/l, from the dressed band at the five
+    stencil points only.
     """
     if grid.l < HOPPING_MIN_L:
         raise ValueError(f"hopping extraction needs l >= {HOPPING_MIN_L}, got l={grid.l}")
     h = 2.0 * np.pi / grid.l
-    e = band.energies
-    center = e[grid.gamma_index]
-    curv_x = (e[grid.index(1, 0)] - 2.0 * center + e[grid.index(-1, 0)]) / (h * h)
-    curv_y = (e[grid.index(0, 1)] - 2.0 * center + e[grid.index(0, -1)]) / (h * h)
+    stencil = [grid.index(*n) for n in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))]
+    center, x_up, x_down, y_up, y_down = effective_band(
+        params, grid, occ, grid.point(np.array(stencil))).energies
+    curv_x = (x_up - 2.0 * center + x_down) / (h * h)
+    curv_y = (y_up - 2.0 * center + y_down) / (h * h)
     if abs(curv_x - curv_y) > _CURVATURE_SYMMETRY_TOL:
         raise ValueError(
             f"kx/ky curvature mismatch {curv_x - curv_y:.3e} exceeds "
@@ -81,10 +86,12 @@ def tla_shifts(params: ModelParams, omega_ex: float):
 
 
 def stark_bs_ratio(params: ModelParams, grid: BZGrid, occ: Occupation, k,
-                   signed: bool = False) -> float:
-    """Stark-to-Bloch-Siegert shift ratio Delta_bs_k / Delta_k at momentum ``k``.
+                   signed: bool = False):
+    """Stark-to-Bloch-Siegert shift ratio Delta_bs_k / Delta_k at ``k``.
 
+    ``k`` is a (kx, ky) pair of scalars or of arrays, or a :class:`BZGrid`.
     Magnitude by default; pass ``signed=True`` for the raw value.
     """
-    ratio = screened_detuning_bs(params, grid, occ, k) / screened_detuning(params, grid, occ, k)
+    dets = screened_detunings(params, grid, occ, k)
+    ratio = dets.delta_bs / dets.delta
     return ratio if signed else abs(ratio)

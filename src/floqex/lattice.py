@@ -3,7 +3,7 @@
 Conventions: hbar = 1, all energies in eV, quasimomenta dimensionless in
 [0, 2*pi). Band centers are fixed by eps_1 = 0 and eps_2 = eps21; only the
 difference is physical. Everything here is immutable after construction and
-all operations are pure, so values can be shared freely between workers.
+all operations are pure, so values can be shared freely.
 """
 
 from __future__ import annotations

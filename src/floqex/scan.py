@@ -42,6 +42,13 @@ class ScanResult:
                     f"column {name!r} has length {len(col)}, axis has {n}"
                 )
 
+    @classmethod
+    def from_rows(cls, axis_name: str, names, rows, metadata=None) -> "ScanResult":
+        """Table from rows (axis value, then one value per column of ``names``)."""
+        axis, *columns = (np.array(col) for col in zip(*rows))
+        return cls(axis_name=axis_name, axis=axis, columns=dict(zip(names, columns)),
+                   metadata={} if metadata is None else metadata)
+
     def column_names(self):
         return [self.axis_name, *self.columns.keys()]
 

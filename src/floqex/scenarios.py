@@ -1,22 +1,23 @@
 """Named scenarios reproducing the library's headline observables as data files.
 
 Each scenario builds one or more :class:`ScanResult` tables and writes
-``<name>.csv`` / ``<name>.json`` / ``<name>.meta.json``. Scenario points are
-pure-function evaluations, so scans may be mapped over a thread pool; results
-are collected in axis order and every reduction is deterministic, making the
-emitted files byte-identical for any worker count.
+``<name>.csv`` / ``<name>.json`` / ``<name>.meta.json``. A scenario evaluates
+the per-k values only at the momenta it writes (Gamma/Y/M, the Y -> Gamma -> M
+path or the hopping stencil), so no scan builds an l x l field, and it runs its
+points in axis order in one thread. Every reduction is deterministic, so the
+files are byte-identical between runs; the ``workers`` option is accepted and
+has no effect.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .cavity import interaction_kernel, u12_sweep
+from .cavity import interaction_kernel, matched_pair, u12_sweep
 from .config import RunOptions
 from .exceptions import ConfigError, NoPeak, NoResonance, ResonantDenominator
 from .exactdiag import (
@@ -36,7 +37,7 @@ from .floquet import (
     stark_bs_ratio,
     tla_shifts,
 )
-from .lattice import BZGrid, ModelParams, band_gap, occupations
+from .lattice import BZGrid, ModelParams, occupations
 from .scan import ScanResult
 from .screening import screened_detunings, solve_exciton_resonance
 from .spectra import absorbance, peak_location
@@ -46,23 +47,17 @@ SCENARIOS = {}
 # Largest scan axis accepted; refused before the axis is allocated.
 MAX_AXIS_POINTS = 1_000_000
 
-# Peak memory of each grid scenario in l x l float64 arrays: the tracemalloc
-# peak at l = 128 over doping 0, 0.05 and 0.5, rounded up. The ratio falls
-# with l (resonance holds no full-mesh array once its mesh fallback takes more
-# than one block, l > 256), so these over-estimate large grids. A grid whose
-# scenario cannot fit in physical memory is refused before anything is
-# allocated.
-PEAK_MESH_ARRAYS = {
-    "resonance": 4,
-    "fig1a": 13,
-    "fig1b": 10,
-    "fig2": 4,
-    "fig3a": 6,
-    "fig3b": 7,
-    "fig3c": 8,
-    "fig4": 9,
-    "absorbance": 4,
-}
+_RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
+
+# Peak memory of every grid scenario in l x l float64 arrays. Scans read only
+# their points, so what remains is the k'-sum's mesh fallback, one block of at
+# most MESH_BLOCK points (the whole mesh up to l = 256). The largest tracemalloc
+# peak over doping 0, 0.05 and 0.5 is fig4's at doping 0.5: 3.9 arrays at
+# l = 128 and 4.3 at l = 64. The ratio falls with l beyond 256, so one bound
+# of 5 for every scenario over-estimates large grids. A grid whose
+# scenario cannot fit in physical memory is refused before anything is allocated.
+PEAK_MESH_ARRAYS = dict.fromkeys(
+    ("resonance", "fig1a", "fig1b", "fig2", "fig3a", "fig3b", "fig3c", "fig4", "absorbance"), 5)
 
 
 def _scenario(name):
@@ -71,13 +66,6 @@ def _scenario(name):
         return fn
 
     return register
-
-
-def _pmap(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _physical_memory_bytes() -> int:
@@ -111,160 +99,104 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def _laser_reference(params: ModelParams, grid, occ) -> float:
-    """Resonance the scan detunes from; falls back to the Gamma gap when u12 = 0."""
-    if params.u12 > 0.0:
-        return solve_exciton_resonance(params, grid, occ).omega_ex
-    return float(band_gap(params, (0.0, 0.0)))
+def _symmetry_points(grid: BZGrid) -> tuple:
+    """(kx, ky) of Gamma, Y and M."""
+    return grid.point(np.array([grid.gamma_index, grid.y_index, grid.m_index]))
+
+
+def _path_scan(params, opts, name: str, default_detuning: float, column: str,
+               value) -> ScanResult:
+    """``value(p, grid, occ, path)`` along Y -> Gamma -> M for the matched drive pair.
+
+    The columns ``<column>_screened`` and ``<column>_unscreened`` hold it for
+    the interacting drive and for its free twin.
+    """
+    grid = _grid(opts, name, 256)
+    detuning = _default(opts.detuning, default_detuning)
+    pair = matched_pair(params, grid, exciton_required=False)
+    p_s, p_u = pair.drives(detuning)
+    kx, ky = path = grid.point(grid.path_y_gamma_m())
+    return ScanResult(
+        axis_name="path_index",
+        axis=np.arange(len(kx)),
+        columns={"kx": kx, "ky": ky,
+                 f"{column}_screened": value(p_s, grid, pair.occ, path),
+                 f"{column}_unscreened": value(p_u, grid, pair.occ, path)},
+        metadata={"detuning": detuning, "grid_l": grid.l},
+    )
 
 
 @_scenario("resonance")
 def _run_resonance(params: ModelParams, opts: RunOptions):
     grid = _grid(opts, "resonance", 1024)
-    occ = occupations(params, grid)
-    rep = solve_exciton_resonance(params, grid, occ)
-    result = ScanResult(
-        axis_name="index",
-        axis=np.array([0]),
-        columns={
-            "omega_ex": np.array([rep.omega_ex]),
-            "continuum_edge": np.array([rep.continuum_edge]),
-            "binding": np.array([rep.binding]),
-            "delta_ex": np.array([rep.delta_ex]),
-            "converged": np.array([int(rep.converged)]),
-            "residual": np.array([rep.residual]),
-        },
+    rep = solve_exciton_resonance(params, grid, occupations(params, grid))
+    result = ScanResult.from_rows(
+        "index", ("omega_ex", "continuum_edge", "binding", "delta_ex", "converged", "residual"),
+        [(0, rep.omega_ex, rep.continuum_edge, rep.binding, rep.delta_ex,
+          int(rep.converged), rep.residual)],
         metadata={"grid_l": grid.l},
     )
     return [("resonance", result)]
 
 
-def _path_table(grid: BZGrid):
-    path = grid.path_y_gamma_m()
-    return path, grid.k[path // grid.l], grid.k[path % grid.l]
-
-
 @_scenario("fig1a")
 def _run_fig1a(params: ModelParams, opts: RunOptions):
     """Drive-induced band change per |g_l|^2 along Y -> Gamma -> M, screened vs free."""
-    grid = _grid(opts, "fig1a", 256)
-    detuning = opts.detuning if opts.detuning is not None else 0.03
-    path, kx, ky = _path_table(grid)
+    def change(p, grid, occ, path):
+        band = effective_band(p, grid, occ, path)
+        return (band.stark + band.bs) / (p.g_l * p.g_l)
 
-    occ = occupations(params, grid)
-    p_s = params.with_laser(_laser_reference(params, grid, occ) - detuning)
-    band_s = effective_band(p_s, grid, occ)
-    g2_s = p_s.g_l * p_s.g_l
-
-    free = params.without_interactions()
-    occ_f = occupations(free, grid)
-    p_u = free.with_laser(float(band_gap(free, (0.0, 0.0))) - detuning)
-    band_u = effective_band(p_u, grid, occ_f)
-    g2_u = p_u.g_l * p_u.g_l
-
-    result = ScanResult(
-        axis_name="path_index",
-        axis=np.arange(len(path)),
-        columns={
-            "kx": kx,
-            "ky": ky,
-            "change_screened": (band_s.stark[path] + band_s.bs[path]) / g2_s,
-            "change_unscreened": (band_u.stark[path] + band_u.bs[path]) / g2_u,
-        },
-        metadata={"detuning": detuning, "grid_l": grid.l},
-    )
-    return [("fig1a", result)]
+    return [("fig1a", _path_scan(params, opts, "fig1a", 0.03, "change", change))]
 
 
 @_scenario("fig1b")
 def _run_fig1b(params: ModelParams, opts: RunOptions):
     """Effective hopping vs drive strength for the interacting and free models."""
     grid = _grid(opts, "fig1b", 256, min_l=HOPPING_MIN_L)
-    detuning = opts.detuning if opts.detuning is not None else 0.03
+    detuning = _default(opts.detuning, 0.03)
     gl_values = _axis(0.0, opts.gl_max, opts.gl_step)
-
-    occ = occupations(params, grid)
-    p_s = params.with_laser(_laser_reference(params, grid, occ) - detuning)
-    free = params.without_interactions()
-    occ_f = occupations(free, grid)
-    p_u = free.with_laser(float(band_gap(free, (0.0, 0.0))) - detuning)
-
-    def point(g_l: float):
-        t_s = effective_hopping(effective_band(p_s.replace(g_l=g_l), grid, occ), grid)
-        t_u = effective_hopping(effective_band(p_u.replace(g_l=g_l), grid, occ_f), grid)
-        return t_s, t_u
-
-    rows = _pmap(point, gl_values, opts.workers)
-    result = ScanResult(
-        axis_name="g_l",
-        axis=gl_values,
-        columns={
-            "t_eff": np.array([r[0] for r in rows]),
-            "t_eff_unscreened": np.array([r[1] for r in rows]),
-        },
-        metadata={"detuning": detuning, "grid_l": grid.l},
-    )
+    pair = matched_pair(params, grid, exciton_required=False)
+    drives = pair.drives(detuning)
+    rows = [(g_l, *(effective_hopping(p.replace(g_l=g_l), grid, pair.occ) for p in drives))
+            for g_l in gl_values]
+    result = ScanResult.from_rows("g_l", ("t_eff", "t_eff_unscreened"), rows,
+                                  metadata={"detuning": detuning, "grid_l": grid.l})
     return [("fig1b", result)]
-
-
-def _ratio_row(params, grid, occ, omega_ex, delta_ex):
-    """Stark/BS magnitude ratios at Gamma/Y/M plus the two-level comparator."""
-    p = params.with_laser(omega_ex - delta_ex)
-    points = [grid.point(i) for i in (grid.gamma_index, grid.y_index, grid.m_index)]
-    ratios = [stark_bs_ratio(p, grid, occ, k) for k in points]
-    st, bs = tla_shifts(p, omega_ex)
-    return (*ratios, abs(st / bs))
 
 
 @_scenario("fig2")
 def _run_fig2(params: ModelParams, opts: RunOptions):
     """Stark/BS ratio vs laser-exciton detuning, plus interaction-strength panels."""
     grid = _grid(opts, "fig2", 256)
+    points = _symmetry_points(grid)
     occ = occupations(params, grid)
     det_axis = _axis(_default(opts.det_min, 0.005), _default(opts.det_max, 0.5),
                      _default(opts.det_step, 0.005))
     omega_ex = solve_exciton_resonance(params, grid, occ).omega_ex
 
-    rows = _pmap(lambda d: _ratio_row(params, grid, occ, omega_ex, d),
-                 det_axis, opts.workers)
-    main = ScanResult(
-        axis_name="delta_ex",
-        axis=det_axis,
-        columns={
-            "ratio_gamma": np.array([r[0] for r in rows]),
-            "ratio_y": np.array([r[1] for r in rows]),
-            "ratio_m": np.array([r[2] for r in rows]),
-            "ratio_tla": np.array([r[3] for r in rows]),
-        },
-        metadata={"omega_ex": omega_ex, "grid_l": grid.l},
-    )
+    def ratios(p, omega_ex, delta_ex):
+        """Stark/BS magnitude ratios at Gamma/Y/M plus the two-level comparator."""
+        p = p.with_laser(omega_ex - delta_ex)
+        st, bs = tla_shifts(p, omega_ex)
+        return (*stark_bs_ratio(p, grid, occ, points), abs(st / bs))
 
-    fixed_det = opts.detuning if opts.detuning is not None else 0.03
+    main = ScanResult.from_rows("delta_ex", _RATIO_COLUMNS,
+                                [(d, *ratios(params, omega_ex, d)) for d in det_axis],
+                                metadata={"omega_ex": omega_ex, "grid_l": grid.l})
+    fixed_det = _default(opts.detuning, 0.03)
 
     def interaction_rows(key, values):
-        def point(value):
+        rows = []
+        for value in values:
             p = params.replace(**{key: float(value)})
             try:
                 w = solve_exciton_resonance(p, grid, occ).omega_ex
-                return (*_ratio_row(p, grid, occ, w, fixed_det), w, 1)
             except NoResonance:
-                nan = float("nan")
-                return (nan, nan, nan, nan, nan, 0)
-
-        rows = _pmap(point, values, opts.workers)
-        return ScanResult(
-            axis_name=key,
-            axis=values,
-            columns={
-                "ratio_gamma": np.array([r[0] for r in rows]),
-                "ratio_y": np.array([r[1] for r in rows]),
-                "ratio_m": np.array([r[2] for r in rows]),
-                "ratio_tla": np.array([r[3] for r in rows]),
-                "omega_ex": np.array([r[4] for r in rows]),
-                "converged": np.array([r[5] for r in rows]),
-            },
-            metadata={"delta_ex": fixed_det, "grid_l": grid.l},
-        )
+                rows.append((value, *[float("nan")] * 5, 0))
+            else:
+                rows.append((value, *ratios(p, w, fixed_det), w, 1))
+        return ScanResult.from_rows(key, (*_RATIO_COLUMNS, "omega_ex", "converged"), rows,
+                                    metadata={"delta_ex": fixed_det, "grid_l": grid.l})
 
     u11_axis = _axis(0.0, 3.2, 0.1)
     u12_axis = _axis(opts.u12_min, opts.u12_max, opts.u12_step)
@@ -278,31 +210,10 @@ def _run_fig2(params: ModelParams, opts: RunOptions):
 @_scenario("fig3a")
 def _run_fig3a(params: ModelParams, opts: RunOptions):
     """Forward-scattering kernel (prefactor removed) along Y -> Gamma -> M."""
-    grid = _grid(opts, "fig3a", 256)
-    detuning = opts.detuning if opts.detuning is not None else 0.05
-    path, kx, ky = _path_table(grid)
+    def inv_dsq(p, grid, occ, path):
+        return 1.0 / screened_detunings(p, grid, occ, path).delta ** 2
 
-    occ = occupations(params, grid)
-    p_s = params.with_laser(_laser_reference(params, grid, occ) - detuning)
-    delta_s = screened_detunings(p_s, grid, occ).delta
-
-    free = params.without_interactions()
-    occ_f = occupations(free, grid)
-    p_u = free.with_laser(float(band_gap(free, (0.0, 0.0))) - detuning)
-    delta_u = screened_detunings(p_u, grid, occ_f).delta
-
-    result = ScanResult(
-        axis_name="path_index",
-        axis=np.arange(len(path)),
-        columns={
-            "kx": kx,
-            "ky": ky,
-            "inv_dsq_screened": 1.0 / delta_s[path] ** 2,
-            "inv_dsq_unscreened": 1.0 / delta_u[path] ** 2,
-        },
-        metadata={"detuning": detuning, "grid_l": grid.l},
-    )
-    return [("fig3a", result)]
+    return [("fig3a", _path_scan(params, opts, "fig3a", 0.05, "inv_dsq", inv_dsq))]
 
 
 @_scenario("fig3b")
@@ -311,31 +222,17 @@ def _run_fig3b(params: ModelParams, opts: RunOptions):
     grid = _grid(opts, "fig3b", 256)
     det_axis = _axis(_default(opts.det_min, 0.05), _default(opts.det_max, 0.5),
                      _default(opts.det_step, 0.025))
-    occ = occupations(params, grid)
-    omega_ex = solve_exciton_resonance(params, grid, occ).omega_ex
-    free = params.without_interactions()
-    occ_f = occupations(free, grid)
-    gamma_gap = float(band_gap(free, (0.0, 0.0)))
-    indices = [grid.gamma_index, grid.y_index, grid.m_index]
+    pair = matched_pair(params, grid)
+    points = _symmetry_points(grid)
 
-    def point(detuning: float):
-        p_s = params.with_laser(omega_ex - detuning)
-        p_u = free.with_laser(gamma_gap - detuning)
-        v_s = interaction_kernel(p_s, grid, occ).forward()
-        v_u = interaction_kernel(p_u, grid, occ_f).forward()
-        return [v_s[i] / v_u[i] for i in indices]
+    def ratios(detuning: float):
+        v_s, v_u = (interaction_kernel(p, grid, pair.occ, points).forward()
+                    for p in pair.drives(detuning))
+        return v_s / v_u
 
-    rows = _pmap(point, det_axis, opts.workers)
-    result = ScanResult(
-        axis_name="detuning",
-        axis=det_axis,
-        columns={
-            "ratio_gamma": np.array([r[0] for r in rows]),
-            "ratio_y": np.array([r[1] for r in rows]),
-            "ratio_m": np.array([r[2] for r in rows]),
-        },
-        metadata={"omega_ex": omega_ex, "grid_l": grid.l},
-    )
+    result = ScanResult.from_rows("detuning", _RATIO_COLUMNS[:3],
+                                  [(d, *ratios(d)) for d in det_axis],
+                                  metadata={"omega_ex": pair.omega_ex, "grid_l": grid.l})
     return [("fig3b", result)]
 
 
@@ -343,7 +240,7 @@ def _run_fig3b(params: ModelParams, opts: RunOptions):
 def _run_fig3c(params: ModelParams, opts: RunOptions):
     """Kernel strength and enhancement at Gamma vs the interband repulsion."""
     grid = _grid(opts, "fig3c", 256)
-    detuning = opts.detuning if opts.detuning is not None else 0.05
+    detuning = _default(opts.detuning, 0.05)
     u12_values = _axis(opts.u12_min, opts.u12_max, opts.u12_step)
     result = u12_sweep(params, grid, detuning, u12_values)
     result.metadata["grid_l"] = grid.l
@@ -356,39 +253,25 @@ def _run_fig4(params: ModelParams, opts: RunOptions):
     grid = _grid(opts, "fig4", 256)
     omega_axis = _axis(_default(opts.omega_min, 2.3), _default(opts.omega_max, 2.88),
                        opts.omega_step)
-    indices = [grid.gamma_index, grid.y_index, grid.m_index]
-
-    axis_blocks = []
-    columns = {name: [] for name in
-               ("t21", "delta_gamma", "delta_y", "delta_m", "delta_tla", "converged")}
+    points = _symmetry_points(grid)
+    nan = float("nan")
+    rows = []
     for t21 in opts.t21_values:
         p_t = params.replace(t1=params.t2 - t21)
         occ = occupations(p_t, grid)
         try:
             omega_ex = solve_exciton_resonance(p_t, grid, occ).omega_ex
         except NoResonance:
-            omega_ex = float("nan")
-
-        def point(omega_l: float):
-            p = p_t.with_laser(omega_l)
+            omega_ex = nan
+        for omega_l in omega_axis:
             try:
-                delta = screened_detunings(p, grid, occ).delta
-                return [delta[i] for i in indices] + [omega_ex - omega_l, 1]
+                delta = screened_detunings(p_t.with_laser(omega_l), grid, occ, points).delta
             except ResonantDenominator:
-                nan = float("nan")
-                return [nan, nan, nan, omega_ex - omega_l, 0]
-
-        rows = _pmap(point, omega_axis, opts.workers)
-        axis_blocks.append(omega_axis)
-        columns["t21"].extend([t21] * len(omega_axis))
-        for j, name in enumerate(("delta_gamma", "delta_y", "delta_m", "delta_tla",
-                                  "converged")):
-            columns[name].extend(row[j] for row in rows)
-
-    result = ScanResult(
-        axis_name="omega_l",
-        axis=np.concatenate(axis_blocks),
-        columns={name: np.array(vals) for name, vals in columns.items()},
+                rows.append((omega_l, t21, nan, nan, nan, omega_ex - omega_l, 0))
+            else:
+                rows.append((omega_l, t21, *delta, omega_ex - omega_l, 1))
+    result = ScanResult.from_rows(
+        "omega_l", ("t21", "delta_gamma", "delta_y", "delta_m", "delta_tla", "converged"), rows,
         metadata={"t21_values": list(opts.t21_values), "grid_l": grid.l},
     )
     return [("fig4", result)]
@@ -439,14 +322,8 @@ def _run_oracle(params: ModelParams, opts: RunOptions):
                                          seed=opts.seed)
     leakage = restriction_leakage(commutator_system)
 
-    result = ScanResult(
-        axis_name="instance",
-        axis=np.array([r[0] for r in rows]),
-        columns={
-            "n_k": np.array([r[1] for r in rows]),
-            "stark_rel_dev": np.array([r[2] for r in rows]),
-            "eigen_dev": np.array([r[3] for r in rows]),
-        },
+    result = ScanResult.from_rows(
+        "instance", ("n_k", "stark_rel_dev", "eigen_dev"), rows,
         metadata={
             "commutator_max_dev": report.max_dev,
             "commutator_negative_control_dev": report.negative_control_dev,

@@ -15,8 +15,8 @@ Every k'-reduction is one pair resolvent R(z) = (1/N) sum_k n_k / (gap_k +
 shift - z) (:func:`pair_resolvent`): S = u12 R(omega_l), the ladder closure is
 F(omega) = u12 R(omega), and the absorbance continues R to complex z. R is an
 exact O(l) sum over mesh rows; the literal O(l^2) mesh sum (:func:`ladder_sum`)
-remains where that closed form does not hold. Both are deterministic, so
-results do not depend on worker counts.
+remains where that closed form does not hold. Per-k values are taken at ``k``,
+a :class:`BZGrid` or a (kx, ky) pair; ``grid`` is the domain of the k'-sum.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class ScreenedDetunings:
-    """Bare, screened, and counter-rotating screened detunings over a grid.
+    """Bare, screened, and counter-rotating screened detunings at a set of momenta.
 
-    Arrays are spin-symmetric: both spin projections share the same values.
+    Values are spin-symmetric: both spin projections share them.
     """
 
     delta0: np.ndarray
@@ -87,9 +87,9 @@ def hartree_shift(params: ModelParams, occ: Occupation) -> float:
     return (-params.u11 + 2.0 * params.u12) * occ.nu
 
 
-def shifted_detunings(params, grid, occ, bs: bool = False) -> np.ndarray:
-    """Hartree-shifted detuning D_k over the grid; ``bs`` adds the 2*omega_l shift."""
-    d = bare_detuning(params, grid)
+def shifted_detunings(params, k, occ, bs: bool = False) -> np.ndarray | float:
+    """Hartree-shifted detuning D_k at ``k``; ``bs`` adds the 2*omega_l shift."""
+    d = bare_detuning(params, k)
     d += 2.0 * params.omega_l if bs else 0.0
     d += hartree_shift(params, occ)
     return d
@@ -212,34 +212,25 @@ def screening_factor(params: ModelParams, grid: BZGrid, occ: Occupation,
     return 1.0 - params.u12 * pair_resolvent(params, grid, occ)(z)
 
 
-def screened_detunings(params: ModelParams, grid: BZGrid, occ: Occupation) -> ScreenedDetunings:
-    """Evaluate bare, screened, and counter-rotating detunings on the full grid."""
-    d0 = bare_detuning(params, grid)
-    d = shifted_detunings(params, grid, occ)
-    d_bs = shifted_detunings(params, grid, occ, bs=True)
+def screened_detunings(params: ModelParams, grid: BZGrid, occ: Occupation, k) -> ScreenedDetunings:
+    """Bare, screened and counter-rotating detunings at ``k`` (same bits on either form of ``k``)."""
+    d0 = bare_detuning(params, k)
+    d = shifted_detunings(params, k, occ)
+    d_bs = shifted_detunings(params, k, occ, bs=True)
     resolvent = pair_resolvent(params, grid, occ)
     d *= 1.0 - params.u12 * resolvent(params.omega_l)
     d_bs *= 1.0 - params.u12 * resolvent(-params.omega_l)
     return ScreenedDetunings(delta0=d0, delta=d, delta_bs=d_bs)
 
 
-def _shifted_at(params, occ, k, bs: bool):
-    extra = 2.0 * params.omega_l if bs else 0.0
-    return bare_detuning(params, k) + extra + hartree_shift(params, occ)
+def screened_detuning(params: ModelParams, grid: BZGrid, occ: Occupation, k):
+    """Screened detuning Delta_k at ``k``: the ``delta`` of :func:`screened_detunings`."""
+    return screened_detunings(params, grid, occ, k).delta
 
 
-def _screened_at(params, grid, occ, k, bs: bool):
-    return _shifted_at(params, occ, k, bs) * screening_factor(params, grid, occ, bs)
-
-
-def screened_detuning(params: ModelParams, grid: BZGrid, occ: Occupation, k) -> float:
-    """Screened detuning Delta_k at momentum ``k``; the k'-sum runs over ``grid``."""
-    return _screened_at(params, grid, occ, k, bs=False)
-
-
-def screened_detuning_bs(params: ModelParams, grid: BZGrid, occ: Occupation, k) -> float:
-    """Counter-rotating (Bloch-Siegert) screened detuning at momentum ``k``."""
-    return _screened_at(params, grid, occ, k, bs=True)
+def screened_detuning_bs(params: ModelParams, grid: BZGrid, occ: Occupation, k):
+    """Counter-rotating (Bloch-Siegert) screened detuning at ``k``."""
+    return screened_detunings(params, grid, occ, k).delta_bs
 
 
 def band_resonance_edge(params: ModelParams, grid: BZGrid, occ: Occupation) -> float:
@@ -328,7 +319,7 @@ def grpa_stark_equivalence(params: ModelParams, grid: BZGrid, occ: Occupation,
     """
     g2 = params.g_l * params.g_l
     n_k = occ.n_range(k_index, k_index + 1)[0]
-    d = _shifted_at(params, occ, grid.point(k_index), bs=False)
+    d = shifted_detunings(params, grid.point(k_index), occ)
     t = grpa_tmatrix(params, grid, occ)
     bubble = g2 * (-n_k / d) * t
     screened = -g2 * n_k / (d * screening_factor(params, grid, occ))

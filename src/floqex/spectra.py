@@ -43,19 +43,24 @@ def absorbance(params: ModelParams, grid: BZGrid, occ: Occupation,
     (1/(pi N)) sum_k n_k Im[1 / (d_k (1 - (u12/N) sum_k' n_k'/d_k'))] for
     d_k = gap_k - z + shift. gamma regularizes every pole, so no resonance
     guard applies; the in-gap peak sits at the exciton resonance, band
-    absorption covers the shifted continuum.
+    absorption covers the shifted continuum. A curve with a non-finite value
+    or without positive weight raises :class:`NoPeak`.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     omegas = np.asarray(omegas, dtype=float)
     resolvent = pair_resolvent(params, grid, occ, guard=0.0)
     raw = np.empty(len(omegas))
-    for i, omega in enumerate(omegas):
-        r = resolvent(complex(omega, gamma))
-        raw[i] = (r / (1.0 - params.u12 * r)).imag / np.pi
+    # an extreme gamma overflows the resolvent; the whole curve is checked below
+    with np.errstate(all="ignore"):
+        for i, omega in enumerate(omegas):
+            r = resolvent(complex(omega, gamma))
+            raw[i] = (r / (1.0 - params.u12 * r)).imag / np.pi
+    if not np.all(np.isfinite(raw)):
+        raise NoPeak(f"spectrum is not finite at broadening gamma = {gamma!r} on this grid")
     peak = float(np.max(raw))
     if peak <= 0.0:
-        raise ValueError("spectrum has no positive weight on this frequency window")
+        raise NoPeak("spectrum has no positive weight on this frequency window")
     out = raw / peak
     return SpectrumCurve(omegas=omegas.copy(), alpha=out, gamma=gamma, scale=peak)
 

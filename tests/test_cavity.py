@@ -18,7 +18,7 @@ GAMMA = (0.0, 0.0)
 def kernel_for(params, l=64):
     grid = BZGrid.square(l)
     occ = occupations(params, grid)
-    return interaction_kernel(params, grid, occ), grid, occ
+    return interaction_kernel(params, grid, occ, grid), grid, occ
 
 
 def test_unscreened_forward_diagonal():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from floqex import ModelParams, scenarios
+from floqex import BZGrid, ModelParams, Occupation, scenarios
 from floqex.cli import main
 from floqex.config import RunOptions, parse_config
 from floqex.exceptions import ConfigError, NoResonance
@@ -45,6 +45,8 @@ def test_out_of_range_values_rejected():
         parse_config("doping = 1.5\n")
     with pytest.raises(ConfigError, match="grid"):
         parse_config("grid = 13\n")
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config("seed = -1\n")
 
 
 @pytest.mark.parametrize("assignment", ["detuning = nan", "gamma = inf", "u12 = -inf",
@@ -64,6 +66,24 @@ def test_non_finite_override_exits_2_without_output(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_negative_seed_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    assert main(["run", "oracle", "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["1e160", "1e300", "1e-320"])
+def test_non_finite_absorbance_exits_3_without_output(tmp_path, capsys, gamma):
+    # the broadening overflows the resolvent: refused with one line, no NaN table
+    out = tmp_path / "absorbance"
+    assert main(["run", "absorbance", "--grid", "16", "--set", f"gamma={gamma}",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: spectrum is not finite") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_fig1b_grid_below_hopping_stencil_exits_2_without_output(tmp_path, capsys):
     out = tmp_path / "small"
     assert main(["run", "fig1b", "--grid", "8", "--out", str(out)]) == 2
@@ -80,9 +100,10 @@ def test_grid_beyond_physical_memory_rejected(monkeypatch, tmp_path, capsys):
         assert scenarios._grid(RunOptions(grid=4096), "resonance", 1024).l == 4096
         with pytest.raises(ConfigError, match="grid 8192.*resonance.*physical memory"):
             scenarios._grid(RunOptions(grid=8192), "resonance", 1024)
-        with pytest.raises(ConfigError, match="grid 4096.*fig1a.*physical memory"):
-            scenarios._grid(RunOptions(grid=4096), "fig1a", 256)
-        m.setattr(scenarios, "_physical_memory_bytes", lambda: 8 * 2**30)
+        assert scenarios._grid(RunOptions(grid=4096), "fig1a", 256).l == 4096
+        with pytest.raises(ConfigError, match="grid 8192.*fig1a.*physical memory"):
+            scenarios._grid(RunOptions(grid=8192), "fig1a", 256)
+        m.setattr(scenarios, "_physical_memory_bytes", lambda: 4 * 2**30)
         out = tmp_path / "fig1a"
         assert main(["run", "fig1a", "--grid", "12000", "--out", str(out)]) == 2
         assert "grid 12000" in capsys.readouterr().err and not out.exists()
@@ -110,6 +131,23 @@ def test_declared_grid_peak_covers_the_scenario(name):
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert peak <= scenarios.PEAK_MESH_ARRAYS[name] * 8 * l * l, (doping, peak)
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.PEAK_MESH_ARRAYS))
+def test_grid_scenario_builds_no_mesh_field(name, monkeypatch):
+    """Scenarios read the points they write: no l x l grid or filling array is built."""
+    def forbidden(attr):
+        def get(self):
+            raise AssertionError(f"{name} built the mesh field {attr}")
+        return property(get)
+
+    for cls, attr in ((BZGrid, "gamma_k"), (BZGrid, "kx"), (BZGrid, "ky"), (Occupation, "n_k")):
+        monkeypatch.setattr(cls, attr, forbidden(attr))
+    coarse = ["gl_step = 0.01", "det_step = 0.1", "u12_step = 0.3", "omega_step = 0.05",
+              "t21_values = -0.2, -0.05", "grid = 32"]
+    for doping in (0.0, 0.05):
+        params, opts = parse_config("", coarse + [f"doping = {doping}"])
+        assert scenarios.SCENARIOS[name](params, opts)
 
 
 def test_axis_point_ceiling(tmp_path, capsys, monkeypatch):

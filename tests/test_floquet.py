@@ -23,7 +23,7 @@ M = (np.pi, np.pi)
 def test_band_reduces_to_bare_without_drive(grid64):
     p = ModelParams(g_l=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ)
+    band = effective_band(p, grid64, occ, grid64)
     bare = dispersion(p, 1, (grid64.kx, grid64.ky))
     assert np.array_equal(band.energies, bare)
 
@@ -31,7 +31,7 @@ def test_band_reduces_to_bare_without_drive(grid64):
 def test_unscreened_stark_at_gamma(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.87)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ)
+    band = effective_band(p, grid64, occ, grid64)
     expected = -p.g_l ** 2 / bare_detuning(p, GAMMA)
     assert band.stark[grid64.gamma_index] == pytest.approx(expected, rel=1e-14)
 
@@ -39,7 +39,7 @@ def test_unscreened_stark_at_gamma(grid64):
 def test_energies_decompose_exactly(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ)
+    band = effective_band(p, grid64, occ, grid64)
     bare = dispersion(p, 1, (grid64.kx, grid64.ky))
     assert np.array_equal(band.energies, bare + band.stark + band.bs)
 
@@ -47,7 +47,7 @@ def test_energies_decompose_exactly(grid64, params):
 def test_shifts_lower_the_band(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ)
+    band = effective_band(p, grid64, occ, grid64)
     assert np.all(band.stark < 0)
     assert np.all(band.bs < 0)
 
@@ -55,8 +55,8 @@ def test_shifts_lower_the_band(grid64, params):
 def test_shifts_scale_with_drive_squared(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    one = effective_band(p, grid64, occ)
-    two = effective_band(p.replace(g_l=2.0 * p.g_l), grid64, occ)
+    one = effective_band(p, grid64, occ, grid64)
+    two = effective_band(p.replace(g_l=2.0 * p.g_l), grid64, occ, grid64)
     assert np.array_equal(two.stark, 4.0 * one.stark)
     assert np.array_equal(two.bs, 4.0 * one.bs)
 
@@ -68,7 +68,7 @@ def test_band_change_matches_literal_evaluation(grid64, params):
     occ = occupations(params, grid64)
     omega_ex = solve_exciton_resonance(params, grid64, occ).omega_ex
     p = params.with_laser(omega_ex - 0.03)
-    band = effective_band(p, grid64, occ)
+    band = effective_band(p, grid64, occ, grid64)
     path = grid64.path_y_gamma_m()
     sample = path[:: len(path) // 8]
     for idx in sample:
@@ -84,11 +84,11 @@ def test_screened_change_broader_than_unscreened(grid128, params):
     occ = occupations(params, grid128)
     omega_ex = solve_exciton_resonance(params, grid128, occ).omega_ex
     p_s = params.with_laser(omega_ex - 0.03)
-    band_s = effective_band(p_s, grid128, occ)
+    band_s = effective_band(p_s, grid128, occ, grid128)
     free = params.without_interactions()
     occ_f = occupations(free, grid128)
     p_u = free.with_laser(float(band_gap(free, GAMMA)) - 0.03)
-    band_u = effective_band(p_u, grid128, occ_f)
+    band_u = effective_band(p_u, grid128, occ_f, grid128)
     mi = grid128.m_index
     change_s = band_s.stark[mi] + band_s.bs[mi]
     change_u = band_u.stark[mi] + band_u.bs[mi]
@@ -103,7 +103,7 @@ def test_screened_change_broader_than_unscreened(grid128, params):
 def test_hopping_recovers_bare_value(grid256):
     p = ModelParams(g_l=0.0, omega_l=2.68)
     occ = occupations(p, grid256)
-    t = effective_hopping(effective_band(p, grid256, occ), grid256)
+    t = effective_hopping(p, grid256, occ)
     assert t == pytest.approx(p.t1, abs=1e-5)
 
 
@@ -113,7 +113,7 @@ def test_hopping_second_order_convergence():
     for l in (64, 128, 256):
         g = BZGrid.square(l)
         occ = occupations(p, g)
-        values[l] = effective_hopping(effective_band(p, g, occ), g)
+        values[l] = effective_hopping(p, g, occ)
     d1 = abs(values[64] - values[128])
     d2 = abs(values[128] - values[256])
     assert d1 / d2 == pytest.approx(4.0, abs=0.5)
@@ -125,8 +125,8 @@ def test_hopping_zero_crossing_unscreened(grid256):
     occ = occupations(p, grid256)
     closed_form = np.sqrt(2 * abs(p.t1) * 0.03 ** 2 / (2 * abs(p.t21)))
     assert closed_form == pytest.approx(0.015)
-    lo = effective_hopping(effective_band(p.replace(g_l=0.014), grid256, occ), grid256)
-    hi = effective_hopping(effective_band(p.replace(g_l=0.016), grid256, occ), grid256)
+    lo = effective_hopping(p.replace(g_l=0.014), grid256, occ)
+    hi = effective_hopping(p.replace(g_l=0.016), grid256, occ)
     assert lo > 0 > hi
     crossing = 0.014 + 0.002 * lo / (lo - hi)
     assert abs(crossing - closed_form) <= 1e-3
@@ -135,7 +135,7 @@ def test_hopping_zero_crossing_unscreened(grid256):
 def test_screening_counteracts_hopping_reduction(grid256, params, occ256):
     omega_ex = solve_exciton_resonance(params, grid256, occ256).omega_ex
     p = params.with_laser(omega_ex - 0.03).replace(g_l=0.015)
-    t = effective_hopping(effective_band(p, grid256, occ256), grid256)
+    t = effective_hopping(p, grid256, occ256)
     assert t > 0
 
 
@@ -144,7 +144,7 @@ def test_hopping_requires_reasonable_grid():
     g = BZGrid.square(8)
     occ = occupations(p, g)
     with pytest.raises(ValueError):
-        effective_hopping(effective_band(p, g, occ), g)
+        effective_hopping(p, g, occ)
 
 
 # ---------------------------------------------------------------------------

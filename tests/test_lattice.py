@@ -169,7 +169,7 @@ def test_full_grid_pipeline_builds_no_coordinate_arrays():
     p = ModelParams()
     occ = occupations(p, g)
     omega_ex = solve_exciton_resonance(p, g, occ).omega_ex
-    effective_band(p.with_laser(omega_ex - 0.03), g, occ)
+    effective_band(p.with_laser(omega_ex - 0.03), g, occ, g)
     assert "kx" not in vars(g) and "ky" not in vars(g)
 
 

@@ -47,7 +47,7 @@ def literal_screened(params, grid, occ, k, bs=False):
 def test_unscreened_collapse_is_exact(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ)
+    dets = screened_detunings(p, grid64, occ, grid64)
     assert np.array_equal(dets.delta, dets.delta0)
     assert np.array_equal(dets.delta_bs, dets.delta0 + 2.0 * p.omega_l)
 
@@ -56,7 +56,7 @@ def test_dispersionless_screened_value(grid64):
     # flat bands: Delta = Delta0 - u11 + u12 for every k, binding exactly u12
     p = ModelParams(t1=-0.15, t2=-0.15, omega_l=2.4)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ)
+    dets = screened_detunings(p, grid64, occ, grid64)
     expected = dets.delta0 - p.u11 + p.u12
     assert np.allclose(dets.delta, expected, rtol=1e-12, atol=1e-12)
 
@@ -91,7 +91,7 @@ def test_bs_screened_matches_literal_sum(grid64):
 def test_bs_equals_plain_when_drive_frequency_vanishes(grid64):
     p = ModelParams(omega_l=0.0)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ)
+    dets = screened_detunings(p, grid64, occ, grid64)
     assert np.array_equal(dets.delta, dets.delta_bs)
 
 
@@ -107,13 +107,13 @@ def test_resonance_guard_fires(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=float(band_gap(ModelParams(), GAMMA)))
     occ = occupations(p, grid64)
     with pytest.raises(ResonantDenominator):
-        screened_detunings(p, grid64, occ)
+        screened_detunings(p, grid64, occ, grid64)
 
 
 def test_spin_channels_share_values(grid64):
     p = ModelParams(omega_l=2.68)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ)
+    dets = screened_detunings(p, grid64, occ, grid64)
     spin_up = dets.delta
     spin_down = dets.delta
     assert np.array_equal(spin_up, spin_down)
@@ -196,7 +196,7 @@ def test_ladder_closure_is_increasing(grid64, params):
 def test_resummation_closed_form(grid64, params):
     # sum of -1/Delta at full filling against the rank-1 update identity
     occ = occupations(params, grid64)
-    dets = screened_detunings(params, grid64, occ)
+    dets = screened_detunings(params, grid64, occ, grid64)
     lhs = np.sum(-1.0 / dets.delta)
     shifted = shifted_detunings(params, grid64, occ)
     s_tilde = -np.sum(1.0 / shifted)
