@@ -2,7 +2,7 @@
 
 The kernel V(k, k') = -|g_l g_c|^2 / (N * delta_c * Delta_k * Delta_k') is
 separable in momentum, so it is stored as a scalar prefactor times a rank-1
-outer product and only materialized densely for small grids. Enhancement
+outer product and only materialized densely for few momenta. Enhancement
 scans compare the interacting model against the u11 = u12 = 0 twin at
 matched detuning from the respective resonance (exciton vs band edge), both
 built by :func:`matched_pair`.
@@ -20,7 +20,8 @@ from .scan import ScanResult
 from .screening import screened_detunings, solve_exciton_resonance
 
 CAVITY_GUARD_EV = 1e-9
-_DENSE_MAX_L = 64
+# Most momenta a kernel may hold to be materialized as a dense matrix (a whole l = 64 mesh).
+_DENSE_MAX_POINTS = 64 * 64
 GAMMA = (0.0, 0.0)
 
 
@@ -30,14 +31,11 @@ class InteractionKernel:
 
     V(k, k') = scale * v_k * v_k' with v_k = g_l*g_c / Delta_k and
     scale = -1 / (N * delta_c). ``v`` and the indices of :meth:`element` run
-    over the momenta the kernel was built at: the mesh in flat order, or the
-    points asked for.
+    over the momenta the kernel was built at.
     """
 
     v: np.ndarray
     scale: float
-    delta_c: float
-    grid_l: int
 
     def __post_init__(self):
         self.v.setflags(write=False)
@@ -50,28 +48,30 @@ class InteractionKernel:
         return self.scale * self.v[i] * self.v[j]
 
     def factor_vector(self) -> np.ndarray:
-        """Vector u with V = -outer(u, u); defined for positive laser-cavity detuning."""
-        if self.delta_c <= 0:
+        """Vector u with V = -outer(u, u); defined for positive laser-cavity detuning.
+
+        delta_c > 0 exactly when ``scale`` = -1 / (N * delta_c) is negative.
+        """
+        if not np.signbit(self.scale):
             raise ValueError("rank-1 factor with real entries requires delta_c > 0")
         return self.v / np.sqrt(-1.0 / self.scale)
 
     def dense(self) -> np.ndarray:
-        """Materialize the full V(k, k') matrix; gated to keep memory O(N) for scans."""
-        if self.grid_l > _DENSE_MAX_L:
-            raise ValueError(f"dense kernel is limited to l <= {_DENSE_MAX_L}, "
-                             f"got l={self.grid_l}")
+        """Materialize the V(k, k') matrix over the kernel's momenta, at most 64^2 of them."""
+        if self.v.size > _DENSE_MAX_POINTS:
+            raise ValueError(f"dense kernel is limited to {_DENSE_MAX_POINTS} momenta, "
+                             f"got {self.v.size}")
         return self.scale * np.outer(self.v, self.v)
 
 
 def interaction_kernel(params: ModelParams, grid: BZGrid, occ, k) -> InteractionKernel:
-    """The kernel at ``k`` (a :class:`BZGrid` or a (kx, ky) pair); N and the k'-sum are ``grid``'s."""
+    """The kernel at the (kx, ky) pair ``k``; N and the k'-sum are ``grid``'s."""
     delta_c = params.delta_c
     if abs(delta_c) < CAVITY_GUARD_EV:
         raise ResonantCavity(f"laser-cavity detuning {delta_c:.3e} eV is below the "
                              f"{CAVITY_GUARD_EV} eV guard")
     v = (params.g_l * params.g_c) / screened_detunings(params, grid, occ, k).delta
-    return InteractionKernel(v=v, scale=-1.0 / (grid.n_sites * delta_c),
-                             delta_c=delta_c, grid_l=grid.l)
+    return InteractionKernel(v=v, scale=-1.0 / (grid.n_sites * delta_c))
 
 
 def free_drive(params: ModelParams, detuning: float) -> ModelParams:

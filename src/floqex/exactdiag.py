@@ -115,14 +115,14 @@ def oracle_exciton_eigen(system: SmallSystem) -> float:
     return float(np.linalg.eigvalsh(pair_hamiltonian(system))[0])
 
 
-def bound_state_root(system: SmallSystem, tol: float = 1e-10) -> float:
+def bound_state_root(system: SmallSystem) -> float:
     """Bisection root of the ladder closure on the system's momenta (cross-check)."""
     p = system.params
     shift = -p.u11 + 2.0 * p.u12
     ones = np.ones(system.n_k)
     omega, _, _ = solve_bound_state(
         lambda w: ladder_sum(system.gaps - w + shift, ones, p.u12, system.n_k, guard=0.0),
-        float(np.min(system.gaps)) + shift, p.u11, p.u12, nu=1.0, tol=tol,
+        float(np.min(system.gaps)) + shift, p.u11, p.u12, nu=1.0,
     )
     return omega
 

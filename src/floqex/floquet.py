@@ -38,7 +38,7 @@ class EffectiveBand:
 
 
 def effective_band(params: ModelParams, grid: BZGrid, occ: Occupation, k) -> EffectiveBand:
-    """Dressed band at ``k`` (a :class:`BZGrid` or a (kx, ky) pair); the k'-sum runs over ``grid``.
+    """Dressed band at the (kx, ky) pair ``k``; the k'-sum runs over ``grid``.
 
     The chemical potential (a constant) is omitted.
     """
@@ -85,13 +85,7 @@ def tla_shifts(params: ModelParams, omega_ex: float):
     return g2 / (params.omega_l - omega_ex), g2 / (params.omega_l + omega_ex)
 
 
-def stark_bs_ratio(params: ModelParams, grid: BZGrid, occ: Occupation, k,
-                   signed: bool = False):
-    """Stark-to-Bloch-Siegert shift ratio Delta_bs_k / Delta_k at ``k``.
-
-    ``k`` is a (kx, ky) pair of scalars or of arrays, or a :class:`BZGrid`.
-    Magnitude by default; pass ``signed=True`` for the raw value.
-    """
+def stark_bs_ratio(params: ModelParams, grid: BZGrid, occ: Occupation, k):
+    """Stark-to-Bloch-Siegert shift ratio |Delta_bs_k / Delta_k| at the (kx, ky) pair ``k``."""
     dets = screened_detunings(params, grid, occ, k)
-    ratio = dets.delta_bs / dets.delta
-    return ratio if signed else abs(ratio)
+    return abs(dets.delta_bs / dets.delta)

@@ -96,11 +96,10 @@ class BZGrid:
     The grid keeps only O(l) data: the 1-D table ``k`` of the l coordinates and
     their cosines ``cos_k``. Every band depends on k only through the structure
     factor gamma = cos kx + cos ky = cos_k[i] + cos_k[j] at the flat index
-    i * l + j, so reductions read the two cosines of the points they need. The
-    full-mesh arrays are built only when first read: ``gamma_k`` as the outer
-    sum of the l cosines (each entry bit-identical to ``np.cos(kx) +
-    np.cos(ky)``, because the same two cosines are added), and the flat
-    coordinates ``kx`` and ``ky``.
+    i * l + j. :meth:`gamma_rows` builds it for a block of mesh rows as the outer
+    sum of the cosines (each entry bit-identical to ``np.cos(kx) + np.cos(ky)``,
+    because the same two cosines are added). The flat coordinates ``kx`` and
+    ``ky``, the whole mesh as a (kx, ky) pair, are built only when first read.
     """
 
     l: int
@@ -116,13 +115,6 @@ class BZGrid:
         k.setflags(write=False)
         c.setflags(write=False)
         return cls(l=l, k=k, cos_k=c)
-
-    @functools.cached_property
-    def gamma_k(self) -> np.ndarray:
-        """Read-only structure factor cos kx + cos ky over the flat mesh (built on first access)."""
-        gamma_k = self.gamma_rows(0, self.l)
-        gamma_k.setflags(write=False)
-        return gamma_k
 
     def gamma_rows(self, start: int, stop: int) -> np.ndarray:
         """Flat structure factor of the mesh rows ``start <= nx < stop``, a fresh array."""
@@ -230,9 +222,7 @@ class Occupation:
 
 
 def _structure_factor(k):
-    """cos kx + cos ky: the grid's stored gamma_k, or computed for a (kx, ky) pair."""
-    if isinstance(k, BZGrid):
-        return k.gamma_k
+    """cos kx + cos ky at the (kx, ky) pair ``k``."""
     kx, ky = k
     return np.cos(kx) + np.cos(ky)
 
@@ -240,8 +230,8 @@ def _structure_factor(k):
 def dispersion(params: ModelParams, band: int, k) -> np.ndarray | float:
     """Tight-binding band energy eps_b + 2 t_b (cos kx + cos ky).
 
-    ``k`` is a :class:`BZGrid` (values over the whole mesh, in flat order) or
-    a (kx, ky) pair of scalars or of equal-length arrays.
+    ``k`` is a (kx, ky) pair of scalars or of equal-length arrays; the whole
+    mesh, in flat order, is ``(grid.kx, grid.ky)``.
     """
     if band == 1:
         center, t = 0.0, params.t1
@@ -253,28 +243,23 @@ def dispersion(params: ModelParams, band: int, k) -> np.ndarray | float:
 
 
 def band_gap(params: ModelParams, k) -> np.ndarray | float:
-    """Momentum-dependent interband gap eps21 + 2 t21 (cos kx + cos ky).
-
-    ``k`` is a :class:`BZGrid` or a (kx, ky) pair, as for :func:`dispersion`.
-    """
+    """Momentum-dependent interband gap eps21 + 2 t21 (cos kx + cos ky) at the (kx, ky) pair ``k``."""
     return gap_from_structure_factor(params, _structure_factor(k))
 
 
 def gap_from_structure_factor(params: ModelParams, gamma) -> np.ndarray | float:
     """Interband gap eps21 + 2 t21 gamma at given values of gamma = cos kx + cos ky."""
     gap = 2.0 * params.t21 * gamma
-    if isinstance(gap, np.ndarray):
-        gap += params.eps21  # in place: one array per call, same bits as eps21 + gap
-        return gap
-    return params.eps21 + gap
+    gap += params.eps21  # in place on an array: one array per call, same bits as eps21 + gap
+    return gap
 
 
 def gap_range(params: ModelParams, grid: BZGrid) -> tuple:
     """Smallest and largest :func:`band_gap` over the grid, from its l cosines in O(l).
 
-    gamma_k = c_i + c_j is extremal where both cosines are, and rounding is
-    monotone, so both values equal the min and max of ``band_gap(params, grid)``
-    bit for bit.
+    gamma = c_i + c_j is extremal where both cosines are, and rounding is
+    monotone, so both values equal the min and max of ``band_gap`` over the
+    mesh bit for bit.
     """
     lo, hi = float(grid.cos_k.min()), float(grid.cos_k.max())
     ends = gap_from_structure_factor(params, lo + lo), gap_from_structure_factor(params, hi + hi)
@@ -284,10 +269,8 @@ def gap_range(params: ModelParams, grid: BZGrid) -> tuple:
 def bare_detuning(params: ModelParams, k) -> np.ndarray | float:
     """Laser-bandgap detuning: gap(k) - omega_l."""
     d = band_gap(params, k)
-    if isinstance(d, np.ndarray):
-        d -= params.omega_l
-        return d
-    return d - params.omega_l
+    d -= params.omega_l
+    return d
 
 
 def occupations(params: ModelParams, grid: BZGrid) -> Occupation:

@@ -49,15 +49,19 @@ MAX_AXIS_POINTS = 1_000_000
 
 _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 
-# Peak memory of every grid scenario in l x l float64 arrays. Scans read only
+# Couplings a scenario's observable is divided by: at zero every value would be
+# 0/0, so run_scenario refuses them.
+_DIVISOR_COUPLINGS = {"fig1a": ("g_l",), "fig2": ("g_l",),
+                      "fig3b": ("g_l", "g_c"), "fig3c": ("g_l", "g_c")}
+
+# Peak memory of any grid scenario in l x l float64 arrays. Scans read only
 # their points, so what remains is the k'-sum's mesh fallback, one block of at
 # most MESH_BLOCK points (the whole mesh up to l = 256). The largest tracemalloc
 # peak over doping 0, 0.05 and 0.5 is fig4's at doping 0.5: 3.9 arrays at
-# l = 128 and 4.3 at l = 64. The ratio falls with l beyond 256, so one bound
-# of 5 for every scenario over-estimates large grids. A grid whose
-# scenario cannot fit in physical memory is refused before anything is allocated.
-PEAK_MESH_ARRAYS = dict.fromkeys(
-    ("resonance", "fig1a", "fig1b", "fig2", "fig3a", "fig3b", "fig3c", "fig4", "absorbance"), 5)
+# l = 128 and 4.3 at l = 64. The ratio falls with l beyond 256, so this bound
+# over-estimates large grids. A grid whose scenario cannot fit in physical
+# memory is refused before anything is allocated.
+PEAK_MESH_ARRAYS = 5
 
 
 def _scenario(name):
@@ -76,7 +80,7 @@ def _grid(opts: RunOptions, scenario: str, default_l: int, min_l: int = 1) -> BZ
     l = opts.grid if opts.grid is not None else default_l
     if l < min_l:
         raise ConfigError(f"grid must be at least {min_l} for this scenario, got {l}")
-    need, have = PEAK_MESH_ARRAYS[scenario] * 8 * l * l, _physical_memory_bytes()
+    need, have = PEAK_MESH_ARRAYS * 8 * l * l, _physical_memory_bytes()
     if need > have:
         raise ConfigError(f"grid {l} needs about {need / 2**30:.1f} GiB for {scenario}, "
                           f"more than the {have / 2**30:.1f} GiB of physical memory")
@@ -340,6 +344,9 @@ def run_scenario(name: str, params: ModelParams, opts: RunOptions, out_dir) -> l
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {name!r}; expected one of: {known}")
+    for key in _DIVISOR_COUPLINGS.get(name, ()):
+        if getattr(params, key) == 0.0:
+            raise ConfigError(f"{name} divides by {key}, so {key} must be non-zero")
     echo = {
         "scenario": name,
         "version": __version__,

@@ -16,7 +16,8 @@ shift - z) (:func:`pair_resolvent`): S = u12 R(omega_l), the ladder closure is
 F(omega) = u12 R(omega), and the absorbance continues R to complex z. R is an
 exact O(l) sum over mesh rows; the literal O(l^2) mesh sum (:func:`ladder_sum`)
 remains where that closed form does not hold. Per-k values are taken at ``k``,
-a :class:`BZGrid` or a (kx, ky) pair; ``grid`` is the domain of the k'-sum.
+a (kx, ky) pair of scalars or arrays (the whole mesh is ``(grid.kx, grid.ky)``);
+``grid`` is the domain of the k'-sum.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ ROW_SUM_GUARD = 0.5
 # may carry; above it the mesh sum is taken.
 ROUNDING_TOL = 1e-12
 _EPS = np.finfo(float).eps
+
+# A bisection whose final bracket is wider than this (eV) reports converged = False.
+BRACKET_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -205,15 +209,13 @@ def pair_resolvent(params: ModelParams, grid: BZGrid, occ: Occupation,
     return resolvent
 
 
-def screening_factor(params: ModelParams, grid: BZGrid, occ: Occupation,
-                     bs: bool = False) -> float:
-    """1 - S with S = u12 R(z) at z = omega_l, or z = -omega_l for ``bs``."""
-    z = -params.omega_l if bs else params.omega_l
-    return 1.0 - params.u12 * pair_resolvent(params, grid, occ)(z)
+def screening_factor(params: ModelParams, grid: BZGrid, occ: Occupation) -> float:
+    """1 - S with S = u12 R(omega_l)."""
+    return 1.0 - params.u12 * pair_resolvent(params, grid, occ)(params.omega_l)
 
 
 def screened_detunings(params: ModelParams, grid: BZGrid, occ: Occupation, k) -> ScreenedDetunings:
-    """Bare, screened and counter-rotating detunings at ``k`` (same bits on either form of ``k``)."""
+    """Bare, screened and counter-rotating detunings at the (kx, ky) pair ``k``."""
     d0 = bare_detuning(params, k)
     d = shifted_detunings(params, k, occ)
     d_bs = shifted_detunings(params, k, occ, bs=True)
@@ -247,14 +249,13 @@ def exciton_lhs(params: ModelParams, grid: BZGrid, occ: Occupation, omega: float
     return params.u12 * pair_resolvent(params, grid, occ, guard=0.0)(omega)
 
 
-def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float,
-                      tol: float = 1e-10):
+def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float):
     """Bisect the ladder closure ``lhs(omega) = 1`` below the continuum ``edge``.
 
     Returns (omega, residual, converged). Bisection is iterated to
     floating-point resolution (the bracket endpoints have poles just above,
     so robustness beats speed); ``converged`` reports whether the final
-    bracket is narrower than ``tol``.
+    bracket is narrower than :data:`BRACKET_TOL`.
     """
     if u12 <= 0.0 or nu <= 0.0:
         raise NoResonance("a bound state requires u12 > 0 and a partially filled band")
@@ -276,16 +277,15 @@ def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float,
             hi = mid
     omega = 0.5 * (lo + hi)
     residual = abs(lhs(omega) - 1.0)
-    return omega, residual, (hi - lo) <= tol
+    return omega, residual, (hi - lo) <= BRACKET_TOL
 
 
-def solve_exciton_resonance(params: ModelParams, grid: BZGrid, occ: Occupation,
-                            tol: float = 1e-10) -> ResonanceReport:
+def solve_exciton_resonance(params: ModelParams, grid: BZGrid, occ: Occupation) -> ResonanceReport:
     """Locate the exciton resonance: the unique F(omega) = 1 root below the edge."""
     edge = band_resonance_edge(params, grid, occ)
     resolvent = pair_resolvent(params, grid, occ, guard=0.0)
     omega, residual, converged = solve_bound_state(
-        lambda w: params.u12 * resolvent(w), edge, params.u11, params.u12, occ.nu, tol=tol
+        lambda w: params.u12 * resolvent(w), edge, params.u11, params.u12, occ.nu
     )
     return ResonanceReport(
         omega_ex=omega,

@@ -156,7 +156,7 @@ def test_criterion_07_unscreened_collapse():
         p = ModelParams(u11=0.0, u12=0.0, omega_l=2.87)
         grid = BZGrid.square(128)
         occ = occupations(p, grid)
-        dets = screened_detunings(p, grid, occ, grid)
+        dets = screened_detunings(p, grid, occ, (grid.kx, grid.ky))
         assert np.array_equal(dets.delta, dets.delta0)
         assert np.array_equal(dets.delta_bs, dets.delta0 + 2.0 * p.omega_l)
         for nx, ny in ((0, 0), (3, 7), (64, 64), (100, 13)):

@@ -18,7 +18,7 @@ GAMMA = (0.0, 0.0)
 def kernel_for(params, l=64):
     grid = BZGrid.square(l)
     occ = occupations(params, grid)
-    return interaction_kernel(params, grid, occ, grid), grid, occ
+    return interaction_kernel(params, grid, occ, (grid.kx, grid.ky)), grid, occ
 
 
 def test_unscreened_forward_diagonal():
@@ -56,6 +56,19 @@ def test_dense_materialization_is_gated():
     kernel, _, _ = kernel_for(p, l=128)
     with pytest.raises(ValueError):
         kernel.dense()
+
+
+def test_dense_gate_counts_momenta():
+    # Gamma/Y/M of an l = 128 grid: three momenta densify although the whole mesh does not
+    p = ModelParams(omega_l=2.60)
+    grid = BZGrid.square(128)
+    occ = occupations(p, grid)
+    idx = np.array([grid.gamma_index, grid.y_index, grid.m_index])
+    kernel = interaction_kernel(p, grid, occ, grid.point(idx))
+    dense = kernel.dense()
+    assert dense.shape == (3, 3)
+    assert np.array_equal(dense, kernel.scale * np.outer(kernel.v, kernel.v))
+    assert np.array_equal(np.diag(dense), kernel.forward())
 
 
 def test_forward_channel_is_attractive_for_positive_detuning():

@@ -3,13 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floqex import BZGrid, ModelParams, Occupation, scenarios
 from floqex.cli import main
-from floqex.config import RunOptions, parse_config
+from floqex.config import OPTION_KEYS, PARAM_KEYS, RunOptions, parse_config
 from floqex.exceptions import ConfigError, NoResonance
 from floqex.scan import ScanResult, format_number, parse_csv
 from floqex.scenarios import run_scenario
+
+# Every scenario that builds a momentum grid.
+GRID_SCENARIOS = sorted(set(scenarios.SCENARIOS) - {"oracle"})
 
 
 def test_empty_config_gives_reference_parameters():
@@ -47,6 +52,28 @@ def test_out_of_range_values_rejected():
         parse_config("grid = 13\n")
     with pytest.raises(ConfigError, match="seed"):
         parse_config("seed = -1\n")
+
+
+_VALUES = st.one_of(
+    st.text(),
+    st.floats().map(repr),
+    st.integers(-10**40, 10**40).map(str),
+    st.lists(st.one_of(st.floats().map(repr), st.text(alphabet=" -.0123456789e"))).map(", ".join),
+)
+_LINES = st.one_of(
+    st.builds("{} = {}".format,
+              st.one_of(st.sampled_from(PARAM_KEYS + OPTION_KEYS), st.text(min_size=1)), _VALUES),
+    st.text(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINES, max_size=6), overrides=st.lists(_LINES, max_size=3))
+def test_parse_config_raises_only_config_error(lines, overrides):
+    try:
+        parse_config("\n".join(lines), overrides=overrides)
+    except ConfigError:
+        pass
 
 
 @pytest.mark.parametrize("assignment", ["detuning = nan", "gamma = inf", "u12 = -inf",
@@ -92,6 +119,26 @@ def test_fig1b_grid_below_hopping_stencil_exits_2_without_output(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, key", [("fig1a", "g_l"), ("fig2", "g_l"),
+                                           ("fig3b", "g_l"), ("fig3b", "g_c"),
+                                           ("fig3c", "g_l"), ("fig3c", "g_c")])
+@pytest.mark.parametrize("zero", ["0.0", "-0.0"])
+def test_zero_coupling_exits_2_without_output(tmp_path, capsys, scenario, key, zero):
+    # the scenario's observable divides by the coupling: 0/0 in every row
+    out = tmp_path / scenario
+    assert main(["run", scenario, "--grid", "16", "--set", f"{key}={zero}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
+def test_fig1b_accepts_zero_drive(tmp_path):
+    # fig1b scans g_l from 0 by design; the configured g_l is not used
+    assert main(["run", "fig1b", "--grid", "16", "--set", "g_l=0", "--set", "gl_step=0.01",
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_grid_beyond_physical_memory_rejected(monkeypatch, tmp_path, capsys):
     # each scenario's ceiling is checked against a pretend memory size before the
     # grid is built; the accepted grids below allocate only O(l)
@@ -108,13 +155,13 @@ def test_grid_beyond_physical_memory_rejected(monkeypatch, tmp_path, capsys):
         assert main(["run", "fig1a", "--grid", "12000", "--out", str(out)]) == 2
         assert "grid 12000" in capsys.readouterr().err and not out.exists()
     assert parse_config("grid = 100000\n")[1].grid == 100000
-    for name in scenarios.PEAK_MESH_ARRAYS:
+    for name in GRID_SCENARIOS:
         with pytest.raises(ConfigError, match="grid 100000.*physical memory"):
             run_scenario(name, ModelParams(), RunOptions(grid=100000), tmp_path / name)
         assert not (tmp_path / name).exists()
 
 
-@pytest.mark.parametrize("name", sorted(scenarios.PEAK_MESH_ARRAYS))
+@pytest.mark.parametrize("name", GRID_SCENARIOS)
 def test_declared_grid_peak_covers_the_scenario(name):
     """The tracemalloc peak of a scenario at small l stays within its declared arrays."""
     l = 64
@@ -130,10 +177,10 @@ def test_declared_grid_peak_covers_the_scenario(name):
         finally:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        assert peak <= scenarios.PEAK_MESH_ARRAYS[name] * 8 * l * l, (doping, peak)
+        assert peak <= scenarios.PEAK_MESH_ARRAYS * 8 * l * l, (doping, peak)
 
 
-@pytest.mark.parametrize("name", sorted(scenarios.PEAK_MESH_ARRAYS))
+@pytest.mark.parametrize("name", GRID_SCENARIOS)
 def test_grid_scenario_builds_no_mesh_field(name, monkeypatch):
     """Scenarios read the points they write: no l x l grid or filling array is built."""
     def forbidden(attr):
@@ -141,7 +188,7 @@ def test_grid_scenario_builds_no_mesh_field(name, monkeypatch):
             raise AssertionError(f"{name} built the mesh field {attr}")
         return property(get)
 
-    for cls, attr in ((BZGrid, "gamma_k"), (BZGrid, "kx"), (BZGrid, "ky"), (Occupation, "n_k")):
+    for cls, attr in ((BZGrid, "kx"), (BZGrid, "ky"), (Occupation, "n_k")):
         monkeypatch.setattr(cls, attr, forbidden(attr))
     coarse = ["gl_step = 0.01", "det_step = 0.1", "u12_step = 0.3", "omega_step = 0.05",
               "t21_values = -0.2, -0.05", "grid = 32"]

@@ -11,6 +11,7 @@ from floqex import (
     effective_band,
     effective_hopping,
     occupations,
+    screened_detunings,
     solve_exciton_resonance,
     stark_bs_ratio,
     tla_shifts,
@@ -23,7 +24,7 @@ M = (np.pi, np.pi)
 def test_band_reduces_to_bare_without_drive(grid64):
     p = ModelParams(g_l=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ, grid64)
+    band = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
     bare = dispersion(p, 1, (grid64.kx, grid64.ky))
     assert np.array_equal(band.energies, bare)
 
@@ -31,7 +32,7 @@ def test_band_reduces_to_bare_without_drive(grid64):
 def test_unscreened_stark_at_gamma(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.87)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ, grid64)
+    band = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
     expected = -p.g_l ** 2 / bare_detuning(p, GAMMA)
     assert band.stark[grid64.gamma_index] == pytest.approx(expected, rel=1e-14)
 
@@ -39,7 +40,7 @@ def test_unscreened_stark_at_gamma(grid64):
 def test_energies_decompose_exactly(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ, grid64)
+    band = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
     bare = dispersion(p, 1, (grid64.kx, grid64.ky))
     assert np.array_equal(band.energies, bare + band.stark + band.bs)
 
@@ -47,7 +48,7 @@ def test_energies_decompose_exactly(grid64, params):
 def test_shifts_lower_the_band(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ, grid64)
+    band = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
     assert np.all(band.stark < 0)
     assert np.all(band.bs < 0)
 
@@ -55,8 +56,8 @@ def test_shifts_lower_the_band(grid64, params):
 def test_shifts_scale_with_drive_squared(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    one = effective_band(p, grid64, occ, grid64)
-    two = effective_band(p.replace(g_l=2.0 * p.g_l), grid64, occ, grid64)
+    one = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
+    two = effective_band(p.replace(g_l=2.0 * p.g_l), grid64, occ, (grid64.kx, grid64.ky))
     assert np.array_equal(two.stark, 4.0 * one.stark)
     assert np.array_equal(two.bs, 4.0 * one.bs)
 
@@ -68,7 +69,7 @@ def test_band_change_matches_literal_evaluation(grid64, params):
     occ = occupations(params, grid64)
     omega_ex = solve_exciton_resonance(params, grid64, occ).omega_ex
     p = params.with_laser(omega_ex - 0.03)
-    band = effective_band(p, grid64, occ, grid64)
+    band = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
     path = grid64.path_y_gamma_m()
     sample = path[:: len(path) // 8]
     for idx in sample:
@@ -84,11 +85,11 @@ def test_screened_change_broader_than_unscreened(grid128, params):
     occ = occupations(params, grid128)
     omega_ex = solve_exciton_resonance(params, grid128, occ).omega_ex
     p_s = params.with_laser(omega_ex - 0.03)
-    band_s = effective_band(p_s, grid128, occ, grid128)
+    band_s = effective_band(p_s, grid128, occ, (grid128.kx, grid128.ky))
     free = params.without_interactions()
     occ_f = occupations(free, grid128)
     p_u = free.with_laser(float(band_gap(free, GAMMA)) - 0.03)
-    band_u = effective_band(p_u, grid128, occ_f, grid128)
+    band_u = effective_band(p_u, grid128, occ_f, (grid128.kx, grid128.ky))
     mi = grid128.m_index
     change_s = band_s.stark[mi] + band_s.bs[mi]
     change_u = band_u.stark[mi] + band_u.bs[mi]
@@ -193,6 +194,7 @@ def test_ratio_orderings_against_tla(grid256, params, occ256):
 def test_ratio_signed_option(grid128, params, occ128):
     # between the exciton line and the band edge the screened detuning is negative
     p = params.with_laser(2.8)
-    signed = stark_bs_ratio(p, grid128, occ128, GAMMA, signed=True)
+    dets = screened_detunings(p, grid128, occ128, GAMMA)
+    signed = dets.delta_bs / dets.delta
     assert signed < 0
     assert stark_bs_ratio(p, grid128, occ128, GAMMA) == -signed

@@ -11,10 +11,10 @@ from floqex import (
     band_gap,
     bare_detuning,
     dispersion,
-    effective_band,
     occupations,
     solve_exciton_resonance,
 )
+from floqex.lattice import gap_from_structure_factor
 
 GAMMA = (0.0, 0.0)
 M = (np.pi, np.pi)
@@ -140,21 +140,26 @@ def _bits(a):
 def test_structure_factor_is_bitwise_cos_sum(l):
     g = BZGrid.square(l)
     kx, ky = _literal_mesh(l)
-    assert np.array_equal(_bits(g.gamma_k), _bits(np.cos(kx) + np.cos(ky)))
+    assert np.array_equal(_bits(g.gamma_rows(0, l)), _bits(np.cos(kx) + np.cos(ky)))
     assert np.array_equal(g.kx, kx) and np.array_equal(g.ky, ky)
-    assert not g.gamma_k.flags.writeable and not g.kx.flags.writeable
+    assert not g.kx.flags.writeable and not g.ky.flags.writeable
 
 
 @pytest.mark.parametrize("l", [3, 17, 64])
 def test_grid_band_functions_match_pair_path_bitwise(l):
+    """The whole mesh as one array pair (updated in place) equals each point as scalars."""
     g = BZGrid.square(l)
-    pair = (g.kx, g.ky)
+    mesh = (g.kx, g.ky)
     for p in (ModelParams(), ModelParams(t1=-0.07, t2=0.11, eps21=2.3, omega_l=2.1)):
-        assert np.array_equal(_bits(band_gap(p, g)), _bits(band_gap(p, pair)))
-        assert np.array_equal(_bits(bare_detuning(p, g)), _bits(bare_detuning(p, pair)))
-        for band in (1, 2):
-            assert np.array_equal(_bits(dispersion(p, band, g)),
-                                  _bits(dispersion(p, band, pair)))
+        fields = [band_gap(p, mesh), bare_detuning(p, mesh),
+                  dispersion(p, 1, mesh), dispersion(p, 2, mesh)]
+        assert np.array_equal(_bits(fields[0]),
+                              _bits(gap_from_structure_factor(p, g.gamma_rows(0, l))))
+        for i in range(g.n_sites):
+            k = g.point(i)
+            at_point = [band_gap(p, k), bare_detuning(p, k), dispersion(p, 1, k),
+                        dispersion(p, 2, k)]
+            assert [_bits(f[i]) for f in fields] == [_bits(v) for v in at_point]
 
 
 @pytest.mark.parametrize("l", [3, 8, 17])
@@ -162,15 +167,6 @@ def test_point_matches_flat_coordinates(l):
     g = BZGrid.square(l)
     for i in range(g.n_sites):
         assert g.point(i) == (g.kx[i], g.ky[i])
-
-
-def test_full_grid_pipeline_builds_no_coordinate_arrays():
-    g = BZGrid.square(16)
-    p = ModelParams()
-    occ = occupations(p, g)
-    omega_ex = solve_exciton_resonance(p, g, occ).omega_ex
-    effective_band(p.with_laser(omega_ex - 0.03), g, occ, g)
-    assert "kx" not in vars(g) and "ky" not in vars(g)
 
 
 @pytest.mark.parametrize("doping, ceiling", [(0.0, 0.1), (0.05, 1.0)])
@@ -187,7 +183,7 @@ def test_resonance_path_holds_no_mesh_array(doping, ceiling):
     finally:
         tracemalloc.stop()
     assert peak < ceiling * 8 * l * l, peak / (8 * l * l)
-    assert not {"gamma_k", "kx", "ky"} & set(vars(g))
+    assert not {"kx", "ky"} & set(vars(g))
     assert "n_k" not in vars(occ)
 
 

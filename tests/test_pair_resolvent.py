@@ -40,7 +40,7 @@ def mesh_sum(params, grid, occ, z):
 
 
 def shifted_band(params, grid, occ):
-    gaps = band_gap(params, grid)
+    gaps = band_gap(params, (grid.kx, grid.ky))
     shift = hartree_shift(params, occ)
     return float(np.min(gaps)) + shift, float(np.max(gaps)) + shift
 
@@ -153,7 +153,7 @@ def test_continuum_edge_is_the_mesh_minimum_bitwise():
             p = model(t21, 0.05)
             grid = BZGrid.square(l)
             occ = occupations(p, grid)
-            expected = float(np.min(band_gap(p, grid))) + hartree_shift(p, occ)
+            expected = float(np.min(band_gap(p, (grid.kx, grid.ky)))) + hartree_shift(p, occ)
             assert band_resonance_edge(p, grid, occ) == expected
 
 

@@ -43,7 +43,7 @@ def test_point_values_match_the_mesh_bitwise(half, doping, t1, t1_sign, t21, t21
     drawn = data.draw(st.lists(st.integers(0, g.n_sites - 1), min_size=1, max_size=12))
     idx = np.array([g.gamma_index, g.y_index, g.m_index, *g.path_y_gamma_m(), *drawn])
     try:
-        fields = _values(p, g, occ, g)
+        fields = _values(p, g, occ, (g.kx, g.ky))
     except ResonantDenominator:
         with pytest.raises(ResonantDenominator):
             _values(p, g, occ, g.point(idx))

@@ -47,7 +47,7 @@ def literal_screened(params, grid, occ, k, bs=False):
 def test_unscreened_collapse_is_exact(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ, grid64)
+    dets = screened_detunings(p, grid64, occ, (grid64.kx, grid64.ky))
     assert np.array_equal(dets.delta, dets.delta0)
     assert np.array_equal(dets.delta_bs, dets.delta0 + 2.0 * p.omega_l)
 
@@ -56,7 +56,7 @@ def test_dispersionless_screened_value(grid64):
     # flat bands: Delta = Delta0 - u11 + u12 for every k, binding exactly u12
     p = ModelParams(t1=-0.15, t2=-0.15, omega_l=2.4)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ, grid64)
+    dets = screened_detunings(p, grid64, occ, (grid64.kx, grid64.ky))
     expected = dets.delta0 - p.u11 + p.u12
     assert np.allclose(dets.delta, expected, rtol=1e-12, atol=1e-12)
 
@@ -91,7 +91,7 @@ def test_bs_screened_matches_literal_sum(grid64):
 def test_bs_equals_plain_when_drive_frequency_vanishes(grid64):
     p = ModelParams(omega_l=0.0)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ, grid64)
+    dets = screened_detunings(p, grid64, occ, (grid64.kx, grid64.ky))
     assert np.array_equal(dets.delta, dets.delta_bs)
 
 
@@ -107,13 +107,13 @@ def test_resonance_guard_fires(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=float(band_gap(ModelParams(), GAMMA)))
     occ = occupations(p, grid64)
     with pytest.raises(ResonantDenominator):
-        screened_detunings(p, grid64, occ, grid64)
+        screened_detunings(p, grid64, occ, (grid64.kx, grid64.ky))
 
 
 def test_spin_channels_share_values(grid64):
     p = ModelParams(omega_l=2.68)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ, grid64)
+    dets = screened_detunings(p, grid64, occ, (grid64.kx, grid64.ky))
     spin_up = dets.delta
     spin_down = dets.delta
     assert np.array_equal(spin_up, spin_down)
@@ -196,9 +196,9 @@ def test_ladder_closure_is_increasing(grid64, params):
 def test_resummation_closed_form(grid64, params):
     # sum of -1/Delta at full filling against the rank-1 update identity
     occ = occupations(params, grid64)
-    dets = screened_detunings(params, grid64, occ, grid64)
+    dets = screened_detunings(params, grid64, occ, (grid64.kx, grid64.ky))
     lhs = np.sum(-1.0 / dets.delta)
-    shifted = shifted_detunings(params, grid64, occ)
+    shifted = shifted_detunings(params, (grid64.kx, grid64.ky), occ)
     s_tilde = -np.sum(1.0 / shifted)
     rhs = s_tilde / (1.0 + params.u12 / grid64.n_sites * s_tilde)
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -218,7 +218,7 @@ def test_tmatrix_geometric_partial_sums(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
     t = grpa_tmatrix(p, grid64, occ)
-    shifted = shifted_detunings(p, grid64, occ)
+    shifted = shifted_detunings(p, (grid64.kx, grid64.ky), occ)
     s = p.u12 / grid64.n_sites * np.sum(occ.n_k / shifted)
     partial = sum(s ** n for n in range(50))
     # exact geometric tail: T - sum_{n<50} s^n = s^50 / (1 - s)
@@ -256,7 +256,7 @@ def test_bubble_equivalence_collapses_without_u12(grid64):
     p = ModelParams(u12=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
     bubble, screened = grpa_stark_equivalence(p, grid64, occ, 0)
-    d = shifted_detunings(p, grid64, occ)[0]
+    d = shifted_detunings(p, (grid64.kx, grid64.ky), occ)[0]
     assert bubble == screened
     assert bubble == pytest.approx(-p.g_l ** 2 / d, rel=1e-14)
 
