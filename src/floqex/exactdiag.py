@@ -7,6 +7,11 @@ and the dense resolvent there must reproduce the analytic ladder resummation
 of :mod:`floqex.screening` to near machine precision. A truncated Fock space
 with photons provides exact shift identities for the free resolvent and a
 diagnostic estimate of what the pair-sector restriction discards.
+
+On the Fock space every product of fermion operators is a signed partial map
+on basis indices, :meth:`FockSpace.mode_entries`; it holds the one
+Jordan-Wigner sign rule that the commutator check, the full Hamiltonian and
+the drive share.
 """
 
 from __future__ import annotations
@@ -184,20 +189,23 @@ class FockSpace:
         """Diagonal of (energy - h0)^(-1)."""
         return 1.0 / (energy - self.free_energies())
 
-    def creation_entries(self, m: int):
-        """(rows, cols, signs) of the dense creation matrix for fermion mode ``m``."""
-        f = np.arange(self.n_fermion)
-        empty = f[((f >> m) & 1) == 0]
-        below = empty & ((1 << m) - 1)
-        signs = np.where(_popcount(below) % 2 == 0, 1.0, -1.0)
-        rows, cols = [], []
-        vals = []
-        for p in range(self.photon_cutoff + 1):
-            offset = p * self.n_fermion
-            rows.append(offset + (empty | (1 << m)))
-            cols.append(offset + empty)
-            vals.append(signs)
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    def mode_entries(self, ops):
+        """(rows, cols, signs) of a product of fermion operators as a signed basis map.
+
+        ``ops`` lists (mode, dagger) pairs, applied rightmost first to every
+        basis state. Each pair drops the states it annihilates, multiplies in
+        the Jordan-Wigner sign (-1)^(occupied modes below it) and flips its
+        bit; the photon number is left alone.
+        """
+        cols = np.arange(self.dim)
+        rows = cols
+        signs = np.ones(self.dim)
+        for m, dagger in reversed(ops):
+            kept = ((rows >> m) & 1) != dagger
+            rows, cols, signs = rows[kept], cols[kept], signs[kept]
+            signs = np.where(np.bitwise_count(rows & ((1 << m) - 1)) % 2 == 0, signs, -signs)
+            rows = rows ^ (1 << m)
+        return rows, cols, signs
 
     def photon_creation_entries(self):
         """(rows, cols, amplitudes) of the truncated photon creation matrix."""
@@ -213,14 +221,6 @@ class FockSpace:
         op = np.zeros((self.dim, self.dim))
         op[rows, cols] = vals
         return op
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    counts = np.zeros_like(x)
-    while np.any(x):
-        counts += x & 1
-        x = x >> 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,7 @@ def check_commutator_identities(system: SmallSystem, trials: int = 20,
                 return False
         return True
 
-    fermion_ops = [space.creation_entries(m) for m in range(space.n_modes)]
+    fermion_ops = [space.mode_entries([(m, True)]) for m in range(space.n_modes)]
     photon_op = space.photon_creation_entries()
 
     max_fermion = 0.0
@@ -317,32 +317,15 @@ def check_commutator_identities(system: SmallSystem, trials: int = 20,
 # ---------------------------------------------------------------------------
 
 
-def _apply_quartic(space: FockSpace, psi: np.ndarray, ops) -> np.ndarray:
-    """Apply a product of (mode, dagger) pairs, rightmost first, to ``psi``.
-
-    ``psi`` may be a state vector or a matrix of column states.
-    """
-    out = psi
-    for m, dagger in reversed(ops):
-        out = _apply_mode(space, out, m, dagger)
-    return out
-
-
-def _apply_mode(space: FockSpace, psi: np.ndarray, m: int, dagger: bool) -> np.ndarray:
-    out = np.zeros_like(psi)
-    f = np.arange(space.n_fermion)
-    bit = 1 << m
-    present = ((f >> m) & 1) == 1
-    source = f[~present] if dagger else f[present]
-    target = source | bit if dagger else source & ~bit
-    below = source & (bit - 1)
-    signs = np.where(_popcount(below) % 2 == 0, 1.0, -1.0)
-    if psi.ndim == 2:
-        signs = signs[:, None]
-    for p in range(space.photon_cutoff + 1):
-        offset = p * space.n_fermion
-        out[offset + target] = signs * psi[offset + source]
-    return out
+def _polarization(space: FockSpace) -> np.ndarray:
+    """Dense pair operator P = sum over momenta and spins of c+_(q,2,s) c_(q,1,s)."""
+    polar = np.zeros((space.dim, space.dim))
+    for q in range(space.n_k):
+        for s in (0, 1):
+            rows, cols, signs = space.mode_entries([(space.mode(q, 2, s), True),
+                                                    (space.mode(q, 1, s), False)])
+            polar[rows, cols] += signs
+    return polar
 
 
 def _momentum_conserving_terms(n_k: int):
@@ -367,63 +350,30 @@ def full_hamiltonian(system: SmallSystem, photon_cutoff: int = _PHOTON_CUTOFF) -
         raise ValueError("the full-space diagnostic is implemented for n_k = 2")
     space = FockSpace(system, photon_cutoff)
     p = system.params
-    dim = space.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    h[np.arange(dim), np.arange(dim)] = space.free_energies()
-
+    h = np.diag(space.free_energies()).astype(complex)
     terms = _momentum_conserving_terms(space.n_k)
-    identity = np.eye(dim)
 
-    def add_quartic(prefactor, mode_list):
-        # mode_list = [(mode, dagger), ...] applied rightmost first
-        h[...] += prefactor * _apply_quartic(space, identity, mode_list)
-
-    # intra-band repulsion, both bands
-    for band, u in ((1, p.u11), (2, p.u22)):
+    def repulsion(u, pairs):
+        # (u/N) sum_k c+_(k1,a) c_(k2,a) c+_(k3,b) c_(k4,b) for each (band, spin) pair (a, b)
         if u == 0.0:
-            continue
-        for k1, k2, k3, k4 in terms:
-            add_quartic(u / space.n_k, [
-                (space.mode(k1, band, 0), True),
-                (space.mode(k2, band, 0), False),
-                (space.mode(k3, band, 1), True),
-                (space.mode(k4, band, 1), False),
-            ])
-    # inter-band repulsion, all spin pairs
-    if p.u12 != 0.0:
-        for s in (0, 1):
-            for s2 in (0, 1):
-                for k1, k2, k3, k4 in terms:
-                    add_quartic(p.u12 / space.n_k, [
-                        (space.mode(k1, 2, s), True),
-                        (space.mode(k2, 2, s), False),
-                        (space.mode(k3, 1, s2), True),
-                        (space.mode(k4, 1, s2), False),
-                    ])
-    # cavity coupling i g_c (C - C+), C = a (1/sqrt(N)) sum b+
-    if p.g_c != 0.0:
-        scale = p.g_c / np.sqrt(space.n_k)
-        lower = _photon_matrix(space, dagger=False)
-        polar = np.zeros((dim, dim))
-        for q in range(space.n_k):
-            for s in (0, 1):
-                polar += _apply_quartic(space, identity, [
-                    (space.mode(q, 2, s), True),
-                    (space.mode(q, 1, s), False),
+            return
+        for a, b in pairs:
+            for k1, k2, k3, k4 in terms:
+                rows, cols, signs = space.mode_entries([
+                    (space.mode(k1, *a), True), (space.mode(k2, *a), False),
+                    (space.mode(k3, *b), True), (space.mode(k4, *b), False),
                 ])
-        c_op = scale * (lower @ polar)
+                h[rows, cols] += u / space.n_k * signs
+
+    repulsion(p.u11, [((1, 0), (1, 1))])
+    repulsion(p.u22, [((2, 0), (2, 1))])
+    repulsion(p.u12, [((2, s), (1, s2)) for s in (0, 1) for s2 in (0, 1)])
+    # cavity coupling i g_c (C - C+), C = a (1/sqrt(N)) P
+    if p.g_c != 0.0:
+        lower = space.dense_operator(*space.photon_creation_entries()).T
+        c_op = p.g_c / np.sqrt(space.n_k) * (lower @ _polarization(space))
         h += 1j * (c_op - c_op.conj().T)
     return h
-
-
-def _photon_matrix(space: FockSpace, dagger: bool) -> np.ndarray:
-    op = np.zeros((space.dim, space.dim))
-    rows, cols, vals = space.photon_creation_entries()
-    if dagger:
-        op[rows, cols] = vals
-    else:
-        op[cols, rows] = vals
-    return op
 
 
 def full_fock_stark(system: SmallSystem, photon_cutoff: int = _PHOTON_CUTOFF) -> float:
@@ -439,21 +389,12 @@ def full_fock_stark(system: SmallSystem, photon_cutoff: int = _PHOTON_CUTOFF) ->
     for q in range(space.n_k):
         for s in (0, 1):
             sea_mask |= 1 << space.mode(q, 1, s)
-    sea = np.zeros(space.dim, dtype=complex)
-    sea[sea_mask] = 1.0  # photon number 0 block
-    h_sea = h @ sea
-    e_sea = float(np.real(sea.conj() @ h_sea))
-    if np.linalg.norm(h_sea - e_sea * sea) > 1e-9:
+    h_sea = h[:, sea_mask]  # the filled sea with zero photons is basis state sea_mask
+    e_sea = float(h_sea[sea_mask].real)
+    if np.linalg.norm(h_sea - e_sea * (np.arange(space.dim) == sea_mask)) > 1e-9:
         raise RuntimeError("filled sea is not an eigenstate of the assembled Hamiltonian")
 
-    sea_real = sea.real.copy()
-    drive = np.zeros(space.dim, dtype=complex)
-    for q in range(space.n_k):
-        for s in (0, 1):
-            drive += _apply_quartic(space, sea_real, [
-                (space.mode(q, 2, s), True),
-                (space.mode(q, 1, s), False),
-            ])
+    drive = _polarization(space)[:, sea_mask]
     z = e_sea + system.params.omega_l
     x = np.linalg.solve(z * np.eye(space.dim) - h, drive)
     value = complex(drive.conj() @ x)

@@ -16,13 +16,16 @@ from pathlib import Path
 import numpy as np
 
 
+def _scalar(x):
+    """A table value as a Python ``int`` (bools and integers) or ``float``."""
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
+        return int(x)
+    return float(x)
+
+
 def format_number(x) -> str:
     """Shortest decimal form that round-trips the value."""
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+    return repr(_scalar(x))
 
 
 @dataclass
@@ -66,12 +69,12 @@ class ScanResult:
     def to_json(self) -> str:
         payload = {
             "axis_name": self.axis_name,
-            "axis": [_jsonify(x) for x in self.axis],
+            "axis": [_scalar(x) for x in self.axis],
             "columns": {
-                name: [_jsonify(x) for x in col] for name, col in self.columns.items()
+                name: [_scalar(x) for x in col] for name, col in self.columns.items()
             },
         }
-        return json.dumps(payload, indent=1, allow_nan=False)
+        return json.dumps(_finite_or_null(payload), indent=1, allow_nan=False)
 
     def write(self, out_dir, name: str) -> list:
         """Write <name>.csv, <name>.json, and <name>.meta.json; returns the paths."""
@@ -89,14 +92,6 @@ class ScanResult:
                                         sort_keys=True, allow_nan=False))
         paths.append(meta_path)
         return paths
-
-
-def _jsonify(x):
-    if isinstance(x, (bool, np.bool_)):
-        return int(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return _finite_or_null(float(x))
 
 
 def _finite_or_null(x):

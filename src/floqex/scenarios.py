@@ -49,8 +49,9 @@ MAX_AXIS_POINTS = 1_000_000
 
 _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 
-# Couplings a scenario's observable is divided by: at zero every value would be
-# 0/0, so run_scenario refuses them.
+# Couplings a scenario's observable is divided by the square of: where that
+# square is zero or subnormal every value would be 0/0 or noise, so
+# run_scenario refuses them.
 _DIVISOR_COUPLINGS = {"fig1a": ("g_l",), "fig2": ("g_l",),
                       "fig3b": ("g_l", "g_c"), "fig3c": ("g_l", "g_c")}
 
@@ -303,17 +304,25 @@ def _run_absorbance(params: ModelParams, opts: RunOptions):
 
 @_scenario("oracle")
 def _run_oracle(params: ModelParams, opts: RunOptions):
-    """Dense-solve reference suite on random small systems."""
+    """Dense-solve reference suite on random small systems of the configured model."""
+    if params.doping != 0.0:
+        raise ConfigError("oracle's pair-sector reference is exact only at full filling, "
+                          "so doping must be 0")
     rng = np.random.default_rng(opts.seed)
+
+    def draw(n_k):
+        drawn = random_system(rng, n_k)
+        return SmallSystem(eps1=drawn.eps1, eps2=drawn.eps2, params=params)
+
     rows = []
     for i in range(opts.instances):
         n_k = int(rng.integers(2, 5))
-        system = random_system(rng, n_k, u11=params.u11, u12=params.u12)
+        system = draw(n_k)
         omega_ex = bound_state_root(system)
         margin = rng.uniform(0.1, 0.6)
         system = SmallSystem(
             eps1=system.eps1, eps2=system.eps2,
-            params=system.params.with_laser(omega_ex - margin),
+            params=params.with_laser(omega_ex - margin),
         )
         dense = oracle_stark(system)
         analytic = analytic_stark(system)
@@ -321,7 +330,7 @@ def _run_oracle(params: ModelParams, opts: RunOptions):
         eigen_dev = abs(oracle_exciton_eigen(system) - omega_ex)
         rows.append((i, n_k, stark_rel, eigen_dev))
 
-    commutator_system = random_system(rng, 2, u11=params.u11, u12=params.u12)
+    commutator_system = draw(2)
     report = check_commutator_identities(commutator_system, trials=opts.trials,
                                          seed=opts.seed)
     leakage = restriction_leakage(commutator_system)
@@ -345,8 +354,10 @@ def run_scenario(name: str, params: ModelParams, opts: RunOptions, out_dir) -> l
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {name!r}; expected one of: {known}")
     for key in _DIVISOR_COUPLINGS.get(name, ()):
-        if getattr(params, key) == 0.0:
-            raise ConfigError(f"{name} divides by {key}, so {key} must be non-zero")
+        value = getattr(params, key)
+        if value * value < np.finfo(float).tiny:
+            raise ConfigError(f"{name} divides by {key}**2, so |{key}| must exceed "
+                              f"1.5e-154 (below that the square underflows)")
     echo = {
         "scenario": name,
         "version": __version__,

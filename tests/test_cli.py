@@ -122,15 +122,27 @@ def test_fig1b_grid_below_hopping_stencil_exits_2_without_output(tmp_path, capsy
 @pytest.mark.parametrize("scenario, key", [("fig1a", "g_l"), ("fig2", "g_l"),
                                            ("fig3b", "g_l"), ("fig3b", "g_c"),
                                            ("fig3c", "g_l"), ("fig3c", "g_c")])
-@pytest.mark.parametrize("zero", ["0.0", "-0.0"])
+@pytest.mark.parametrize("zero", ["0.0", "-0.0", "1e-160", "-1e-170"])
 def test_zero_coupling_exits_2_without_output(tmp_path, capsys, scenario, key, zero):
-    # the scenario's observable divides by the coupling: 0/0 in every row
+    # the scenario's observable divides by the coupling squared: 0/0 in every
+    # row at zero, and an underflowed square below sqrt(tiny) = 1.49e-154
     out = tmp_path / scenario
     assert main(["run", scenario, "--grid", "16", "--set", f"{key}={zero}",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, key", [("fig1a", "g_l"), ("fig2", "g_l"),
+                                           ("fig3b", "g_c"), ("fig3c", "g_c")])
+def test_tiny_coupling_above_the_bound_gives_finite_tables(tmp_path, scenario, key):
+    assert main(["run", scenario, "--grid", "16", "--set", f"{key}=2e-154",
+                 "--out", str(tmp_path)]) == 0
+    header, data = parse_csv((tmp_path / f"{scenario}.csv").read_text())
+    # fig3c's u12 = 0 baseline row has no exciton line by design
+    observables = [i for i, name in enumerate(header) if name != "omega_ex"]
+    assert np.isfinite(data[:, observables]).all()
 
 
 def test_fig1b_accepts_zero_drive(tmp_path):
@@ -389,6 +401,28 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     a = (tmp_path / "a" / "fig3b.csv").read_bytes()
     b = (tmp_path / "b" / "fig3b.csv").read_bytes()
     assert a == b
+
+
+def test_oracle_uses_the_configured_model(tmp_path):
+    # the cavity coupling reaches the full Fock-space diagnostic; the pair-sector
+    # rows do not depend on it
+    for sub, g_c in (("weak", "0.01"), ("strong", "0.5")):
+        assert main(["run", "oracle", "--out", str(tmp_path / sub), "--seed", "7",
+                     "--set", "instances = 2", "--set", f"g_c = {g_c}"]) == 0
+    leakage = {sub: json.loads((tmp_path / sub / "oracle.meta.json").read_text())
+               ["pair_restriction_leakage_rel"] for sub in ("weak", "strong")}
+    assert leakage["weak"] == pytest.approx(0.0055, rel=0.01)
+    assert leakage["strong"] == pytest.approx(0.93, rel=0.01)
+    assert (tmp_path / "weak" / "oracle.csv").read_bytes() == \
+        (tmp_path / "strong" / "oracle.csv").read_bytes()
+
+
+def test_oracle_refuses_doping_without_output(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    assert main(["run", "oracle", "--set", "doping = 0.3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "doping" in err
+    assert not out.exists()
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

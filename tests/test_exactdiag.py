@@ -13,6 +13,7 @@ from floqex.exactdiag import (
     bound_state_root,
     check_commutator_identities,
     full_fock_stark,
+    full_hamiltonian,
     oracle_exciton_eigen,
     oracle_stark,
     pair_hamiltonian,
@@ -142,9 +143,9 @@ def test_commutator_pattern_equals_dense_products():
     mode = 2
     shift = space.mode_energy[mode] - space.mu
     g_shifted = np.diag(space.resolvent(energy - shift))
-    c_dag = space.dense_operator(*space.creation_entries(mode))
+    c_dag = space.dense_operator(*space.mode_entries([(mode, True)]))
     dense_dev = np.max(np.abs(g_e @ c_dag - c_dag @ g_shifted))
-    rows, cols, vals = space.creation_entries(mode)
+    rows, cols, vals = space.mode_entries([(mode, True)])
     pattern_dev = np.max(np.abs(vals * (space.resolvent(energy)[rows]
                                         - space.resolvent(energy - shift)[cols])))
     assert dense_dev == pytest.approx(pattern_dev, abs=1e-300)
@@ -156,7 +157,7 @@ def test_wrong_shift_breaks_identity():
     space = FockSpace(system)
     energy = 5.1234567
     mode = 2
-    rows, cols, vals = space.creation_entries(mode)
+    rows, cols, vals = space.mode_entries([(mode, True)])
     shift = space.mode_energy[mode] - space.mu
     dev = np.max(np.abs(vals * (space.resolvent(energy)[rows]
                                 - space.resolvent(energy - shift / 2.0)[cols])))
@@ -187,6 +188,47 @@ def test_full_space_value_close_to_pair_sector():
     leak = restriction_leakage(system)
     assert np.isfinite(leak)
     assert 0.0 <= leak < 0.5  # sanity bound only; the value is reported, not pinned
+
+
+def test_full_space_first_order_couplings():
+    """At g_c = 0 and u = 0 the one-sided u11 and u12 derivatives of the full-space
+    value equal the pair sector's: 2 1'G (dH/du) G 1 with G = 1/(omega_l - gap),
+    dH/du11 = -1 from the Hartree shift and dH/du12 = 2 - 1/N from the shift and
+    the -u12/N attraction."""
+    base = random_system(np.random.default_rng(5), 2)
+    params = base.params.replace(u11=0.0, u12=0.0, g_c=0.0, omega_l=2.0)
+
+    def derivative(stark, key):
+        # Richardson extrapolation of the forward difference at h = 1e-5 and 2e-5
+        def value(h):
+            return stark(SmallSystem(eps1=base.eps1, eps2=base.eps2,
+                                     params=params.replace(**{key: h})))
+        d1, d2 = ((value(h) - value(0.0)) / h for h in (1e-5, 2e-5))
+        return 2.0 * d1 - d2
+
+    g = 1.0 / (2.0 - base.gaps)
+    closed_form = {"u11": -2.0 * np.sum(g**2), "u12": 4.0 * np.sum(g**2) - np.sum(g) ** 2}
+    for key, expected in (("u11", -2.5953014), ("u12", 2.6736257)):
+        full = derivative(full_fock_stark, key)
+        assert full == pytest.approx(derivative(oracle_stark, key), rel=1e-6)
+        assert full == pytest.approx(closed_form[key], rel=1e-6)
+        assert full == pytest.approx(expected, rel=1e-7)
+
+
+def test_full_space_value_with_cavity_and_u22_is_pinned():
+    # u22 acts only on two band-2 electrons, which one excitation never reaches,
+    # so the value pins the u11, u12 and g_c terms; the u22 term is checked on
+    # the doubly occupied band-2 state at q = 0, which it shifts by u22/N
+    base = random_system(np.random.default_rng(11), 2)
+    params = base.params.replace(u22=0.9, g_c=0.05, mu=0.1)
+    system = SmallSystem(eps1=base.eps1, eps2=base.eps2,
+                         params=params.with_laser(bound_state_root(base) - 0.3))
+    assert full_fock_stark(system) == pytest.approx(-12.736499045768921, rel=1e-12)
+    space = FockSpace(system)
+    up, down = space.mode(0, 2, 0), space.mode(0, 2, 1)
+    pair = (1 << up) | (1 << down)
+    free = space.mode_energy[up] + space.mode_energy[down] - 2.0 * space.mu
+    assert full_hamiltonian(system)[pair, pair] == pytest.approx(free + 0.9 / 2, abs=1e-12)
 
 
 def test_full_space_requires_two_momenta():
