@@ -25,12 +25,14 @@ from .lattice import (
     occupations,
 )
 from .screening import (
+    PairBand,
     ResonanceReport,
     ScreenedDetunings,
     band_resonance_edge,
     exciton_lhs,
     grpa_stark_equivalence,
     grpa_tmatrix,
+    pair_band,
     pair_resolvent,
     screened_detuning,
     screened_detuning_bs,
@@ -63,6 +65,7 @@ __all__ = [
     "NoPeak",
     "NoResonance",
     "Occupation",
+    "PairBand",
     "ResonanceReport",
     "ResonantCavity",
     "ResonantDenominator",
@@ -82,6 +85,7 @@ __all__ = [
     "grpa_tmatrix",
     "interaction_kernel",
     "occupations",
+    "pair_band",
     "pair_resolvent",
     "peak_location",
     "screened_detuning",

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NoResonance, ResonantCavity
-from .lattice import BZGrid, ModelParams, Occupation, band_gap, occupations
+from .lattice import BZGrid, ModelParams, band_gap
 from .scan import ScanResult
-from .screening import screened_detunings, solve_exciton_resonance
+from .screening import PairBand, pair_band, screened_detunings, solve_exciton_resonance
 
 CAVITY_GUARD_EV = 1e-9
 # Most momenta a kernel may hold to be materialized as a dense matrix (a whole l = 64 mesh).
@@ -64,14 +64,31 @@ class InteractionKernel:
         return self.scale * np.outer(self.v, self.v)
 
 
-def interaction_kernel(params: ModelParams, grid: BZGrid, occ, k) -> InteractionKernel:
-    """The kernel at the (kx, ky) pair ``k``; N and the k'-sum are ``grid``'s."""
-    delta_c = params.delta_c
-    if abs(delta_c) < CAVITY_GUARD_EV:
-        raise ResonantCavity(f"laser-cavity detuning {delta_c:.3e} eV is below the "
+def _require_detuned_cavity(params: ModelParams):
+    if abs(params.delta_c) < CAVITY_GUARD_EV:
+        raise ResonantCavity(f"laser-cavity detuning {params.delta_c:.3e} eV is below the "
                              f"{CAVITY_GUARD_EV} eV guard")
-    v = (params.g_l * params.g_c) / screened_detunings(params, grid, occ, k).delta
-    return InteractionKernel(v=v, scale=-1.0 / (grid.n_sites * delta_c))
+
+
+def interaction_kernel(params: ModelParams, band: PairBand, k) -> InteractionKernel:
+    """The kernel at the (kx, ky) pair ``k``; N and the k'-sum are ``band``'s."""
+    _require_detuned_cavity(params)
+    v = (params.g_l * params.g_c) / screened_detunings(params, band, k).delta
+    return InteractionKernel(v=v, scale=-1.0 / (band.grid.n_sites * params.delta_c))
+
+
+def forward_enhancement(screened: ModelParams, free: ModelParams, band: PairBand, k):
+    """V_int(k,k) / V_free(k,k) at ``k`` for a drive and its free twin on ``band``.
+
+    The two share g_l, g_c and delta_c, which cancel, so the ratio is
+    (Delta_free/Delta_int)^2 from the screened detunings; the kernels' own
+    product scale * v * v underflows for couplings near the smallest accepted
+    ones. Each side takes its own Hartree shift (:meth:`PairBand.for_params`).
+    """
+    for p in (screened, free):
+        _require_detuned_cavity(p)
+    d_free = screened_detunings(free, band, k).delta
+    return (d_free / screened_detunings(screened, band, k).delta) ** 2
 
 
 def free_drive(params: ModelParams, detuning: float) -> ModelParams:
@@ -82,28 +99,32 @@ def free_drive(params: ModelParams, detuning: float) -> ModelParams:
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """A model, its exciton line and its filling, which its free twin shares
-    (occupations depend only on t1, doping and l); :meth:`drives` detunes both."""
+    """A model, its exciton line and its band, which its free twin shares (the
+    twin differs only by its Hartree shift); :meth:`drives` detunes both."""
 
     params: ModelParams
-    occ: Occupation
+    band: PairBand
     omega_ex: float
 
     def drives(self, detuning: float):
         """(the model at omega_ex - detuning, its :func:`free_drive` at the same detuning)."""
         return self.params.with_laser(self.omega_ex - detuning), free_drive(self.params, detuning)
 
+    def enhancement(self, detuning: float, k):
+        """:func:`forward_enhancement` of the two :meth:`drives` at ``k``."""
+        return forward_enhancement(*self.drives(detuning), self.band, k)
 
-def matched_pair(params: ModelParams, grid: BZGrid, occ: Occupation | None = None,
+
+def matched_pair(params: ModelParams, band: PairBand,
                  exciton_required: bool = True) -> MatchedPair:
-    """Solve the filling (unless given) and the exciton line of ``params``; with
-    ``exciton_required=False`` a u12 = 0 model takes gap(Gamma) instead of raising."""
-    occ = occupations(params, grid) if occ is None else occ
+    """Solve the exciton line of ``params`` on ``band``; with ``exciton_required=False``
+    a u12 = 0 model takes gap(Gamma) instead of raising."""
+    band = band.for_params(params)
     if params.u12 > 0.0 or exciton_required:
-        omega_ex = solve_exciton_resonance(params, grid, occ).omega_ex
+        omega_ex = solve_exciton_resonance(params, band).omega_ex
     else:
         omega_ex = float(band_gap(params, GAMMA))
-    return MatchedPair(params=params, occ=occ, omega_ex=omega_ex)
+    return MatchedPair(params=params, band=band, omega_ex=omega_ex)
 
 
 def enhancement_ratio(params_screened: ModelParams, params_unscreened: ModelParams,
@@ -112,37 +133,36 @@ def enhancement_ratio(params_screened: ModelParams, params_unscreened: ModelPara
 
     ``params_screened`` is driven at omega_ex - detuning, the
     :func:`free_drive` of ``params_unscreened`` at gap(Gamma) - detuning. Both
-    kernels keep their laser-cavity detuning, so a shared delta_c cancels.
+    kernels keep their laser-cavity detuning, so a shared delta_c cancels, as
+    do shared couplings (:func:`forward_enhancement`). The free twin takes the
+    filling of ``params_screened``.
     """
     if detuning <= 0.0:
         raise ValueError(f"detuning must be positive, got {detuning!r}")
-    k = grid.point(k_index)
-    pair = matched_pair(params_screened, grid)
-    v_s = interaction_kernel(pair.drives(detuning)[0], grid, pair.occ, k).forward()
-    v_u = interaction_kernel(free_drive(params_unscreened, detuning), grid,
-                             occupations(params_unscreened, grid), k).forward()
-    return v_s / v_u
+    pair = matched_pair(params_screened, pair_band(params_screened, grid))
+    return forward_enhancement(pair.drives(detuning)[0], free_drive(params_unscreened, detuning),
+                               pair.band, grid.point(k_index))
 
 
 def u12_sweep(params: ModelParams, grid: BZGrid, detuning: float, u12_values) -> ScanResult:
     """Forward kernel and excitonic enhancement at Gamma versus the interband repulsion.
 
     The first row is the u12 = 0 baseline, the free kernel at the same
-    detuning; each enhancement is v / v_base, bitwise :func:`enhancement_ratio`,
-    from one solve per point on one filling. Rows whose exciton solve fails are
-    kept with ``converged = 0`` and NaN observables.
+    detuning; each enhancement is bitwise :func:`enhancement_ratio`, from one
+    solve per point on one band. Rows whose exciton solve fails are kept with
+    ``converged = 0`` and NaN observables.
     """
-    occ = occupations(params, grid)
-    v_base = interaction_kernel(free_drive(params, detuning), grid, occ, GAMMA).forward()
+    band = pair_band(params, grid)
+    v_base = interaction_kernel(free_drive(params, detuning), band, GAMMA).forward()
     nan = float("nan")
     rows = [(0.0, v_base, 1.0, nan, 1)]
     for u12 in map(float, u12_values):
         try:
-            pair = matched_pair(params.replace(u12=u12), grid, occ)
+            pair = matched_pair(params.replace(u12=u12), band)
         except NoResonance:
             rows.append((u12, nan, nan, nan, 0))
             continue
-        v = interaction_kernel(pair.drives(detuning)[0], grid, occ, GAMMA).forward()
-        rows.append((u12, v, v / v_base, pair.omega_ex, 1))
+        v = interaction_kernel(pair.drives(detuning)[0], pair.band, GAMMA).forward()
+        rows.append((u12, v, pair.enhancement(detuning, GAMMA), pair.omega_ex, 1))
     return ScanResult.from_rows("u12", ("v_forward", "enhancement", "omega_ex", "converged"),
                                 rows, metadata={"detuning": detuning, "u11": params.u11})

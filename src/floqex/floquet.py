@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ResonantDenominator
-from .lattice import BZGrid, ModelParams, Occupation, dispersion
-from .screening import screened_detunings
+from .lattice import ModelParams, dispersion
+from .screening import PairBand, screened_detunings
 
 # Square-lattice sanity bound: kx- and ky-curvatures of the dressed band must agree.
 _CURVATURE_SYMMETRY_TOL = 1e-10
@@ -37,20 +37,20 @@ class EffectiveBand:
             arr.setflags(write=False)
 
 
-def effective_band(params: ModelParams, grid: BZGrid, occ: Occupation, k) -> EffectiveBand:
-    """Dressed band at the (kx, ky) pair ``k``; the k'-sum runs over ``grid``.
+def effective_band(params: ModelParams, band: PairBand, k) -> EffectiveBand:
+    """Dressed band at the (kx, ky) pair ``k``; the k'-sum is ``band``'s.
 
     The chemical potential (a constant) is omitted.
     """
     g2 = params.g_l * params.g_l
-    dets = screened_detunings(params, grid, occ, k)
+    dets = screened_detunings(params, band, k)
     eps1 = dispersion(params, 1, k)
     stark = -g2 / dets.delta
     bs = -g2 / dets.delta_bs
     return EffectiveBand(energies=eps1 + stark + bs, stark=stark, bs=bs)
 
 
-def effective_hopping(params: ModelParams, grid: BZGrid, occ: Occupation) -> float:
+def effective_hopping(params: ModelParams, band: PairBand) -> float:
     """Hopping rate extracted from the dressed-band curvature at Gamma.
 
     Identifies eps(k) = 2*t*(cos kx + cos ky) + const and returns
@@ -58,12 +58,13 @@ def effective_hopping(params: ModelParams, grid: BZGrid, occ: Occupation) -> flo
     with the mesh spacing h = 2*pi/l, from the dressed band at the five
     stencil points only.
     """
+    grid = band.grid
     if grid.l < HOPPING_MIN_L:
         raise ValueError(f"hopping extraction needs l >= {HOPPING_MIN_L}, got l={grid.l}")
     h = 2.0 * np.pi / grid.l
     stencil = [grid.index(*n) for n in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))]
     center, x_up, x_down, y_up, y_down = effective_band(
-        params, grid, occ, grid.point(np.array(stencil))).energies
+        params, band, grid.point(np.array(stencil))).energies
     curv_x = (x_up - 2.0 * center + x_down) / (h * h)
     curv_y = (y_up - 2.0 * center + y_down) / (h * h)
     if abs(curv_x - curv_y) > _CURVATURE_SYMMETRY_TOL:
@@ -85,7 +86,7 @@ def tla_shifts(params: ModelParams, omega_ex: float):
     return g2 / (params.omega_l - omega_ex), g2 / (params.omega_l + omega_ex)
 
 
-def stark_bs_ratio(params: ModelParams, grid: BZGrid, occ: Occupation, k):
+def stark_bs_ratio(params: ModelParams, band: PairBand, k):
     """Stark-to-Bloch-Siegert shift ratio |Delta_bs_k / Delta_k| at the (kx, ky) pair ``k``."""
-    dets = screened_detunings(params, grid, occ, k)
+    dets = screened_detunings(params, band, k)
     return abs(dets.delta_bs / dets.delta)

@@ -304,17 +304,29 @@ def _count_at_or_below(scale, c, ranked, tau: float) -> np.ndarray:
     """Per mesh row i, the number of states with energy <= ``tau``.
 
     ``ranked`` holds the cosines in the order in which the energies of every
-    row ascend, so each count is a binary search over it.
+    row ascend. In real arithmetic the states of row i at or below ``tau`` are
+    those with c_j <= tau/scale - c_i (>= for scale < 0), so one
+    ``searchsorted`` over the ranked cosines places every count to within the
+    rounding of that bound. The counts are then moved, one state at a time, to
+    where :func:`_band1` itself puts ``tau``: its energies are monotone along
+    the ranking, rounding included, so that count is exact.
     """
     l = c.size
-    lo, hi = np.zeros(l, dtype=np.intp), np.full(l, l)
-    for _ in range(l.bit_length()):
-        mid = (lo + hi) // 2
-        below = _band1(scale, c, ranked[np.minimum(mid, l - 1)]) <= tau
-        below &= lo < hi
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
-    return lo
+    if scale == 0.0:
+        return np.full(l, l if 0.0 <= tau else 0)
+    sign = 1.0 if scale > 0.0 else -1.0
+    with np.errstate(over="ignore"):
+        bound = tau / scale - c
+    count = np.searchsorted(sign * ranked, sign * bound, side="right")
+    while True:
+        grow = _band1(scale, c, ranked[np.minimum(count, l - 1)]) <= tau
+        grow &= count < l
+        shrink = _band1(scale, c, ranked[np.maximum(count - 1, 0)]) > tau
+        shrink &= count > 0
+        if not (grow.any() or shrink.any()):
+            return count
+        count += grow
+        count -= shrink
 
 
 def _key(x: float) -> int:

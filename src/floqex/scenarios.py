@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .cavity import interaction_kernel, matched_pair, u12_sweep
+from .cavity import matched_pair, u12_sweep
 from .config import RunOptions
 from .exceptions import ConfigError, NoPeak, NoResonance, ResonantDenominator
 from .exactdiag import (
@@ -37,9 +37,9 @@ from .floquet import (
     stark_bs_ratio,
     tla_shifts,
 )
-from .lattice import BZGrid, ModelParams, occupations
+from .lattice import BZGrid, ModelParams
 from .scan import ScanResult
-from .screening import screened_detunings, solve_exciton_resonance
+from .screening import pair_band, screened_detunings, solve_exciton_resonance
 from .spectra import absorbance, peak_location
 
 SCENARIOS = {}
@@ -49,8 +49,9 @@ MAX_AXIS_POINTS = 1_000_000
 
 _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 
-# Couplings a scenario's observable is divided by the square of: where that
-# square is zero or subnormal every value would be 0/0 or noise, so
+# Couplings whose square a scenario's observable is divided by (fig1a, fig2) or
+# scales as (the kernels of fig3b and fig3c): where that square is zero or
+# subnormal every value would be 0/0, noise or a vanishing kernel, so
 # run_scenario refuses them.
 _DIVISOR_COUPLINGS = {"fig1a": ("g_l",), "fig2": ("g_l",),
                       "fig3b": ("g_l", "g_c"), "fig3c": ("g_l", "g_c")}
@@ -111,22 +112,22 @@ def _symmetry_points(grid: BZGrid) -> tuple:
 
 def _path_scan(params, opts, name: str, default_detuning: float, column: str,
                value) -> ScanResult:
-    """``value(p, grid, occ, path)`` along Y -> Gamma -> M for the matched drive pair.
+    """``value(p, band, path)`` along Y -> Gamma -> M for the matched drive pair.
 
     The columns ``<column>_screened`` and ``<column>_unscreened`` hold it for
     the interacting drive and for its free twin.
     """
     grid = _grid(opts, name, 256)
     detuning = _default(opts.detuning, default_detuning)
-    pair = matched_pair(params, grid, exciton_required=False)
+    pair = matched_pair(params, pair_band(params, grid), exciton_required=False)
     p_s, p_u = pair.drives(detuning)
     kx, ky = path = grid.point(grid.path_y_gamma_m())
     return ScanResult(
         axis_name="path_index",
         axis=np.arange(len(kx)),
         columns={"kx": kx, "ky": ky,
-                 f"{column}_screened": value(p_s, grid, pair.occ, path),
-                 f"{column}_unscreened": value(p_u, grid, pair.occ, path)},
+                 f"{column}_screened": value(p_s, pair.band, path),
+                 f"{column}_unscreened": value(p_u, pair.band, path)},
         metadata={"detuning": detuning, "grid_l": grid.l},
     )
 
@@ -134,7 +135,7 @@ def _path_scan(params, opts, name: str, default_detuning: float, column: str,
 @_scenario("resonance")
 def _run_resonance(params: ModelParams, opts: RunOptions):
     grid = _grid(opts, "resonance", 1024)
-    rep = solve_exciton_resonance(params, grid, occupations(params, grid))
+    rep = solve_exciton_resonance(params, pair_band(params, grid))
     result = ScanResult.from_rows(
         "index", ("omega_ex", "continuum_edge", "binding", "delta_ex", "converged", "residual"),
         [(0, rep.omega_ex, rep.continuum_edge, rep.binding, rep.delta_ex,
@@ -147,9 +148,9 @@ def _run_resonance(params: ModelParams, opts: RunOptions):
 @_scenario("fig1a")
 def _run_fig1a(params: ModelParams, opts: RunOptions):
     """Drive-induced band change per |g_l|^2 along Y -> Gamma -> M, screened vs free."""
-    def change(p, grid, occ, path):
-        band = effective_band(p, grid, occ, path)
-        return (band.stark + band.bs) / (p.g_l * p.g_l)
+    def change(p, band, path):
+        dressed = effective_band(p, band, path)
+        return (dressed.stark + dressed.bs) / (p.g_l * p.g_l)
 
     return [("fig1a", _path_scan(params, opts, "fig1a", 0.03, "change", change))]
 
@@ -160,9 +161,9 @@ def _run_fig1b(params: ModelParams, opts: RunOptions):
     grid = _grid(opts, "fig1b", 256, min_l=HOPPING_MIN_L)
     detuning = _default(opts.detuning, 0.03)
     gl_values = _axis(0.0, opts.gl_max, opts.gl_step)
-    pair = matched_pair(params, grid, exciton_required=False)
+    pair = matched_pair(params, pair_band(params, grid), exciton_required=False)
     drives = pair.drives(detuning)
-    rows = [(g_l, *(effective_hopping(p.replace(g_l=g_l), grid, pair.occ) for p in drives))
+    rows = [(g_l, *(effective_hopping(p.replace(g_l=g_l), pair.band) for p in drives))
             for g_l in gl_values]
     result = ScanResult.from_rows("g_l", ("t_eff", "t_eff_unscreened"), rows,
                                   metadata={"detuning": detuning, "grid_l": grid.l})
@@ -174,16 +175,16 @@ def _run_fig2(params: ModelParams, opts: RunOptions):
     """Stark/BS ratio vs laser-exciton detuning, plus interaction-strength panels."""
     grid = _grid(opts, "fig2", 256)
     points = _symmetry_points(grid)
-    occ = occupations(params, grid)
+    band = pair_band(params, grid)
     det_axis = _axis(_default(opts.det_min, 0.005), _default(opts.det_max, 0.5),
                      _default(opts.det_step, 0.005))
-    omega_ex = solve_exciton_resonance(params, grid, occ).omega_ex
+    omega_ex = solve_exciton_resonance(params, band).omega_ex
 
     def ratios(p, omega_ex, delta_ex):
         """Stark/BS magnitude ratios at Gamma/Y/M plus the two-level comparator."""
         p = p.with_laser(omega_ex - delta_ex)
         st, bs = tla_shifts(p, omega_ex)
-        return (*stark_bs_ratio(p, grid, occ, points), abs(st / bs))
+        return (*stark_bs_ratio(p, band, points), abs(st / bs))
 
     main = ScanResult.from_rows("delta_ex", _RATIO_COLUMNS,
                                 [(d, *ratios(params, omega_ex, d)) for d in det_axis],
@@ -195,7 +196,7 @@ def _run_fig2(params: ModelParams, opts: RunOptions):
         for value in values:
             p = params.replace(**{key: float(value)})
             try:
-                w = solve_exciton_resonance(p, grid, occ).omega_ex
+                w = solve_exciton_resonance(p, band).omega_ex
             except NoResonance:
                 rows.append((value, *[float("nan")] * 5, 0))
             else:
@@ -215,8 +216,8 @@ def _run_fig2(params: ModelParams, opts: RunOptions):
 @_scenario("fig3a")
 def _run_fig3a(params: ModelParams, opts: RunOptions):
     """Forward-scattering kernel (prefactor removed) along Y -> Gamma -> M."""
-    def inv_dsq(p, grid, occ, path):
-        return 1.0 / screened_detunings(p, grid, occ, path).delta ** 2
+    def inv_dsq(p, band, path):
+        return 1.0 / screened_detunings(p, band, path).delta ** 2
 
     return [("fig3a", _path_scan(params, opts, "fig3a", 0.05, "inv_dsq", inv_dsq))]
 
@@ -227,16 +228,10 @@ def _run_fig3b(params: ModelParams, opts: RunOptions):
     grid = _grid(opts, "fig3b", 256)
     det_axis = _axis(_default(opts.det_min, 0.05), _default(opts.det_max, 0.5),
                      _default(opts.det_step, 0.025))
-    pair = matched_pair(params, grid)
+    pair = matched_pair(params, pair_band(params, grid))
     points = _symmetry_points(grid)
-
-    def ratios(detuning: float):
-        v_s, v_u = (interaction_kernel(p, grid, pair.occ, points).forward()
-                    for p in pair.drives(detuning))
-        return v_s / v_u
-
     result = ScanResult.from_rows("detuning", _RATIO_COLUMNS[:3],
-                                  [(d, *ratios(d)) for d in det_axis],
+                                  [(d, *pair.enhancement(d, points)) for d in det_axis],
                                   metadata={"omega_ex": pair.omega_ex, "grid_l": grid.l})
     return [("fig3b", result)]
 
@@ -254,7 +249,12 @@ def _run_fig3c(params: ModelParams, opts: RunOptions):
 
 @_scenario("fig4")
 def _run_fig4(params: ModelParams, opts: RunOptions):
-    """Screened detuning vs drive frequency at Gamma/Y/M for several gap dispersions."""
+    """Screened detuning vs drive frequency at Gamma/Y/M for several gap dispersions.
+
+    A row is ``converged = 0`` where the screened detuning sits on a band
+    resonance (its deltas are NaN) or where the dispersion has no exciton line
+    (its ``delta_tla`` is NaN).
+    """
     grid = _grid(opts, "fig4", 256)
     omega_axis = _axis(_default(opts.omega_min, 2.3), _default(opts.omega_max, 2.88),
                        opts.omega_step)
@@ -263,18 +263,18 @@ def _run_fig4(params: ModelParams, opts: RunOptions):
     rows = []
     for t21 in opts.t21_values:
         p_t = params.replace(t1=params.t2 - t21)
-        occ = occupations(p_t, grid)
+        band = pair_band(p_t, grid)
         try:
-            omega_ex = solve_exciton_resonance(p_t, grid, occ).omega_ex
+            omega_ex, solved = solve_exciton_resonance(p_t, band).omega_ex, 1
         except NoResonance:
-            omega_ex = nan
+            omega_ex, solved = nan, 0
         for omega_l in omega_axis:
             try:
-                delta = screened_detunings(p_t.with_laser(omega_l), grid, occ, points).delta
+                delta = screened_detunings(p_t.with_laser(omega_l), band, points).delta
             except ResonantDenominator:
                 rows.append((omega_l, t21, nan, nan, nan, omega_ex - omega_l, 0))
             else:
-                rows.append((omega_l, t21, *delta, omega_ex - omega_l, 1))
+                rows.append((omega_l, t21, *delta, omega_ex - omega_l, solved))
     result = ScanResult.from_rows(
         "omega_l", ("t21", "delta_gamma", "delta_y", "delta_m", "delta_tla", "converged"), rows,
         metadata={"t21_values": list(opts.t21_values), "grid_l": grid.l},
@@ -287,8 +287,7 @@ def _run_absorbance(params: ModelParams, opts: RunOptions):
     grid = _grid(opts, "absorbance", 256)
     omegas = _axis(_default(opts.omega_min, 2.4), _default(opts.omega_max, 5.0),
                    opts.omega_step)
-    occ = occupations(params, grid)
-    curve = absorbance(params, grid, occ, omegas, opts.gamma)
+    curve = absorbance(params, pair_band(params, grid), omegas, opts.gamma)
     try:
         peak = peak_location(curve)
     except NoPeak:

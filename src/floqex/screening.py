@@ -12,16 +12,25 @@ identical; both code paths below take S from the same evaluation, so the
 identity holds to a few ulp even close to the exciton pole.
 
 Every k'-reduction is one pair resolvent R(z) = (1/N) sum_k n_k / (gap_k +
-shift - z) (:func:`pair_resolvent`): S = u12 R(omega_l), the ladder closure is
-F(omega) = u12 R(omega), and the absorbance continues R to complex z. R is an
-exact O(l) sum over mesh rows; the literal O(l^2) mesh sum (:func:`ladder_sum`)
-remains where that closed form does not hold. Per-k values are taken at ``k``,
-a (kx, ky) pair of scalars or arrays (the whole mesh is ``(grid.kx, grid.ky)``);
-``grid`` is the domain of the k'-sum.
+shift - z), held by a :class:`PairBand`: S = u12 R(omega_l), the ladder
+closure is F(omega) = u12 R(omega), and the absorbance continues R to complex
+z. The band is built by :func:`pair_band` once per (band, Hartree shift, grid,
+filling), since R depends on neither the drive nor the couplings g_l, g_c. R is
+an exact O(l) sum over mesh rows, corrected by the minority states of a partial
+filling grouped by their exact gap value; the literal O(l^2) mesh sum
+(:func:`ladder_sum`) remains where that closed form does not hold.
+
+Every function here that sums over k' takes the band; the model ``params`` it
+also takes set the drive, and a band built for other couplings is moved to
+their Hartree shift (:meth:`PairBand.for_params`). Per-k values are taken at
+``k``, a (kx, ky) pair of scalars or arrays (the whole mesh is
+``(grid.kx, grid.ky)``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,7 @@ from .lattice import (
     bare_detuning,
     gap_from_structure_factor,
     gap_range,
+    occupations,
 )
 
 # Grid points closer than this to a Hartree-shifted band resonance poison the
@@ -104,7 +114,7 @@ def ladder_sum(shifted: np.ndarray, occupancy: np.ndarray, u12: float, n_sites: 
     """Literal S = (u12/N) * sum_k n_k / D_k with the band-resonance guard applied.
 
     ``guard = 0`` never refuses. This is the reference sum for small systems
-    without lattice structure and the fallback of :func:`pair_resolvent`.
+    without lattice structure and the fallback of :meth:`PairBand.resolvent`.
     """
     if np.min(np.abs(shifted)) < guard:
         raise ResonantDenominator(
@@ -113,59 +123,143 @@ def ladder_sum(shifted: np.ndarray, occupancy: np.ndarray, u12: float, n_sites: 
     return (u12 / n_sites) * np.sum(occupancy / shifted)
 
 
-def pair_resolvent(params: ModelParams, grid: BZGrid, occ: Occupation,
-                   guard: float = RESONANCE_GUARD_EV):
-    """The function z -> R(z) = (1/N) sum_k n_k / (gap_k + shift - z) over ``grid``.
+@dataclass(frozen=True)
+class PairBand:
+    """The k'-sum of one model: R(z) = (1/N) sum_k n_k / (gap_k + shift - z) over ``grid``.
 
-    On mesh row i, gap_k + shift - z = A_i + B c_j with B = 2 t21, c = cos(k)
-    and A_i = eps21 + shift - z + B c_i. Each row is a periodic trapezoidal rule
-    with the closed form
-
-        (1/l) sum_j 1 / (A + B cos(2 pi j / l)) = (1 + rho^l) / ((1 - rho^l) s),
-
-    s = sqrt(A^2 - B^2), rho = -B / (A + s) with the root |rho| <= 1, and 1/A
-    when B = 0, so a full band costs O(l) per z. A partial filling starts from
-    the full band and subtracts the empty states, or sums the filled states
-    directly when they are no more, taken from ``occ.minority``.
-
-    The literal mesh sum (:func:`ladder_sum`) is taken instead
-
-    - at a real z within ``guard`` (doubled, to cover the rounding of D_k) of
-      the shifted band [gap_min, gap_max] + shift, where the row sums have
-      poles. The mesh sum refuses when a grid point sits within ``guard`` of z;
-      with ``guard = 0`` only z inside the band takes it, and it never refuses;
-    - at a complex z with |1 - rho^l| < :data:`ROW_SUM_GUARD` in some row;
-    - where the closed form's rounding error, estimated as
-      eps * scale * sum |1/D_k|^2 / N over the terms it rounds otherwise than
-      the mesh sum, exceeds :data:`ROUNDING_TOL` relative: the subtracted empty
-      states at real z (near-resonant ones cancel their full-band twins), every
-      state at complex z (there the sum is Im R_full / Im z).
-
-    The mesh sum runs over blocks of :data:`~floqex.lattice.MESH_BLOCK` mesh
-    points (one block for l <= 256), so it holds no full-mesh array, and each
-    block passes the guard of :func:`ladder_sum` before it is divided.
+    ``params`` gives the band (eps21, t21) and ``shift`` its Hartree shift for
+    the filling ``occ``. ``row_coeffs`` are B c_i (B = 2 t21, c = cos k), the
+    row coefficients of :meth:`resolvent`. The minority states of ``occ`` are
+    grouped by their exact gap value: the distinct, ascending ``gaps`` occur
+    ``counts`` times (held as floats), so a partial filling costs one term
+    per distinct gap rather than one per state.
     """
-    shift = hartree_shift(params, occ)
-    b = 2.0 * params.t21
-    bc = b * grid.cos_k
-    lo, hi = gap_range(params, grid)
-    lo, hi = lo + shift - 2.0 * guard, hi + shift + 2.0 * guard
-    idx, filled = occ.minority
-    l, n = grid.l, grid.n_sites
-    nx, ny = np.divmod(idx, l)
-    minority = gap_from_structure_factor(params, grid.cos_k[nx] + grid.cos_k[ny])
-    step = max(1, MESH_BLOCK // l)
 
-    def mesh(z):
-        total = 0.0
-        for a in range(0, l, step):
-            d = gap_from_structure_factor(params, grid.gamma_rows(a, a + step)) - z + shift
-            total += ladder_sum(d, occ.n_range(a * l, min(a + step, l) * l), 1.0, n, guard)
-        return total
+    params: ModelParams
+    grid: BZGrid
+    occ: Occupation
+    shift: float
+    gap_min: float
+    gap_max: float
+    row_coeffs: np.ndarray
+    gaps: np.ndarray
+    counts: np.ndarray
 
-    def rows(z, real):
+    @property
+    def edge(self) -> float:
+        """Continuum edge: the smallest Hartree-shifted gap on the grid."""
+        return self.gap_min + self.shift
+
+    def for_params(self, params: ModelParams) -> "PairBand":
+        """This band with the Hartree shift of ``params``: itself when that shift is
+        its own, else a copy that shares the grouped gaps; a model with another
+        band (eps21, t21) is built anew on the same grid and filling."""
+        if params.eps21 != self.params.eps21 or params.t21 != self.params.t21:
+            return pair_band(params, self.grid, self.occ)
+        shift = hartree_shift(params, self.occ)
+        return self if shift == self.shift else dataclasses.replace(self, params=params,
+                                                                    shift=shift)
+
+    def resolvent(self, z, guard: float = RESONANCE_GUARD_EV):
+        """R(z) at a real or a complex ``z``, a float or a complex as z is.
+
+        On mesh row i, gap_k + shift - z = A_i + B c_j with A_i = eps21 + shift
+        - z + B c_i. Each row is a periodic trapezoidal rule with the closed form
+
+            (1/l) sum_j 1 / (A + B cos(2 pi j / l)) = (1 + rho^l) / ((1 - rho^l) s),
+
+        s = sqrt(A^2 - B^2), rho = -B / (A + s) with the root |rho| <= 1, and
+        1/A when B = 0, so a full band costs O(l) per z. A partial filling
+        starts from the full band and subtracts the empty states, or sums the
+        filled states directly when they are no more, one term count/(g +
+        shift - z) per distinct gap g of the minority states.
+
+        The literal mesh sum (:func:`ladder_sum`) is taken instead
+
+        - at a real z within ``guard`` (doubled, to cover the rounding of D_k)
+          of the shifted band [gap_min, gap_max] + shift, where the row sums
+          have poles. The mesh sum refuses when a grid point sits within
+          ``guard`` of z; with ``guard = 0`` only z inside the band takes it,
+          and it never refuses;
+        - at a complex z with |1 - rho^l| < :data:`ROW_SUM_GUARD` in some row;
+        - where the closed form's rounding error (:meth:`_closed_form`)
+          exceeds :data:`ROUNDING_TOL` relative.
+
+        The mesh sum runs over blocks of :data:`~floqex.lattice.MESH_BLOCK`
+        mesh points (one block for l <= 256), so it holds no full-mesh array,
+        and each block passes the guard of :func:`ladder_sum` before it is
+        divided.
+        """
+        real = np.imag(z) == 0.0
+        if real:
+            z = float(np.real(z))
+        lo, hi = self._window(guard)
+        if real and lo <= z <= hi:
+            return self.mesh(z, guard)
+        closed = self._closed_form(z, real)
+        if closed is None:
+            return self.mesh(z, guard)
+        value, error = closed
+        if error > ROUNDING_TOL * abs(value):
+            return self.mesh(z, guard)
+        return float(value.real) if real else complex(value)
+
+    def closure_below_one(self, u12: float, omega: float) -> bool:
+        """Whether the ladder closure u12 R(omega) < 1 at a real ``omega``, unguarded.
+
+        Only the sign of u12 R - 1 is asked for, so the closed form decides it
+        wherever |u12 R - 1| exceeds u12 times its rounding estimate, even where
+        that estimate is too large for :meth:`resolvent` to return R (just
+        below the edge, where near-resonant empty states cancel their
+        full-band twins). The mesh sum decides only where it does not.
+        """
+        lo, hi = self._window(0.0)
+        if not lo <= omega <= hi:
+            value, error = self._closed_form(omega, True)
+            if abs(u12 * value - 1.0) > u12 * error:
+                return u12 * value < 1.0
+        return u12 * self.mesh(omega, 0.0) < 1.0
+
+    def _window(self, guard: float) -> tuple:
+        """The shifted band [gap_min, gap_max] + shift, widened by twice ``guard``."""
+        return self.gap_min + self.shift - 2.0 * guard, self.gap_max + self.shift + 2.0 * guard
+
+    def _closed_form(self, z, real: bool):
+        """(R(z) from the row sums and the grouped minority states, its rounding error).
+
+        The error is estimated as eps * (|z| + the largest |gap + shift|) *
+        sum |1/D_k|^2 / N over the terms the closed form rounds otherwise than
+        the mesh sum: the subtracted empty states at real z (near-resonant ones
+        cancel their full-band twins), every state at complex z (there the sum
+        is Im R_full / Im z). Directly summed filled states carry none. None
+        where some row has |1 - rho^l| < :data:`ROW_SUM_GUARD`.
+        """
+        n = self.grid.n_sites
+        filled = self.occ.minority[1]
+        part = spread = 0.0
+        if filled or self.gaps.size:
+            inv = self.gaps - z
+            inv += self.shift
+            np.divide(1.0, inv, out=inv)  # in place: same bits as 1.0 / (gaps - z + shift)
+            part = np.dot(self.counts, inv) / n
+            if filled:
+                return part, 0.0
+            if real:
+                spread = np.dot(self.counts, inv * inv) / n
+        means = self._row_means(z, real)
+        if means is None:
+            return None
+        full = np.sum(means) / self.grid.l
+        value = full - part
+        if not real:
+            spread = full.imag / z.imag
+        lo, hi = self._window(0.0)
+        return value, _EPS * (abs(z) + max(abs(lo), abs(hi))) * spread
+
+    def _row_means(self, z, real: bool):
         """Row means (1/l) sum_j 1/(A_i + B c_j), or None where |1 - rho^l| is too small."""
-        a = (params.eps21 + shift - z) + bc
+        b = 2.0 * self.params.t21
+        a = (self.params.eps21 + self.shift - z) + self.row_coeffs
         if b == 0.0:
             return 1.0 / a
         disc = (a - b) * (a + b)
@@ -174,65 +268,77 @@ def pair_resolvent(params: ModelParams, grid: BZGrid, occ: Occupation,
         else:
             s = np.sqrt(disc + 0j)
             s = np.where((s * np.conj(a)).real < 0.0, -s, s)
-        q = (-b / (a + s)) ** l
+        q = (-b / (a + s)) ** self.grid.l
         if not real and np.min(np.abs(1.0 - q)) < ROW_SUM_GUARD:
             return None
         return (1.0 + q) / ((1.0 - q) * s)
 
-    def resolvent(z):
-        real = np.imag(z) == 0.0
-        if real:
-            z = float(np.real(z))
-            if lo <= z <= hi:
-                return mesh(z)
-        part = spread = 0.0
-        if filled or minority.size:
-            inv = minority - z
-            inv += shift
-            np.divide(1.0, inv, out=inv)  # in place: same bits as 1.0 / (minority - z + shift)
-            part = np.sum(inv) / n
-            if filled:
-                return float(part) if real else complex(part)
-            if real:
-                spread = np.vdot(inv, inv).real / n
-        means = rows(z, real)
-        if means is None:
-            return mesh(z)
-        full = np.sum(means) / l
-        value = full - part
-        if not real:
-            spread = full.imag / z.imag
-        if _EPS * (abs(z) + max(abs(lo), abs(hi))) * spread > ROUNDING_TOL * abs(value):
-            return mesh(z)
-        return float(value.real) if real else complex(value)
-
-    return resolvent
+    def mesh(self, z, guard: float = RESONANCE_GUARD_EV):
+        """The literal mesh sum of R(z), over blocks of mesh rows, each guarded."""
+        grid, occ = self.grid, self.occ
+        l, n = grid.l, grid.n_sites
+        step = max(1, MESH_BLOCK // l)
+        total = 0.0
+        for a in range(0, l, step):
+            gaps = gap_from_structure_factor(self.params, grid.gamma_rows(a, a + step))
+            d = gaps - z + self.shift
+            total += ladder_sum(d, occ.n_range(a * l, min(a + step, l) * l), 1.0, n, guard)
+        return total
 
 
-def screening_factor(params: ModelParams, grid: BZGrid, occ: Occupation) -> float:
+def _minority_gaps(params: ModelParams, grid: BZGrid, occ: Occupation) -> np.ndarray:
+    """Gaps of the minority states of ``occ``, bitwise those of ``gamma_rows``."""
+    idx = occ.minority[0]
+    gamma = grid.cos_k[idx // grid.l]
+    gamma += grid.cos_k[idx % grid.l]
+    return gap_from_structure_factor(params, gamma)
+
+
+def pair_band(params: ModelParams, grid: BZGrid, occ: Occupation | None = None) -> PairBand:
+    """The :class:`PairBand` of ``params`` on ``grid`` for the filling ``occ``
+    (:func:`~floqex.lattice.occupations` when not given)."""
+    occ = occupations(params, grid) if occ is None else occ
+    gaps, counts = np.unique(_minority_gaps(params, grid, occ), return_counts=True)
+    gap_min, gap_max = gap_range(params, grid)
+    return PairBand(params=params, grid=grid, occ=occ, shift=hartree_shift(params, occ),
+                    gap_min=gap_min, gap_max=gap_max, row_coeffs=2.0 * params.t21 * grid.cos_k,
+                    gaps=gaps, counts=counts.astype(float))
+
+
+def pair_resolvent(params: ModelParams, grid: BZGrid, occ: Occupation,
+                   guard: float = RESONANCE_GUARD_EV):
+    """The function z -> R(z) = (1/N) sum_k n_k / (gap_k + shift - z) over ``grid``.
+
+    :meth:`PairBand.resolvent` of a band built for this one call; a caller
+    that evaluates R for several models of one band keeps the band instead.
+    """
+    return functools.partial(pair_band(params, grid, occ).resolvent, guard=guard)
+
+
+def screening_factor(params: ModelParams, band: PairBand) -> float:
     """1 - S with S = u12 R(omega_l)."""
-    return 1.0 - params.u12 * pair_resolvent(params, grid, occ)(params.omega_l)
+    return 1.0 - params.u12 * band.for_params(params).resolvent(params.omega_l)
 
 
-def screened_detunings(params: ModelParams, grid: BZGrid, occ: Occupation, k) -> ScreenedDetunings:
+def screened_detunings(params: ModelParams, band: PairBand, k) -> ScreenedDetunings:
     """Bare, screened and counter-rotating detunings at the (kx, ky) pair ``k``."""
+    band = band.for_params(params)
     d0 = bare_detuning(params, k)
-    d = shifted_detunings(params, k, occ)
-    d_bs = shifted_detunings(params, k, occ, bs=True)
-    resolvent = pair_resolvent(params, grid, occ)
-    d *= 1.0 - params.u12 * resolvent(params.omega_l)
-    d_bs *= 1.0 - params.u12 * resolvent(-params.omega_l)
+    d = shifted_detunings(params, k, band.occ)
+    d_bs = shifted_detunings(params, k, band.occ, bs=True)
+    d *= 1.0 - params.u12 * band.resolvent(params.omega_l)
+    d_bs *= 1.0 - params.u12 * band.resolvent(-params.omega_l)
     return ScreenedDetunings(delta0=d0, delta=d, delta_bs=d_bs)
 
 
-def screened_detuning(params: ModelParams, grid: BZGrid, occ: Occupation, k):
+def screened_detuning(params: ModelParams, band: PairBand, k):
     """Screened detuning Delta_k at ``k``: the ``delta`` of :func:`screened_detunings`."""
-    return screened_detunings(params, grid, occ, k).delta
+    return screened_detunings(params, band, k).delta
 
 
-def screened_detuning_bs(params: ModelParams, grid: BZGrid, occ: Occupation, k):
+def screened_detuning_bs(params: ModelParams, band: PairBand, k):
     """Counter-rotating (Bloch-Siegert) screened detuning at ``k``."""
-    return screened_detunings(params, grid, occ, k).delta_bs
+    return screened_detunings(params, band, k).delta_bs
 
 
 def band_resonance_edge(params: ModelParams, grid: BZGrid, occ: Occupation) -> float:
@@ -240,28 +346,34 @@ def band_resonance_edge(params: ModelParams, grid: BZGrid, occ: Occupation) -> f
     return gap_range(params, grid)[0] + hartree_shift(params, occ)
 
 
-def exciton_lhs(params: ModelParams, grid: BZGrid, occ: Occupation, omega: float) -> float:
+def exciton_lhs(params: ModelParams, band: PairBand, omega: float) -> float:
     """Ladder closure F(omega) = (u12/N) sum_k n_k / (gap_k - omega + shift).
 
     Strictly increasing in omega below the continuum edge; F = 1 marks the
     bound electron-hole pair.
     """
-    return params.u12 * pair_resolvent(params, grid, occ, guard=0.0)(omega)
+    return params.u12 * band.for_params(params).resolvent(omega, guard=0.0)
 
 
-def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float):
+def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float, below_one=None):
     """Bisect the ladder closure ``lhs(omega) = 1`` below the continuum ``edge``.
 
-    Returns (omega, residual, converged). Bisection is iterated to
-    floating-point resolution (the bracket endpoints have poles just above,
-    so robustness beats speed); ``converged`` reports whether the final
-    bracket is narrower than :data:`BRACKET_TOL`.
+    Returns (omega, residual, converged). The bracket top edge - 1e-9 only
+    has to lie on the far side of the root, so there only the sign of
+    lhs - 1 is asked for: ``below_one(omega)``, when given, answers whether
+    lhs(omega) < 1 (:meth:`PairBand.closure_below_one`), else lhs itself is
+    evaluated. Bisection is iterated to floating-point resolution (the
+    bracket endpoints have poles just above, so robustness beats speed);
+    ``converged`` reports whether the final bracket is narrower than
+    :data:`BRACKET_TOL`.
     """
     if u12 <= 0.0 or nu <= 0.0:
         raise NoResonance("a bound state requires u12 > 0 and a partially filled band")
+    if below_one is None:
+        below_one = lambda omega: lhs(omega) < 1.0
     lo = edge - u11 - 5.0 * u12
     hi = edge - 1e-9
-    if lhs(hi) < 1.0:
+    if below_one(hi):
         raise NoResonance(
             "no sign change inside the bracket (u12 too small for a bound state "
             "on this grid)"
@@ -280,47 +392,48 @@ def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float):
     return omega, residual, (hi - lo) <= BRACKET_TOL
 
 
-def solve_exciton_resonance(params: ModelParams, grid: BZGrid, occ: Occupation) -> ResonanceReport:
+def solve_exciton_resonance(params: ModelParams, band: PairBand) -> ResonanceReport:
     """Locate the exciton resonance: the unique F(omega) = 1 root below the edge."""
-    edge = band_resonance_edge(params, grid, occ)
-    resolvent = pair_resolvent(params, grid, occ, guard=0.0)
+    band = band.for_params(params)
+    u12 = params.u12
     omega, residual, converged = solve_bound_state(
-        lambda w: params.u12 * resolvent(w), edge, params.u11, params.u12, occ.nu
+        lambda w: u12 * band.resolvent(w, guard=0.0), band.edge, params.u11, u12,
+        band.occ.nu, below_one=functools.partial(band.closure_below_one, u12),
     )
     return ResonanceReport(
         omega_ex=omega,
-        continuum_edge=edge,
-        binding=edge - omega,
+        continuum_edge=band.edge,
+        binding=band.edge - omega,
         delta_ex=omega - params.omega_l,
         converged=converged,
         residual=residual,
     )
 
 
-def grpa_tmatrix(params: ModelParams, grid: BZGrid, occ: Occupation) -> float:
+def grpa_tmatrix(params: ModelParams, band: PairBand) -> float:
     """Electron-hole t-matrix T = (1 + (u12/N) sum_k n_k / (-D_k))^(-1) = 1 / (1 - S).
 
     The beta -> infinity limit of the Matsubara ladder: unity at u12 = 0 and
     divergent at the exciton pole.
     """
-    inverse_t = screening_factor(params, grid, occ)
+    inverse_t = screening_factor(params, band)
     if abs(inverse_t) < 1e-12:
         raise ResonantDenominator("t-matrix pole: laser sits on the exciton resonance")
     return 1.0 / inverse_t
 
 
-def grpa_stark_equivalence(params: ModelParams, grid: BZGrid, occ: Occupation,
-                           k_index: int):
+def grpa_stark_equivalence(params: ModelParams, band: PairBand, k_index: int):
     """Ladder-bubble Stark shift vs the screened-denominator Stark shift.
 
     Returns the pair (bubble, screened) for the grid point ``k_index``; the
     two are an algebraic rearrangement of each other and agree to relative
     1e-12 on identical grids.
     """
+    band = band.for_params(params)
     g2 = params.g_l * params.g_l
-    n_k = occ.n_range(k_index, k_index + 1)[0]
-    d = shifted_detunings(params, grid.point(k_index), occ)
-    t = grpa_tmatrix(params, grid, occ)
+    n_k = band.occ.n_range(k_index, k_index + 1)[0]
+    d = shifted_detunings(params, band.grid.point(k_index), band.occ)
+    t = grpa_tmatrix(params, band)
     bubble = g2 * (-n_k / d) * t
-    screened = -g2 * n_k / (d * screening_factor(params, grid, occ))
+    screened = -g2 * n_k / (d * screening_factor(params, band))
     return bubble, screened

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NoPeak
-from .lattice import BZGrid, ModelParams, Occupation
-from .screening import pair_resolvent
+from .lattice import ModelParams
+from .screening import PairBand
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,11 @@ class SpectrumCurve:
         return self.alpha * self.scale
 
 
-def absorbance(params: ModelParams, grid: BZGrid, occ: Occupation,
-               omegas, gamma: float) -> SpectrumCurve:
+def absorbance(params: ModelParams, band: PairBand, omegas, gamma: float) -> SpectrumCurve:
     """Absorbance sampled at ``omegas`` with Lorentzian broadening ``gamma`` > 0.
 
     Per frequency, raw = Im[R / (1 - u12 R)] / pi with the pair resolvent R at
-    z = omega + i*gamma (:func:`floqex.screening.pair_resolvent`), which is
+    z = omega + i*gamma (:meth:`floqex.screening.PairBand.resolvent`), which is
     (1/(pi N)) sum_k n_k Im[1 / (d_k (1 - (u12/N) sum_k' n_k'/d_k'))] for
     d_k = gap_k - z + shift. gamma regularizes every pole, so no resonance
     guard applies; the in-gap peak sits at the exciton resonance, band
@@ -49,12 +48,12 @@ def absorbance(params: ModelParams, grid: BZGrid, occ: Occupation,
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     omegas = np.asarray(omegas, dtype=float)
-    resolvent = pair_resolvent(params, grid, occ, guard=0.0)
+    band = band.for_params(params)
     raw = np.empty(len(omegas))
     # an extreme gamma overflows the resolvent; the whole curve is checked below
     with np.errstate(all="ignore"):
         for i, omega in enumerate(omegas):
-            r = resolvent(complex(omega, gamma))
+            r = band.resolvent(complex(omega, gamma), guard=0.0)
             raw[i] = (r / (1.0 - params.u12 * r)).imag / np.pi
     if not np.all(np.isfinite(raw)):
         raise NoPeak(f"spectrum is not finite at broadening gamma = {gamma!r} on this grid")

@@ -16,6 +16,7 @@ from floqex import (
     bare_detuning,
     grpa_stark_equivalence,
     occupations,
+    pair_band,
     screened_detunings,
     solve_exciton_resonance,
     stark_bs_ratio,
@@ -83,7 +84,7 @@ def test_criterion_03_dispersionless_binding():
         for u12 in (0.2, 0.5, 0.8):
             p = ModelParams(t1=-0.15, t2=-0.15, u12=u12)
             occ = occupations(p, grid)
-            rep = solve_exciton_resonance(p, grid, occ)
+            rep = solve_exciton_resonance(p, pair_band(p, grid, occ))
             assert abs(rep.binding - u12) <= 1e-10
 
 
@@ -114,7 +115,7 @@ def test_criterion_05_grpa_equivalence():
         params = ModelParams()
         grid = BZGrid.square(64)
         occ = occupations(params, grid)
-        omega_ex = solve_exciton_resonance(params, grid, occ).omega_ex
+        omega_ex = solve_exciton_resonance(params, pair_band(params, grid, occ)).omega_ex
         rng = np.random.default_rng(17)
         checked = 0
         while checked < 100:
@@ -123,7 +124,7 @@ def test_criterion_05_grpa_equivalence():
                 continue
             idx = int(rng.integers(0, grid.n_sites))
             bubble, screened = grpa_stark_equivalence(
-                params.with_laser(omega_l), grid, occ, idx)
+                params.with_laser(omega_l), pair_band(params, grid, occ), idx)
             assert abs(bubble - screened) <= 1e-12 * abs(screened)
             checked += 1
 
@@ -156,13 +157,13 @@ def test_criterion_07_unscreened_collapse():
         p = ModelParams(u11=0.0, u12=0.0, omega_l=2.87)
         grid = BZGrid.square(128)
         occ = occupations(p, grid)
-        dets = screened_detunings(p, grid, occ, (grid.kx, grid.ky))
+        dets = screened_detunings(p, pair_band(p, grid, occ), (grid.kx, grid.ky))
         assert np.array_equal(dets.delta, dets.delta0)
         assert np.array_equal(dets.delta_bs, dets.delta0 + 2.0 * p.omega_l)
         for nx, ny in ((0, 0), (3, 7), (64, 64), (100, 13)):
             k = (grid.kx[grid.index(nx, ny)], grid.ky[grid.index(nx, ny)])
             d0 = bare_detuning(p, k)
-            assert stark_bs_ratio(p, grid, occ, k) == (d0 + 2.0 * p.omega_l) / d0
+            assert stark_bs_ratio(p, pair_band(p, grid, occ), k) == (d0 + 2.0 * p.omega_l) / d0
 
 
 def test_criterion_08_absorbance_consistency(tmp_path):
@@ -176,7 +177,7 @@ def test_criterion_08_absorbance_consistency(tmp_path):
         peak_omega = omegas[np.argmax(alpha)]
         grid = BZGrid.square(256)
         occ = occupations(params, grid)
-        omega_ex = solve_exciton_resonance(params, grid, occ).omega_ex
+        omega_ex = solve_exciton_resonance(params, pair_band(params, grid, occ)).omega_ex
         assert abs(peak_omega - omega_ex) <= 0.002
 
 
@@ -186,20 +187,21 @@ def test_criterion_09_ratio_orderings():
         params = ModelParams()
         grid = BZGrid.square(256)
         occ = occupations(params, grid)
-        omega_ex = solve_exciton_resonance(params, grid, occ).omega_ex
+        omega_ex = solve_exciton_resonance(params, pair_band(params, grid, occ)).omega_ex
         p = params.with_laser(omega_ex - 0.03)
         st, bs = tla_shifts(p, omega_ex)
         tla = abs(st / bs)
         gamma_pt = (0.0, 0.0)
         m_pt = (grid.kx[grid.m_index], grid.ky[grid.m_index])
-        assert stark_bs_ratio(p, grid, occ, gamma_pt) > tla
-        assert stark_bs_ratio(p, grid, occ, m_pt) < tla
+        assert stark_bs_ratio(p, pair_band(p, grid, occ), gamma_pt) > tla
+        assert stark_bs_ratio(p, pair_band(p, grid, occ), m_pt) < tla
 
         ratios = []
         for u12 in np.arange(0.1, 1.2001, 0.05):
             pu = params.replace(u12=float(u12))
-            w = solve_exciton_resonance(pu, grid, occ).omega_ex
-            ratios.append(stark_bs_ratio(pu.with_laser(w - 0.03), grid, occ, gamma_pt))
+            w = solve_exciton_resonance(pu, pair_band(pu, grid, occ)).omega_ex
+            ratios.append(stark_bs_ratio(pu.with_laser(w - 0.03), pair_band(pu, grid, occ),
+                                         gamma_pt))
         peak = int(np.argmax(ratios))
         assert 0 < peak < len(ratios) - 1
         assert ratios[peak] > ratios[0] and ratios[peak] > ratios[-1]

@@ -9,6 +9,7 @@ from floqex import (
     enhancement_ratio,
     interaction_kernel,
     occupations,
+    pair_band,
     u12_sweep,
 )
 
@@ -18,7 +19,7 @@ GAMMA = (0.0, 0.0)
 def kernel_for(params, l=64):
     grid = BZGrid.square(l)
     occ = occupations(params, grid)
-    return interaction_kernel(params, grid, occ, (grid.kx, grid.ky)), grid, occ
+    return interaction_kernel(params, pair_band(params, grid, occ), (grid.kx, grid.ky)), grid, occ
 
 
 def test_unscreened_forward_diagonal():
@@ -64,7 +65,7 @@ def test_dense_gate_counts_momenta():
     grid = BZGrid.square(128)
     occ = occupations(p, grid)
     idx = np.array([grid.gamma_index, grid.y_index, grid.m_index])
-    kernel = interaction_kernel(p, grid, occ, grid.point(idx))
+    kernel = interaction_kernel(p, pair_band(p, grid, occ), grid.point(idx))
     dense = kernel.dense()
     assert dense.shape == (3, 3)
     assert np.array_equal(dense, kernel.scale * np.outer(kernel.v, kernel.v))

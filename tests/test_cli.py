@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from floqex import BZGrid, ModelParams, Occupation, scenarios
 from floqex.cli import main
 from floqex.config import OPTION_KEYS, PARAM_KEYS, RunOptions, parse_config
-from floqex.exceptions import ConfigError, NoResonance
+from floqex.exceptions import ConfigError, FloqexError, NoResonance
 from floqex.scan import ScanResult, format_number, parse_csv
 from floqex.scenarios import run_scenario
 
@@ -145,6 +145,23 @@ def test_tiny_coupling_above_the_bound_gives_finite_tables(tmp_path, scenario, k
     assert np.isfinite(data[:, observables]).all()
 
 
+@pytest.mark.parametrize("scenario, columns", [("fig3b", ("ratio_gamma", "ratio_y", "ratio_m")),
+                                               ("fig3c", ("enhancement",))])
+def test_enhancement_does_not_depend_on_the_cavity_coupling(tmp_path, scenario, columns):
+    # the kernels' ratio is (Delta_free/Delta_int)^2, in which g_c cancels, also
+    # just above the coupling bound, where the kernel's own scale * v * v is subnormal
+    tables = []
+    for g_c in ("0.01", "2e-154"):
+        out = tmp_path / g_c
+        assert main(["run", scenario, "--grid", "16", "--set", f"g_c={g_c}",
+                     "--out", str(out)]) == 0
+        tables.append(parse_csv((out / f"{scenario}.csv").read_text()))
+    (header, default), (_, tiny) = tables
+    for column in columns:
+        i = header.index(column)
+        assert np.all(np.abs(tiny[:, i] - default[:, i]) <= 1e-15 * np.abs(default[:, i])), column
+
+
 def test_fig1b_accepts_zero_drive(tmp_path):
     # fig1b scans g_l from 0 by design; the configured g_l is not used
     assert main(["run", "fig1b", "--grid", "16", "--set", "g_l=0", "--set", "gl_step=0.01",
@@ -207,6 +224,35 @@ def test_grid_scenario_builds_no_mesh_field(name, monkeypatch):
     for doping in (0.0, 0.05):
         params, opts = parse_config("", coarse + [f"doping = {doping}"])
         assert scenarios.SCENARIOS[name](params, opts)
+
+
+@pytest.mark.parametrize("doped", [False, True])
+@pytest.mark.parametrize("name", ["fig2", "fig3c", "fig4"])
+@settings(max_examples=12, deadline=None)
+@given(l=st.sampled_from((2, 4, 8, 16, 32)), eps21=st.floats(2.5, 4.5),
+       u11=st.floats(0.0, 3.0), u12=st.floats(0.0, 1.5), t1=st.floats(-0.3, 0.3),
+       t2=st.floats(-0.3, 0.3), doping=st.floats(0.001, 0.95))
+def test_nan_only_where_not_converged(name, doped, l, eps21, u11, u12, t1, t2, doping):
+    """Every NaN in a table with a ``converged`` column sits in a row marked 0.
+
+    The one exception is fig3c's u12 = 0 baseline, whose omega_ex is NaN by
+    design: the free kernel needs no exciton.
+    """
+    params = ModelParams(eps21=eps21, u11=u11, u12=u12, t1=t1, t2=t2,
+                         doping=doping if doped else 0.0)
+    try:
+        tables = scenarios.SCENARIOS[name](params, RunOptions(grid=l))
+    except FloqexError:
+        return
+    for table, result in tables:
+        if "converged" not in result.columns:
+            continue
+        solved = result.columns["converged"] == 1
+        for column, values in result.columns.items():
+            bad = solved & ~np.isfinite(values)
+            if table == "fig3c" and column == "omega_ex":
+                bad &= result.axis != 0.0
+            assert not bad.any(), (table, column, result.axis[bad])
 
 
 def test_axis_point_ceiling(tmp_path, capsys, monkeypatch):

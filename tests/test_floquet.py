@@ -11,6 +11,7 @@ from floqex import (
     effective_band,
     effective_hopping,
     occupations,
+    pair_band,
     screened_detunings,
     solve_exciton_resonance,
     stark_bs_ratio,
@@ -24,7 +25,7 @@ M = (np.pi, np.pi)
 def test_band_reduces_to_bare_without_drive(grid64):
     p = ModelParams(g_l=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
+    band = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
     bare = dispersion(p, 1, (grid64.kx, grid64.ky))
     assert np.array_equal(band.energies, bare)
 
@@ -32,7 +33,7 @@ def test_band_reduces_to_bare_without_drive(grid64):
 def test_unscreened_stark_at_gamma(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.87)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
+    band = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
     expected = -p.g_l ** 2 / bare_detuning(p, GAMMA)
     assert band.stark[grid64.gamma_index] == pytest.approx(expected, rel=1e-14)
 
@@ -40,7 +41,7 @@ def test_unscreened_stark_at_gamma(grid64):
 def test_energies_decompose_exactly(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
+    band = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
     bare = dispersion(p, 1, (grid64.kx, grid64.ky))
     assert np.array_equal(band.energies, bare + band.stark + band.bs)
 
@@ -48,7 +49,7 @@ def test_energies_decompose_exactly(grid64, params):
 def test_shifts_lower_the_band(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
+    band = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
     assert np.all(band.stark < 0)
     assert np.all(band.bs < 0)
 
@@ -56,8 +57,9 @@ def test_shifts_lower_the_band(grid64, params):
 def test_shifts_scale_with_drive_squared(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    one = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
-    two = effective_band(p.replace(g_l=2.0 * p.g_l), grid64, occ, (grid64.kx, grid64.ky))
+    one = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
+    two = effective_band(p.replace(g_l=2.0 * p.g_l), pair_band(p, grid64, occ),
+                         (grid64.kx, grid64.ky))
     assert np.array_equal(two.stark, 4.0 * one.stark)
     assert np.array_equal(two.bs, 4.0 * one.bs)
 
@@ -67,9 +69,9 @@ def test_band_change_matches_literal_evaluation(grid64, params):
     from test_screening import literal_screened
 
     occ = occupations(params, grid64)
-    omega_ex = solve_exciton_resonance(params, grid64, occ).omega_ex
+    omega_ex = solve_exciton_resonance(params, pair_band(params, grid64, occ)).omega_ex
     p = params.with_laser(omega_ex - 0.03)
-    band = effective_band(p, grid64, occ, (grid64.kx, grid64.ky))
+    band = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
     path = grid64.path_y_gamma_m()
     sample = path[:: len(path) // 8]
     for idx in sample:
@@ -83,13 +85,13 @@ def test_band_change_matches_literal_evaluation(grid64, params):
 
 def test_screened_change_broader_than_unscreened(grid128, params):
     occ = occupations(params, grid128)
-    omega_ex = solve_exciton_resonance(params, grid128, occ).omega_ex
+    omega_ex = solve_exciton_resonance(params, pair_band(params, grid128, occ)).omega_ex
     p_s = params.with_laser(omega_ex - 0.03)
-    band_s = effective_band(p_s, grid128, occ, (grid128.kx, grid128.ky))
+    band_s = effective_band(p_s, pair_band(p_s, grid128, occ), (grid128.kx, grid128.ky))
     free = params.without_interactions()
     occ_f = occupations(free, grid128)
     p_u = free.with_laser(float(band_gap(free, GAMMA)) - 0.03)
-    band_u = effective_band(p_u, grid128, occ_f, (grid128.kx, grid128.ky))
+    band_u = effective_band(p_u, pair_band(p_u, grid128, occ_f), (grid128.kx, grid128.ky))
     mi = grid128.m_index
     change_s = band_s.stark[mi] + band_s.bs[mi]
     change_u = band_u.stark[mi] + band_u.bs[mi]
@@ -104,7 +106,7 @@ def test_screened_change_broader_than_unscreened(grid128, params):
 def test_hopping_recovers_bare_value(grid256):
     p = ModelParams(g_l=0.0, omega_l=2.68)
     occ = occupations(p, grid256)
-    t = effective_hopping(p, grid256, occ)
+    t = effective_hopping(p, pair_band(p, grid256, occ))
     assert t == pytest.approx(p.t1, abs=1e-5)
 
 
@@ -114,7 +116,7 @@ def test_hopping_second_order_convergence():
     for l in (64, 128, 256):
         g = BZGrid.square(l)
         occ = occupations(p, g)
-        values[l] = effective_hopping(p, g, occ)
+        values[l] = effective_hopping(p, pair_band(p, g, occ))
     d1 = abs(values[64] - values[128])
     d2 = abs(values[128] - values[256])
     assert d1 / d2 == pytest.approx(4.0, abs=0.5)
@@ -126,17 +128,17 @@ def test_hopping_zero_crossing_unscreened(grid256):
     occ = occupations(p, grid256)
     closed_form = np.sqrt(2 * abs(p.t1) * 0.03 ** 2 / (2 * abs(p.t21)))
     assert closed_form == pytest.approx(0.015)
-    lo = effective_hopping(p.replace(g_l=0.014), grid256, occ)
-    hi = effective_hopping(p.replace(g_l=0.016), grid256, occ)
+    lo = effective_hopping(p.replace(g_l=0.014), pair_band(p, grid256, occ))
+    hi = effective_hopping(p.replace(g_l=0.016), pair_band(p, grid256, occ))
     assert lo > 0 > hi
     crossing = 0.014 + 0.002 * lo / (lo - hi)
     assert abs(crossing - closed_form) <= 1e-3
 
 
 def test_screening_counteracts_hopping_reduction(grid256, params, occ256):
-    omega_ex = solve_exciton_resonance(params, grid256, occ256).omega_ex
+    omega_ex = solve_exciton_resonance(params, pair_band(params, grid256, occ256)).omega_ex
     p = params.with_laser(omega_ex - 0.03).replace(g_l=0.015)
-    t = effective_hopping(p, grid256, occ256)
+    t = effective_hopping(p, pair_band(p, grid256, occ256))
     assert t > 0
 
 
@@ -145,7 +147,7 @@ def test_hopping_requires_reasonable_grid():
     g = BZGrid.square(8)
     occ = occupations(p, g)
     with pytest.raises(ValueError):
-        effective_hopping(p, g, occ)
+        effective_hopping(p, pair_band(p, g, occ))
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +180,23 @@ def test_ratio_unscreened_formula(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.87)
     occ = occupations(p, grid64)
     d0 = bare_detuning(p, GAMMA)
-    assert stark_bs_ratio(p, grid64, occ, GAMMA) == (d0 + 2.0 * p.omega_l) / d0
-    assert stark_bs_ratio(p, grid64, occ, GAMMA) == pytest.approx(192.3, abs=0.1)
+    assert stark_bs_ratio(p, pair_band(p, grid64, occ), GAMMA) == (d0 + 2.0 * p.omega_l) / d0
+    assert stark_bs_ratio(p, pair_band(p, grid64, occ), GAMMA) == pytest.approx(192.3, abs=0.1)
 
 
 def test_ratio_orderings_against_tla(grid256, params, occ256):
-    omega_ex = solve_exciton_resonance(params, grid256, occ256).omega_ex
+    omega_ex = solve_exciton_resonance(params, pair_band(params, grid256, occ256)).omega_ex
     p = params.with_laser(omega_ex - 0.03)
     st, bs = tla_shifts(p, omega_ex)
     tla = abs(st / bs)
-    assert stark_bs_ratio(p, grid256, occ256, GAMMA) > tla
-    assert stark_bs_ratio(p, grid256, occ256, M) < tla
+    assert stark_bs_ratio(p, pair_band(p, grid256, occ256), GAMMA) > tla
+    assert stark_bs_ratio(p, pair_band(p, grid256, occ256), M) < tla
 
 
 def test_ratio_signed_option(grid128, params, occ128):
     # between the exciton line and the band edge the screened detuning is negative
     p = params.with_laser(2.8)
-    dets = screened_detunings(p, grid128, occ128, GAMMA)
+    dets = screened_detunings(p, pair_band(p, grid128, occ128), GAMMA)
     signed = dets.delta_bs / dets.delta
     assert signed < 0
-    assert stark_bs_ratio(p, grid128, occ128, GAMMA) == -signed
+    assert stark_bs_ratio(p, pair_band(p, grid128, occ128), GAMMA) == -signed

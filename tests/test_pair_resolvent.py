@@ -14,6 +14,8 @@ from floqex import (
     band_resonance_edge,
     exciton_lhs,
     occupations,
+    pair_band,
+    solve_exciton_resonance,
 )
 from floqex.screening import (
     RESONANCE_GUARD_EV,
@@ -62,7 +64,11 @@ def test_matches_mesh_sum(t21, l, doping):
     p = model(t21, doping)
     grid = BZGrid.square(l)
     occ = occupations(p, grid)
-    resolvent = pair_resolvent(p, grid, occ)
+    band = pair_band(p, grid, occ)
+    # every minority state sits in exactly one group of equal gaps
+    assert band.counts.sum() == occ.minority[0].size
+    assert np.all(np.diff(band.gaps) > 0.0) and np.all(band.counts >= 1.0)
+    resolvent = band.resolvent
     lo, hi = shifted_band(p, grid, occ)
     points = [lo - d for d in (1.0, 0.1, 0.01, 1e-3)]
     for broadening in (0.5, 0.005, 1e-4):
@@ -106,10 +112,7 @@ def test_row_sum_guard_decides_the_mesh_fallback(monkeypatch):
     grid = BZGrid.square(16)
     occ = occupations(p, grid)
     lo, hi = shifted_band(p, grid, occ)
-    calls = []
-    literal = screening.ladder_sum
-    monkeypatch.setattr(screening, "ladder_sum",
-                        lambda *args: calls.append(1) or literal(*args))
+    calls = counting_ladder_sum(monkeypatch)
     resolvent = pair_resolvent(p, grid, occ)
     seen = set()
     for w in np.linspace(lo, hi, 401):
@@ -167,7 +170,8 @@ def test_ladder_closure_strictly_increasing_below_edge(t21, l, doping, far, rati
     occ = occupations(p, grid)
     edge = band_resonance_edge(p, grid, occ)
     near = far / ratio
-    assert exciton_lhs(p, grid, occ, edge - far) < exciton_lhs(p, grid, occ, edge - near)
+    band = pair_band(p, grid, occ)
+    assert exciton_lhs(p, band, edge - far) < exciton_lhs(p, band, edge - near)
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,3 +187,70 @@ def test_occupations_fill_round_of_filling(l, doping, t1):
     idx, filled = occ.minority
     assert len(idx) == min(expected, grid.n_sites - expected)
     assert np.all(occ.n_k[idx] == (1.0 if filled else 0.0))
+
+
+def counting_ladder_sum(monkeypatch):
+    """Route screening's mesh sums through a counter; returns the list of calls."""
+    calls = []
+    literal = screening.ladder_sum
+    monkeypatch.setattr(screening, "ladder_sum",
+                        lambda *args: calls.append(1) or literal(*args))
+    return calls
+
+
+def test_doped_solve_takes_no_mesh_sum(monkeypatch):
+    p = ModelParams(doping=0.05)
+    grid = BZGrid.square(1024)
+    band = pair_band(p, grid)
+    calls = counting_ladder_sum(monkeypatch)
+    rep = solve_exciton_resonance(p, band)
+    assert rep.converged and rep.residual < 1e-9
+    assert calls == []
+
+
+def test_bracket_top_within_its_rounding_estimate_takes_the_mesh(monkeypatch):
+    # u11 = 2 u12 keeps the Hartree shift at exactly 0, so R at the bracket top
+    # does not move when u12 is tuned to put u12 R(top) on 1
+    base = ModelParams(doping=0.05)
+    grid = BZGrid.square(256)
+    band = pair_band(base, grid)
+    top = band.edge - 1e-9
+    value, error = band._closed_form(top, True)
+    u12 = 1.0 / value
+    tuned = pair_band(base.replace(u11=2.0 * u12, u12=u12), grid)
+    assert tuned.shift == band.shift == 0.0
+    value, error = tuned._closed_form(top, True)
+    assert abs(u12 * value - 1.0) <= u12 * error
+    calls = counting_ladder_sum(monkeypatch)
+    below = tuned.closure_below_one(u12, top)
+    assert calls
+    assert below == (u12 * tuned.mesh(top, 0.0) < 1.0)
+    # the default coupling sits further from 1 than its estimate (0.24 against
+    # 0.02): the closed form decides, although R is too uncertain to return
+    calls.clear()
+    assert not band.closure_below_one(base.u12, top)
+    assert calls == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(t21=st.sampled_from(T21), l=st.sampled_from((1, 2, 3, 16, 17)),
+       doping=st.sampled_from(DOPINGS), point=st.integers(0, 17 * 17 - 1),
+       offset=st.floats(-3.0 * RESONANCE_GUARD_EV, 3.0 * RESONANCE_GUARD_EV),
+       near_point=st.booleans(), spot=st.floats(-0.2, 1.2))
+def test_resonance_guard_fires_exactly_near_a_mesh_point(t21, l, doping, point, offset,
+                                                         near_point, spot):
+    p = model(t21, doping)
+    grid = BZGrid.square(l)
+    occ = occupations(p, grid)
+    band = pair_band(p, grid, occ)
+    gaps = band_gap(p, (grid.kx, grid.ky))
+    shift = hartree_shift(p, occ)
+    lo, hi = shifted_band(p, grid, occ)
+    z = gaps[point % grid.n_sites] + shift + offset if near_point else lo + spot * (hi - lo)
+    near = np.min(np.abs(gaps - z + shift)) < RESONANCE_GUARD_EV
+    try:
+        band.resolvent(z)
+    except ResonantDenominator:
+        assert near, z
+    else:
+        assert not near, z

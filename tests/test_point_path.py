@@ -12,6 +12,7 @@ from floqex import (
     effective_band,
     interaction_kernel,
     occupations,
+    pair_band,
     screened_detunings,
 )
 
@@ -22,9 +23,9 @@ def _bits(a):
 
 def _values(params, grid, occ, k):
     """Every per-k value of the library at ``k``, in a fixed order."""
-    dets = screened_detunings(params, grid, occ, k)
-    band = effective_band(params, grid, occ, k)
-    forward = interaction_kernel(params, grid, occ, k).forward()
+    dets = screened_detunings(params, pair_band(params, grid, occ), k)
+    band = effective_band(params, pair_band(params, grid, occ), k)
+    forward = interaction_kernel(params, pair_band(params, grid, occ), k).forward()
     return [dets.delta0, dets.delta, dets.delta_bs, band.energies, band.stark, band.bs, forward]
 
 

@@ -13,6 +13,7 @@ from floqex import (
     grpa_stark_equivalence,
     grpa_tmatrix,
     occupations,
+    pair_band,
     screened_detuning,
     screened_detuning_bs,
     screened_detunings,
@@ -47,7 +48,7 @@ def literal_screened(params, grid, occ, k, bs=False):
 def test_unscreened_collapse_is_exact(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ, (grid64.kx, grid64.ky))
+    dets = screened_detunings(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
     assert np.array_equal(dets.delta, dets.delta0)
     assert np.array_equal(dets.delta_bs, dets.delta0 + 2.0 * p.omega_l)
 
@@ -56,7 +57,7 @@ def test_dispersionless_screened_value(grid64):
     # flat bands: Delta = Delta0 - u11 + u12 for every k, binding exactly u12
     p = ModelParams(t1=-0.15, t2=-0.15, omega_l=2.4)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ, (grid64.kx, grid64.ky))
+    dets = screened_detunings(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
     expected = dets.delta0 - p.u11 + p.u12
     assert np.allclose(dets.delta, expected, rtol=1e-12, atol=1e-12)
 
@@ -65,7 +66,7 @@ def test_screened_matches_literal_sum(grid64):
     p = ModelParams(omega_l=2.68)
     occ = occupations(p, grid64)
     ref = literal_screened(p, grid64, occ, GAMMA)
-    val = screened_detuning(p, grid64, occ, GAMMA)
+    val = screened_detuning(p, pair_band(p, grid64, occ), GAMMA)
     assert val == pytest.approx(ref, rel=1e-10)
 
 
@@ -77,21 +78,21 @@ def test_screened_matches_literal_sum_l512():
     d_k = bare_detuning(p, GAMMA) + extra
     d_grid = bare_detuning(p, (g.kx, g.ky)) + extra
     ref = d_k - p.u12 / g.n_sites * np.sum(occ.n_k * d_k / d_grid)
-    assert screened_detuning(p, g, occ, GAMMA) == pytest.approx(ref, rel=1e-10)
+    assert screened_detuning(p, pair_band(p, g, occ), GAMMA) == pytest.approx(ref, rel=1e-10)
 
 
 def test_bs_screened_matches_literal_sum(grid64):
     p = ModelParams(omega_l=2.68)
     occ = occupations(p, grid64)
     ref = literal_screened(p, grid64, occ, GAMMA, bs=True)
-    val = screened_detuning_bs(p, grid64, occ, GAMMA)
+    val = screened_detuning_bs(p, pair_band(p, grid64, occ), GAMMA)
     assert val == pytest.approx(ref, rel=1e-10)
 
 
 def test_bs_equals_plain_when_drive_frequency_vanishes(grid64):
     p = ModelParams(omega_l=0.0)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ, (grid64.kx, grid64.ky))
+    dets = screened_detunings(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
     assert np.array_equal(dets.delta, dets.delta_bs)
 
 
@@ -99,7 +100,7 @@ def test_bs_unscreened_collapse(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
     d0 = bare_detuning(p, GAMMA)
-    assert screened_detuning_bs(p, grid64, occ, GAMMA) == d0 + 2.0 * p.omega_l
+    assert screened_detuning_bs(p, pair_band(p, grid64, occ), GAMMA) == d0 + 2.0 * p.omega_l
 
 
 def test_resonance_guard_fires(grid64):
@@ -107,13 +108,13 @@ def test_resonance_guard_fires(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=float(band_gap(ModelParams(), GAMMA)))
     occ = occupations(p, grid64)
     with pytest.raises(ResonantDenominator):
-        screened_detunings(p, grid64, occ, (grid64.kx, grid64.ky))
+        screened_detunings(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
 
 
 def test_spin_channels_share_values(grid64):
     p = ModelParams(omega_l=2.68)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, grid64, occ, (grid64.kx, grid64.ky))
+    dets = screened_detunings(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
     spin_up = dets.delta
     spin_down = dets.delta
     assert np.array_equal(spin_up, spin_down)
@@ -136,7 +137,7 @@ def test_band_resonance_edge_values(grid64):
 
 
 def test_exciton_resonance_defaults(grid256, occ256, params):
-    rep = solve_exciton_resonance(params, grid256, occ256)
+    rep = solve_exciton_resonance(params, pair_band(params, grid256, occ256))
     assert rep.converged
     assert rep.omega_ex == pytest.approx(2.71, abs=0.02)
     assert rep.omega_ex < rep.continuum_edge
@@ -149,7 +150,7 @@ def test_exciton_resonance_defaults(grid256, occ256, params):
 def test_dispersionless_binding_is_u12(grid64, u12):
     p = ModelParams(t1=-0.15, t2=-0.15, u12=u12)
     occ = occupations(p, grid64)
-    rep = solve_exciton_resonance(p, grid64, occ)
+    rep = solve_exciton_resonance(p, pair_band(p, grid64, occ))
     assert abs(rep.binding - u12) <= 1e-10
 
 
@@ -157,7 +158,7 @@ def test_grid_refinement_converges(params):
     values = []
     for l in (4, 8, 16, 32):
         g = BZGrid.square(l)
-        values.append(solve_exciton_resonance(params, g, occupations(params, g)).omega_ex)
+        values.append(solve_exciton_resonance(params, pair_band(params, g)).omega_ex)
     diffs = np.abs(np.diff(values))
     assert diffs[1] < diffs[0]
     assert diffs[2] < diffs[1]
@@ -165,7 +166,7 @@ def test_grid_refinement_converges(params):
     coarse = []
     for l in (128, 256, 512):
         g = BZGrid.square(l)
-        coarse.append(solve_exciton_resonance(params, g, occupations(params, g)).omega_ex)
+        coarse.append(solve_exciton_resonance(params, pair_band(params, g)).omega_ex)
     cdiffs = np.abs(np.diff(coarse))
     assert np.all(cdiffs <= max(diffs[-1], 1e-12))
 
@@ -173,7 +174,7 @@ def test_grid_refinement_converges(params):
 def test_no_resonance_without_interband_coupling(grid64):
     p = ModelParams(u12=0.0)
     with pytest.raises(NoResonance):
-        solve_exciton_resonance(p, grid64, occupations(p, grid64))
+        solve_exciton_resonance(p, pair_band(p, grid64, occupations(p, grid64)))
 
 
 def test_no_resonance_on_finite_grid_when_u12_tiny(grid128):
@@ -182,21 +183,21 @@ def test_no_resonance_on_finite_grid_when_u12_tiny(grid128):
     occ = occupations(p, grid128)
     assert occ.n_k[grid128.gamma_index] == 0.0
     with pytest.raises(NoResonance):
-        solve_exciton_resonance(p, grid128, occ)
+        solve_exciton_resonance(p, pair_band(p, grid128, occ))
 
 
 def test_ladder_closure_is_increasing(grid64, params):
     occ = occupations(params, grid64)
     edge = band_resonance_edge(params, grid64, occ)
     omegas = edge - np.array([1.5, 1.0, 0.6, 0.3, 0.1, 0.01])
-    values = [exciton_lhs(params, grid64, occ, w) for w in omegas]
+    values = [exciton_lhs(params, pair_band(params, grid64, occ), w) for w in omegas]
     assert np.all(np.diff(values) > 0)
 
 
 def test_resummation_closed_form(grid64, params):
     # sum of -1/Delta at full filling against the rank-1 update identity
     occ = occupations(params, grid64)
-    dets = screened_detunings(params, grid64, occ, (grid64.kx, grid64.ky))
+    dets = screened_detunings(params, pair_band(params, grid64, occ), (grid64.kx, grid64.ky))
     lhs = np.sum(-1.0 / dets.delta)
     shifted = shifted_detunings(params, (grid64.kx, grid64.ky), occ)
     s_tilde = -np.sum(1.0 / shifted)
@@ -211,13 +212,13 @@ def test_resummation_closed_form(grid64, params):
 
 def test_tmatrix_unity_without_interband_coupling(grid64):
     p = ModelParams(u12=0.0, omega_l=2.68)
-    assert grpa_tmatrix(p, grid64, occupations(p, grid64)) == 1.0
+    assert grpa_tmatrix(p, pair_band(p, grid64, occupations(p, grid64))) == 1.0
 
 
 def test_tmatrix_geometric_partial_sums(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    t = grpa_tmatrix(p, grid64, occ)
+    t = grpa_tmatrix(p, pair_band(p, grid64, occ))
     shifted = shifted_detunings(p, (grid64.kx, grid64.ky), occ)
     s = p.u12 / grid64.n_sites * np.sum(occ.n_k / shifted)
     partial = sum(s ** n for n in range(50))
@@ -228,8 +229,8 @@ def test_tmatrix_geometric_partial_sums(grid64, params):
 
 def test_tmatrix_diverges_linearly_at_resonance(grid128, params):
     occ = occupations(params, grid128)
-    omega_ex = solve_exciton_resonance(params, grid128, occ).omega_ex
-    inv = [1.0 / grpa_tmatrix(params.with_laser(omega_ex - d), grid128, occ)
+    omega_ex = solve_exciton_resonance(params, pair_band(params, grid128, occ)).omega_ex
+    inv = [1.0 / grpa_tmatrix(params.with_laser(omega_ex - d), pair_band(params, grid128, occ))
            for d in (0.04, 0.02, 0.01)]
     assert inv[0] / inv[1] == pytest.approx(2.0, abs=0.2)
     assert inv[1] / inv[2] == pytest.approx(2.0, abs=0.1)
@@ -237,9 +238,9 @@ def test_tmatrix_diverges_linearly_at_resonance(grid128, params):
 
 def test_tmatrix_pole_guard(grid128, params):
     occ = occupations(params, grid128)
-    omega_ex = solve_exciton_resonance(params, grid128, occ).omega_ex
+    omega_ex = solve_exciton_resonance(params, pair_band(params, grid128, occ)).omega_ex
     with pytest.raises(ResonantDenominator):
-        grpa_tmatrix(params.with_laser(omega_ex), grid128, occ)
+        grpa_tmatrix(params.with_laser(omega_ex), pair_band(params, grid128, occ))
 
 
 def test_bubble_equals_screened_shift(grid64, params):
@@ -248,14 +249,14 @@ def test_bubble_equals_screened_shift(grid64, params):
     for _ in range(20):
         p = params.with_laser(rng.uniform(2.0, 2.6))
         idx = int(rng.integers(0, grid64.n_sites))
-        bubble, screened = grpa_stark_equivalence(p, grid64, occ, idx)
+        bubble, screened = grpa_stark_equivalence(p, pair_band(p, grid64, occ), idx)
         assert bubble == pytest.approx(screened, rel=1e-12)
 
 
 def test_bubble_equivalence_collapses_without_u12(grid64):
     p = ModelParams(u12=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
-    bubble, screened = grpa_stark_equivalence(p, grid64, occ, 0)
+    bubble, screened = grpa_stark_equivalence(p, pair_band(p, grid64, occ), 0)
     d = shifted_detunings(p, (grid64.kx, grid64.ky), occ)[0]
     assert bubble == screened
     assert bubble == pytest.approx(-p.g_l ** 2 / d, rel=1e-14)
@@ -266,6 +267,6 @@ def test_bubble_vanishes_on_empty_state(grid64):
     occ = occupations(p, grid64)
     empty = int(np.argmin(occ.n_k))
     assert occ.n_k[empty] == 0.0
-    bubble, screened = grpa_stark_equivalence(p, grid64, occ, empty)
+    bubble, screened = grpa_stark_equivalence(p, pair_band(p, grid64, occ), empty)
     assert bubble == 0.0
     assert screened == 0.0
