@@ -280,9 +280,10 @@ def occupations(params: ModelParams, grid: BZGrid) -> Occupation:
     ties broken lexicographically in (kx, ky), i.e. in flat row-major order, so
     the result is independent of enumeration order. Nothing of size N is sorted
     or built: the energies 0.0 + 2 t1 (c_i + c_j) of mesh row i are monotone
-    in c_j, rounding included, so once the l cosines are sorted, the number of
-    states at or below an energy in each row is a binary search, and a
-    bisection over energies finds the n_filled-th one (:func:`_filled_per_row`).
+    in c_j, rounding included, so once the l cosines are sorted, one
+    ``searchsorted`` counts the states at or below an energy in every row
+    (:func:`_count_at_or_below`), and a bisection over energies finds the
+    n_filled-th one (:func:`_filled_per_row`).
     The minority states are then read off row by row.
     """
     n_sites = grid.n_sites
@@ -386,8 +387,11 @@ def _minority_states(t1: float, grid: BZGrid, n_filled: int, filled: bool) -> np
     rank = np.empty(l, dtype=np.intp)
     rank[order] = np.arange(l)
     step = max(1, MESH_BLOCK // l)
+    lacking = count == (0 if filled else l)  # rows that hold no minority state
     parts = []
     for start in range(0, l, step):
+        if lacking[start:start + step].all():
+            continue
         mask = rank < count[start:start + step, None]
         if start <= row < start + step:
             mask[row - start] = row_filled

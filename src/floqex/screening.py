@@ -245,7 +245,7 @@ class PairBand:
             if filled:
                 return part, 0.0
             if real:
-                spread = np.dot(self.counts, inv * inv) / n
+                spread = np.dot(self.counts, np.square(inv, out=inv)) / n
         means = self._row_means(z, real)
         if means is None:
             return None
@@ -287,10 +287,15 @@ class PairBand:
 
 
 def _minority_gaps(params: ModelParams, grid: BZGrid, occ: Occupation) -> np.ndarray:
-    """Gaps of the minority states of ``occ``, bitwise those of ``gamma_rows``."""
-    idx = occ.minority[0]
-    gamma = grid.cos_k[idx // grid.l]
-    gamma += grid.cos_k[idx % grid.l]
+    """Gaps of the minority states of ``occ``, bitwise those of ``gamma_rows``.
+
+    The flat indices are sorted, so each mesh row's states are one stretch of
+    them: the row cosine is repeated over its stretch rather than looked up.
+    """
+    idx, l, n = occ.minority[0], grid.l, grid.n_sites
+    per_row = np.diff(np.searchsorted(idx, np.arange(0, n + 1, l)))
+    gamma = np.repeat(grid.cos_k, per_row)
+    gamma += grid.cos_k[idx - np.repeat(np.arange(0, n, l), per_row)]
     return gap_from_structure_factor(params, gamma)
 
 
