@@ -230,9 +230,10 @@ class PairBand:
         The error is estimated as eps * (|z| + the largest |gap + shift|) *
         sum |1/D_k|^2 / N over the terms the closed form rounds otherwise than
         the mesh sum: the subtracted empty states at real z (near-resonant ones
-        cancel their full-band twins), every state at complex z (there the sum
-        is Im R_full / Im z). Directly summed filled states carry none. None
-        where some row has |1 - rho^l| < :data:`ROW_SUM_GUARD`.
+        cancel their full-band twins), where that sum is bounded by
+        max |1/D_k| |sum 1/D_k| / N, and every state at complex z (there the
+        sum is Im R_full / Im z). Directly summed filled states carry none.
+        None where some row has |1 - rho^l| < :data:`ROW_SUM_GUARD`.
         """
         n = self.grid.n_sites
         filled = self.occ.minority[1]
@@ -245,7 +246,9 @@ class PairBand:
             if filled:
                 return part, 0.0
             if real:
-                spread = np.dot(self.counts, np.square(inv, out=inv)) / n
+                # every D of a real z outside the band has one sign, so sum 1/D^2
+                # is at most the largest |1/D|, at an end of the sorted gaps, times |sum 1/D|
+                spread = max(abs(inv[0]), abs(inv[-1])) * abs(part)
         means = self._row_means(z, real)
         if means is None:
             return None
