@@ -57,6 +57,15 @@ def row_minimum(params, grid, occ, z):
     return float(np.min(np.abs(1.0 - rho ** grid.l)))
 
 
+def counting_ladder_sum(monkeypatch):
+    """Route screening's mesh sums through a counter; returns the list of calls."""
+    calls = []
+    literal = screening.ladder_sum
+    monkeypatch.setattr(screening, "ladder_sum",
+                        lambda *args: calls.append(1) or literal(*args))
+    return calls
+
+
 @pytest.mark.parametrize("doping", DOPINGS)
 @pytest.mark.parametrize("l", SIZES)
 @pytest.mark.parametrize("t21", T21)
@@ -187,15 +196,6 @@ def test_occupations_fill_round_of_filling(l, doping, t1):
     idx, filled = occ.minority
     assert len(idx) == min(expected, grid.n_sites - expected)
     assert np.all(occ.n_k[idx] == (1.0 if filled else 0.0))
-
-
-def counting_ladder_sum(monkeypatch):
-    """Route screening's mesh sums through a counter; returns the list of calls."""
-    calls = []
-    literal = screening.ladder_sum
-    monkeypatch.setattr(screening, "ladder_sum",
-                        lambda *args: calls.append(1) or literal(*args))
-    return calls
 
 
 def test_doped_solve_takes_no_mesh_sum(monkeypatch):

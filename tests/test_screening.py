@@ -120,6 +120,23 @@ def test_spin_channels_share_values(grid64):
     assert np.array_equal(spin_up, spin_down)
 
 
+def test_band_of_another_model_gives_that_models_values(grid64):
+    # for_params: the same band (itself), other couplings (a shifted copy that
+    # shares the grouped gaps) and another band (a new build on the filling)
+    base = ModelParams(doping=0.05, omega_l=2.6)
+    occ = occupations(base, grid64)
+    band = pair_band(base, grid64, occ)
+    assert band.for_params(base.with_laser(2.5)) is band
+    for other in (base.replace(u11=0.7, u12=1.1), base.replace(t2=-0.1, eps21=3.5)):
+        moved = band.for_params(other)
+        own = pair_band(other, grid64, occ)
+        assert moved.shift == own.shift and moved.edge == own.edge
+        assert np.array_equal(moved.gaps, own.gaps) and np.array_equal(moved.counts, own.counts)
+        mesh = (grid64.kx, grid64.ky)
+        assert np.array_equal(screened_detunings(other, band, mesh).delta,
+                              screened_detunings(other, own, mesh).delta)
+
+
 # ---------------------------------------------------------------------------
 # continuum edge and exciton resonance
 # ---------------------------------------------------------------------------
