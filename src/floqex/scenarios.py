@@ -50,11 +50,10 @@ MAX_AXIS_POINTS = 1_000_000
 _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 
 # Couplings whose square a scenario's observable is divided by (fig1a, fig2) or
-# scales as (the kernels of fig3b and fig3c): where that square is zero or
-# subnormal every value would be 0/0, noise or a vanishing kernel, so
-# run_scenario refuses them.
-_DIVISOR_COUPLINGS = {"fig1a": ("g_l",), "fig2": ("g_l",),
-                      "fig3b": ("g_l", "g_c"), "fig3c": ("g_l", "g_c")}
+# scales as (fig3c's kernel column): where that square is zero or subnormal every
+# value would be 0/0, noise or a vanishing kernel, so run_scenario refuses them.
+# fig3b writes only kernel ratios, (Delta_free/Delta_int)^2, in which both cancel.
+_DIVISOR_COUPLINGS = {"fig1a": ("g_l",), "fig2": ("g_l",), "fig3c": ("g_l", "g_c")}
 
 # Peak memory of any grid scenario in l x l float64 arrays. Scans read only
 # their points, so what remains is the k'-sum's mesh fallback, one block of at

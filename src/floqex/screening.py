@@ -64,6 +64,14 @@ ROW_SUM_GUARD = 0.5
 ROUNDING_TOL = 1e-12
 _EPS = np.finfo(float).eps
 
+# Elements of one (z x mesh row) or (z x distinct gap) array of the closed form,
+# and never more than an eighth of the mesh, so that the four such arrays a pass
+# holds stay below the mesh fallback's: :meth:`PairBand.resolvent` evaluates
+# max(1, min(RESOLVENT_BLOCK, l^2 / 8) // max(l, distinct gaps)) values of z per
+# pass. 2^13 (16 at l = 512) ran fastest on a 2-vCPU Xeon VM: a block's arrays, about
+# 0.5 MB, stay in its 2 MB L2 cache, where 2^15 ran 1.8x slower at l = 512.
+RESOLVENT_BLOCK = 2**13
+
 # A bisection whose final bracket is wider than this (eV) reports converged = False.
 BRACKET_TOL = 1e-10
 
@@ -161,7 +169,10 @@ class PairBand:
                                                                     shift=shift)
 
     def resolvent(self, z, guard: float = RESONANCE_GUARD_EV):
-        """R(z) at a real or a complex ``z``, a float or a complex as z is.
+        """R(z) at a real or a complex ``z``, or at each element of an array of them.
+
+        A scalar gives a float or a complex as z is; an array gives an array of
+        its shape, real where every element is real.
 
         On mesh row i, gap_k + shift - z = A_i + B c_j with A_i = eps21 + shift
         - z + B c_i. Each row is a periodic trapezoidal rule with the closed form
@@ -172,9 +183,14 @@ class PairBand:
         1/A when B = 0, so a full band costs O(l) per z. A partial filling
         starts from the full band and subtracts the empty states, or sums the
         filled states directly when they are no more, one term count/(g +
-        shift - z) per distinct gap g of the minority states.
+        shift - z) per distinct gap g of the minority states. An array of z
+        runs through the closed form in blocks, as many z per pass as keep its
+        (z x row) and (z x distinct gap) arrays within :data:`RESOLVENT_BLOCK`
+        elements and an eighth of the mesh (one z at least); a scalar is the
+        block of one.
 
-        The literal mesh sum (:func:`ladder_sum`) is taken instead
+        The literal mesh sum (:func:`ladder_sum`) is taken instead, for each z on
+        its own,
 
         - at a real z within ``guard`` (doubled, to cover the rounding of D_k)
           of the shifted band [gap_min, gap_max] + shift, where the row sums
@@ -190,19 +206,41 @@ class PairBand:
         and each block passes the guard of :func:`ladder_sum` before it is
         divided.
         """
-        real = np.imag(z) == 0.0
-        if real:
-            z = float(np.real(z))
+        z = np.asarray(z)
+        if np.iscomplexobj(z):
+            real = z.imag == 0.0
+            if real.all():
+                z = z.real
+            elif real.any():
+                out = z.astype(complex)
+                out[real] = self.resolvent(z[real].real, guard)
+                out[~real] = self.resolvent(z[~real], guard)
+                return out
+        real = not np.iscomplexobj(z)
         lo, hi = self._window(guard)
-        if real and lo <= z <= hi:
-            return self.mesh(z, guard)
-        closed = self._closed_form(z, real)
-        if closed is None:
-            return self.mesh(z, guard)
-        value, error = closed
-        if error > ROUNDING_TOL * abs(value):
-            return self.mesh(z, guard)
-        return float(value.real) if real else complex(value)
+        if not z.ndim:
+            # one z: the same steps on Python scalars, which cost less than its
+            # closed form does on one-element arrays
+            w = z.item()
+            if not (real and lo <= w <= hi):
+                value, error = self._closed_form(w, real)
+                if not error > ROUNDING_TOL * abs(value):
+                    return float(value.real) if real else complex(value)
+            return self.mesh(w, guard)
+        zs = z.astype(float if real else complex)
+        mesh = (lo <= zs) & (zs <= hi) if real else np.zeros(zs.size, bool)
+        far = (~mesh).nonzero()[0]
+        out = np.empty_like(zs)
+        size = min(RESOLVENT_BLOCK, self.grid.n_sites // 8)
+        step = max(1, size // max(self.grid.l, self.gaps.size))
+        for start in range(0, far.size, step):
+            block = far[start:start + step]
+            value, error = self._closed_form(zs[block], real)
+            out[block] = value.real if real else value
+            mesh[block] = error > ROUNDING_TOL * abs(value)
+        for i in mesh.nonzero()[0]:
+            out[i] = self.mesh(zs[i], guard)
+        return out
 
     def closure_below_one(self, u12: float, omega: float) -> bool:
         """Whether the ladder closure u12 R(omega) < 1 at a real ``omega``, unguarded.
@@ -225,7 +263,8 @@ class PairBand:
         return self.gap_min + self.shift - 2.0 * guard, self.gap_max + self.shift + 2.0 * guard
 
     def _closed_form(self, z, real: bool):
-        """(R(z) from the row sums and the grouped minority states, its rounding error).
+        """(R(z) from the row sums and the grouped minority states, its rounding error)
+        at a scalar ``z`` or at each element of a 1-D array of them.
 
         The error is estimated as eps * (|z| + the largest |gap + shift|) *
         sum |1/D_k|^2 / N over the terms the closed form rounds otherwise than
@@ -233,48 +272,64 @@ class PairBand:
         cancel their full-band twins), where that sum is bounded by
         max |1/D_k| |sum 1/D_k| / N, and every state at complex z (there the
         sum is Im R_full / Im z). Directly summed filled states carry none.
-        None where some row has |1 - rho^l| < :data:`ROW_SUM_GUARD`.
+        The error is infinite at a z where some row has |1 - rho^l| <
+        :data:`ROW_SUM_GUARD`.
         """
+        col = z[:, None] if np.ndim(z) else z  # one row of the (z x row) arrays per z
         n = self.grid.n_sites
         filled = self.occ.minority[1]
         part = spread = 0.0
         if filled or self.gaps.size:
-            inv = self.gaps - z
+            inv = self.gaps - col
             inv += self.shift
             np.divide(1.0, inv, out=inv)  # in place: same bits as 1.0 / (gaps - z + shift)
-            part = np.dot(self.counts, inv) / n
+            part = inv @ self.counts / n
             if filled:
-                return part, 0.0
+                return part, np.zeros(np.shape(z))
             if real:
                 # every D of a real z outside the band has one sign, so sum 1/D^2
                 # is at most the largest |1/D|, at an end of the sorted gaps, times |sum 1/D|
-                spread = max(abs(inv[0]), abs(inv[-1])) * abs(part)
-        means = self._row_means(z, real)
-        if means is None:
-            return None
-        full = np.sum(means) / self.grid.l
+                spread = np.maximum(abs(inv[..., 0]), abs(inv[..., -1])) * abs(part)
+        means, rows_ok = self._row_means(col, real)
+        full = means.sum(axis=-1) / self.grid.l
         value = full - part
         if not real:
             spread = full.imag / z.imag
         lo, hi = self._window(0.0)
-        return value, _EPS * (abs(z) + max(abs(lo), abs(hi))) * spread
+        error = _EPS * (abs(z) + max(abs(lo), abs(hi))) * spread
+        return value, error if real else np.where(rows_ok, error, np.inf)
 
-    def _row_means(self, z, real: bool):
-        """Row means (1/l) sum_j 1/(A_i + B c_j), or None where |1 - rho^l| is too small."""
+    def _row_means(self, col, real: bool):
+        """Row means (1/l) sum_j 1/(A_i + B c_j) at each z of ``col`` (a scalar or a column),
+        and whether every row of that z has |1 - rho^l| >= :data:`ROW_SUM_GUARD`
+        (always at a real z). A real rho is raised to the l-th power with ``**``,
+        a complex one by :func:`_power`; the rows of a z that fails the guard
+        take rho^l = 0, so they stay finite for the mesh sum to replace. The
+        steps run in place, so a block holds four arrays of its size."""
         b = 2.0 * self.params.t21
-        a = (self.params.eps21 + self.shift - z) + self.row_coeffs
+        a = (self.params.eps21 + self.shift - col) + self.row_coeffs
         if b == 0.0:
-            return 1.0 / a
-        disc = (a - b) * (a + b)
-        if real and disc.min() > 0.0:
-            s = np.copysign(np.sqrt(disc), a)
+            return np.divide(1.0, a, out=a), True
+        s = a - b
+        s *= a + b
+        if real and s.min() > 0.0:
+            np.sqrt(s, out=s)
+            np.copysign(s, a, out=s)
+            q = np.divide(-b, np.add(a, s, out=a), out=a) ** self.grid.l
         else:
-            s = np.sqrt(disc + 0j)
-            s = np.where((s * np.conj(a)).real < 0.0, -s, s)
-        q = (-b / (a + s)) ** self.grid.l
-        if not real and np.min(np.abs(1.0 - q)) < ROW_SUM_GUARD:
-            return None
-        return (1.0 + q) / ((1.0 - q) * s)
+            a, s = a.astype(complex, copy=False), s.astype(complex, copy=False)
+            np.sqrt(s, out=s)
+            # the root with Re(s conj(A)) >= 0, so that |rho| <= 1
+            np.negative(s, out=s, where=s.real * a.real + s.imag * a.imag < 0.0)
+            q = _power(np.divide(-b, np.add(a, s, out=a), out=a), self.grid.l)
+        rows_ok = True
+        if not real:
+            rows_ok = ~(np.abs(1.0 - q).min(axis=-1) < ROW_SUM_GUARD)
+            q[~rows_ok] = 0.0
+        den = 1.0 - q
+        den *= s
+        q += 1.0
+        return np.divide(q, den, out=q), rows_ok
 
     def mesh(self, z, guard: float = RESONANCE_GUARD_EV):
         """The literal mesh sum of R(z), over blocks of mesh rows, each guarded."""
@@ -287,6 +342,23 @@ class PairBand:
             d = gaps - z + self.shift
             total += ladder_sum(d, occ.n_range(a * l, min(a + step, l) * l), 1.0, n, guard)
         return total
+
+
+def _power(base: np.ndarray, n: int) -> np.ndarray:
+    """base ** n for an integer n >= 1 by repeated squaring, at most 2 log2(n)
+    products; ``base`` is overwritten.
+
+    ``**`` on a complex array takes exp(n log base) per element for n >= 100,
+    about a hundred times the cost of a product.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = base.copy() if result is None else np.multiply(result, base, out=result)
+        n >>= 1
+        if not n:
+            return result
+        np.multiply(base, base, out=base)
 
 
 def _minority_gaps(params: ModelParams, grid: BZGrid, occ: Occupation) -> np.ndarray:

@@ -120,7 +120,6 @@ def test_fig1b_grid_below_hopping_stencil_exits_2_without_output(tmp_path, capsy
 
 
 @pytest.mark.parametrize("scenario, key", [("fig1a", "g_l"), ("fig2", "g_l"),
-                                           ("fig3b", "g_l"), ("fig3b", "g_c"),
                                            ("fig3c", "g_l"), ("fig3c", "g_c")])
 @pytest.mark.parametrize("zero", ["0.0", "-0.0", "1e-160", "-1e-170"])
 def test_zero_coupling_exits_2_without_output(tmp_path, capsys, scenario, key, zero):
@@ -132,6 +131,18 @@ def test_zero_coupling_exits_2_without_output(tmp_path, capsys, scenario, key, z
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["g_l", "g_c"])
+@pytest.mark.parametrize("zero", ["0.0", "-0.0", "1e-160", "-1e-170"])
+def test_fig3b_zero_coupling_gives_the_default_table(tmp_path, key, zero):
+    # fig3b writes only kernel ratios, (Delta_free/Delta_int)^2, in which g_l and g_c cancel
+    tables = []
+    for sets in ([], ["--set", f"{key}={zero}"]):
+        out = tmp_path / str(len(sets))
+        assert main(["run", "fig3b", "--grid", "16", *sets, "--out", str(out)]) == 0
+        tables.append((out / "fig3b.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("scenario, key", [("fig1a", "g_l"), ("fig2", "g_l"),

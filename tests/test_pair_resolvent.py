@@ -1,5 +1,7 @@
 """The O(l) pair resolvent against the literal mesh sum it replaces."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from floqex import (
 from floqex.screening import (
     RESONANCE_GUARD_EV,
     ROW_SUM_GUARD,
+    PairBand,
     hartree_shift,
     pair_resolvent,
 )
@@ -254,3 +257,99 @@ def test_resonance_guard_fires_exactly_near_a_mesh_point(t21, l, doping, point, 
         assert near, z
     else:
         assert not near, z
+
+
+@pytest.mark.parametrize("doping", DOPINGS)
+@pytest.mark.parametrize("l", (1, 2, 3, 64, 100, 255))
+@pytest.mark.parametrize("t21", T21)
+def test_array_matches_scalar_calls_and_mesh_sum(t21, l, doping):
+    p = model(t21, doping)
+    grid = BZGrid.square(l)
+    occ = occupations(p, grid)
+    band = pair_band(p, grid, occ)
+    lo, hi = shifted_band(p, grid, occ)
+    z = np.concatenate([np.linspace(lo - 0.3, hi + 0.3, 61) + 1j * broadening
+                        for broadening in (0.5, 0.005, 1e-4)])
+    values = band.resolvent(z)
+    assert values.shape == z.shape and values.dtype == complex
+    for w, value in zip(z, values):
+        one = band.resolvent(w)
+        ref = mesh_sum(p, grid, occ, w)
+        assert abs(value - one) <= 1e-13 * abs(one), (w, value, one)
+        assert abs(value - ref) <= 1e-13 * abs(ref), (w, value, ref)
+
+
+def test_array_covers_both_minority_branches():
+    grid = BZGrid.square(64)
+    branches = {occupations(model(-0.2, doping), grid).minority[1] for doping in DOPINGS[1:]}
+    assert branches == {False, True}
+
+
+def test_real_array_matches_scalar_calls():
+    p = model(-0.05, 0.05)
+    grid = BZGrid.square(17)
+    band = pair_band(p, grid)
+    lo, hi = shifted_band(p, grid, band.occ)
+    z = np.array([lo - 1.0, lo - 1e-3, lo + 0.3 * (hi - lo), hi + 0.01])
+    values = band.resolvent(z, guard=0.0)
+    assert values.dtype == float
+    assert np.array_equal(values, [band.resolvent(w, guard=0.0) for w in z])
+    # a complex array holding real values gives each its own kind of evaluation
+    mixed = band.resolvent(np.append(z, lo + 0.01j), guard=0.0)
+    assert np.array_equal(mixed[:-1], values)
+    assert mixed[-1] == band.resolvent(lo + 0.01j, guard=0.0)
+
+
+def test_block_mixes_closed_form_and_mesh_fallback(monkeypatch):
+    # a broadening far below one mesh step: inside the band every z takes the mesh,
+    # outside it the closed form answers, and the blocks across the edge hold both
+    p = model(-0.2)
+    grid = BZGrid.square(64)
+    occ = occupations(p, grid)
+    band = pair_band(p, grid, occ)
+    lo, hi = shifted_band(p, grid, occ)
+    z = np.linspace(lo - 0.1, lo + 0.1, 101) + 1e-5j
+    guarded = np.array([row_minimum(p, grid, occ, w) < ROW_SUM_GUARD for w in z])
+    passes, meshed = [], []
+    closed_form, mesh = PairBand._closed_form, PairBand.mesh
+    monkeypatch.setattr(PairBand, "_closed_form",
+                        lambda self, w, real: passes.append(np.size(w)) or closed_form(self, w, real))
+    monkeypatch.setattr(PairBand, "mesh",
+                        lambda self, w, guard: meshed.append(w) or mesh(self, w, guard))
+    values = band.resolvent(z)
+    # every z passes through the closed form once, in equal blocks but the last
+    step = passes[0]
+    assert 1 < step < z.size and sum(passes) == z.size
+    assert passes == [step] * (len(passes) - 1) + [z.size - step * (len(passes) - 1)]
+    took_mesh = np.isin(z, meshed)
+    assert np.all(took_mesh[guarded]) and not np.all(took_mesh)
+    starts = range(0, z.size, step)
+    assert any(0 < took_mesh[i:i + step].sum() < took_mesh[i:i + step].size for i in starts)
+    # and each z takes the same evaluation as when it is asked for alone
+    meshed.clear()
+    for w, value in zip(z, values):
+        assert band.resolvent(w) == pytest.approx(value, rel=1e-13)
+    assert np.array_equal(np.isin(z, meshed), took_mesh)
+    for w, value in zip(z, values):
+        assert abs(value - mesh_sum(p, grid, occ, w)) <= TOL * abs(value)
+
+
+@pytest.mark.parametrize("n", [*range(1, 131), 255, 256, 1000, 4096])
+def test_power_by_squaring_matches_pow(n):
+    radius = np.array([0.1, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-6])
+    phase = np.linspace(0.0, 2.0 * np.pi, 17)
+    rho = (radius[:, None] * np.exp(1j * phase)).ravel()
+    ref = rho ** n
+    got = screening._power(rho.copy(), n)
+    normal = np.abs(ref) > 1e-290
+    bound = 4 * n * np.finfo(float).eps
+    assert np.all(np.abs(got - ref)[normal] <= bound * np.abs(ref)[normal])
+    assert np.all(np.abs(got[~normal]) < 1e-280)
+
+
+def test_power_by_squaring_underflows_quietly():
+    rho = 0.1 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = screening._power(rho, 4096)
+    assert np.all(np.abs(got) < np.finfo(float).tiny)
