@@ -315,13 +315,13 @@ class PairBand:
         if real and s.min() > 0.0:
             np.sqrt(s, out=s)
             np.copysign(s, a, out=s)
-            q = np.divide(-b, np.add(a, s, out=a), out=a) ** self.grid.l
         else:
             a, s = a.astype(complex, copy=False), s.astype(complex, copy=False)
             np.sqrt(s, out=s)
             # the root with Re(s conj(A)) >= 0, so that |rho| <= 1
             np.negative(s, out=s, where=s.real * a.real + s.imag * a.imag < 0.0)
-            q = _power(np.divide(-b, np.add(a, s, out=a), out=a), self.grid.l)
+        rho = np.divide(-b, np.add(a, s, out=a), out=a)
+        q = _power(rho, self.grid.l) if np.iscomplexobj(rho) else rho ** self.grid.l
         rows_ok = True
         if not real:
             rows_ok = ~(np.abs(1.0 - q).min(axis=-1) < ROW_SUM_GUARD)
