@@ -45,14 +45,9 @@ def _load(args) -> tuple:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         text = path.read_text()
-    flag_overrides = list(args.set)
-    if args.grid is not None:
-        flag_overrides.append(f"grid = {args.grid}")
-    if args.seed is not None:
-        flag_overrides.append(f"seed = {args.seed}")
-    if args.workers is not None:
-        flag_overrides.append(f"workers = {args.workers}")
-    return parse_config(text, overrides=flag_overrides)
+    flags = [(f"--{key}", f"{key} = {value}") for key in ("grid", "seed", "workers")
+             if (value := getattr(args, key)) is not None]
+    return parse_config(text, overrides=args.set, flags=flags)
 
 
 def main(argv=None) -> int:

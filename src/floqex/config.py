@@ -98,13 +98,20 @@ def parse_assignments(text: str, source: str = "config"):
         yield key.strip(), value.strip(), f"{lineno} ({source})"
 
 
-def parse_config(text: str, overrides=()) -> tuple[ModelParams, RunOptions]:
-    """Parse a config file body plus override assignments into params and options."""
+def parse_config(text: str, overrides=(), flags=()) -> tuple[ModelParams, RunOptions]:
+    """Parse a config file body plus override assignments into params and options.
+
+    ``overrides`` are the ``--set`` assignments, labelled by their position;
+    ``flags`` are (flag, assignment) pairs of options given by a flag of their
+    own, labelled by that flag. Each wins over what comes before it.
+    """
     params_kwargs = {}
     options_kwargs = {}
     assignments = list(parse_assignments(text))
     for i, item in enumerate(overrides, start=1):
         assignments.extend(parse_assignments(item, source=f"--set {i}"))
+    for flag, item in flags:
+        assignments.extend(parse_assignments(item, source=flag))
     for key, raw, line in assignments:
         if key in PARAM_KEYS:
             value = _parse_value(key, raw, line)

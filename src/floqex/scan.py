@@ -28,6 +28,24 @@ def format_number(x) -> str:
     return repr(_scalar(x))
 
 
+def _scalars(col) -> list:
+    """The values of a float, integer or bool column as :func:`_scalar` gives them."""
+    col = np.asarray(col)
+    return (col.astype(int) if col.dtype == bool else col).tolist()
+
+
+# JSON has no NaN or infinity: the formatted non-finite floats become null.
+_NULL = {"nan": "null", "inf": "null", "-inf": "null"}
+
+
+def _json_list(values, depth: int) -> str:
+    """A list of JSON values as ``json.dumps`` writes it at indent 1, nested ``depth`` deep."""
+    if not values:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(values) + "\n" + " " * depth + "]"
+
+
 @dataclass
 class ScanResult:
     """One named axis plus equal-length named columns, with a reproducibility echo."""
@@ -55,37 +73,47 @@ class ScanResult:
     def column_names(self):
         return [self.axis_name, *self.columns.keys()]
 
-    def rows(self):
-        cols = [self.axis, *self.columns.values()]
-        for i in range(len(self.axis)):
-            yield [col[i] for col in cols]
-
     def to_csv(self) -> str:
-        lines = [",".join(self.column_names())]
-        for row in self.rows():
-            lines.append(",".join(format_number(x) for x in row))
-        return "\n".join(lines) + "\n"
+        return self._csv(self._formatted())
 
     def to_json(self) -> str:
-        payload = {
-            "axis_name": self.axis_name,
-            "axis": [_scalar(x) for x in self.axis],
-            "columns": {
-                name: [_scalar(x) for x in col] for name, col in self.columns.items()
-            },
-        }
-        return json.dumps(_finite_or_null(payload), indent=1, allow_nan=False)
+        return self._json(self._formatted())
+
+    def _formatted(self) -> list:
+        """Each column, the axis first, as the ``repr`` of its values (:func:`format_number`)."""
+        return [list(map(repr, _scalars(col))) for col in (self.axis, *self.columns.values())]
+
+    def _csv(self, formatted) -> str:
+        lines = [",".join(self.column_names())]
+        lines.extend(map(",".join, zip(*formatted)))
+        return "\n".join(lines) + "\n"
+
+    def _json(self, formatted) -> str:
+        """``json.dumps`` of {axis_name, axis, columns} at indent 1, non-finite values
+        as ``null``, joined from the formatted values."""
+        axis, *columns = ([_NULL.get(text, text) for text in col] for col in formatted)
+        items = [f'"axis_name": {json.dumps(self.axis_name)}', f'"axis": {_json_list(axis, 1)}']
+        if columns:
+            entries = ",\n  ".join(f"{json.dumps(name)}: {_json_list(col, 2)}"
+                                   for name, col in zip(self.columns, columns))
+            items.append(f'"columns": {{\n  {entries}\n }}')
+        else:
+            items.append('"columns": {}')
+        return "{\n " + ",\n ".join(items) + "\n}"
 
     def write(self, out_dir, name: str) -> list:
-        """Write <name>.csv, <name>.json, and <name>.meta.json; returns the paths."""
+        """Write <name>.csv, <name>.json, and <name>.meta.json; returns the paths.
+
+        Each value is formatted once, for both tables."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        formatted = self._formatted()
         paths = []
         csv_path = out / f"{name}.csv"
-        csv_path.write_text(self.to_csv())
+        csv_path.write_text(self._csv(formatted))
         paths.append(csv_path)
         json_path = out / f"{name}.json"
-        json_path.write_text(self.to_json())
+        json_path.write_text(self._json(formatted))
         paths.append(json_path)
         meta_path = out / f"{name}.meta.json"
         meta_path.write_text(json.dumps(_finite_or_null(self.metadata), indent=1,

@@ -20,16 +20,6 @@ from . import __version__
 from .cavity import matched_pair, u12_sweep
 from .config import RunOptions
 from .exceptions import ConfigError, NoPeak, NoResonance, ResonantDenominator
-from .exactdiag import (
-    SmallSystem,
-    analytic_stark,
-    bound_state_root,
-    check_commutator_identities,
-    oracle_exciton_eigen,
-    oracle_stark,
-    random_system,
-    restriction_leakage,
-)
 from .floquet import (
     HOPPING_MIN_L,
     effective_band,
@@ -303,6 +293,18 @@ def _run_absorbance(params: ModelParams, opts: RunOptions):
 @_scenario("oracle")
 def _run_oracle(params: ModelParams, opts: RunOptions):
     """Dense-solve reference suite on random small systems of the configured model."""
+    # imported here, so that no other scenario loads the dense solvers
+    from .exactdiag import (
+        SmallSystem,
+        analytic_stark,
+        bound_state_root,
+        check_commutator_identities,
+        oracle_exciton_eigen,
+        oracle_stark,
+        random_system,
+        restriction_leakage,
+    )
+
     if params.doping != 0.0:
         raise ConfigError("oracle's pair-sector reference is exact only at full filling, "
                           "so doping must be 0")

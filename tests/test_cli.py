@@ -1,11 +1,17 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import floqex
 from floqex import BZGrid, ModelParams, Occupation, scenarios
 from floqex.cli import main
 from floqex.config import OPTION_KEYS, PARAM_KEYS, RunOptions, parse_config
@@ -98,6 +104,25 @@ def test_negative_seed_exits_2_without_output(tmp_path, capsys):
     assert main(["run", "oracle", "--seed", "-1", "--out", str(out)]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid", "0", "grid must be an even integer"),
+    ("--seed", "-1", "seed must be non-negative"),
+    ("--workers", "0", "workers must be >= 1"),
+])
+def test_flag_errors_name_the_flag(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    assert main(["run", "fig1a", "--set", "u11=1.5", "--set", "u12=0.8", flag, value,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"({flag})" in err and message in err
+    assert "--set" not in err
+    assert not out.exists()
+    # a --set assignment keeps its position
+    assert main(["run", "fig1a", "--set", "u11=1.5", "--set", f"{flag[2:]}={value}",
+                 "--out", str(out)]) == 2
+    assert "(--set 2)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("gamma", ["1e160", "1e300", "1e-320"])
@@ -316,6 +341,73 @@ def test_csv_round_trip():
     assert np.array_equal(data[:, 1], col)
 
 
+def reference_csv(result):
+    """The CSV as one ``repr`` per value of its Python scalar, row by row."""
+    cols = [result.axis, *result.columns.values()]
+    lines = [",".join(result.column_names())]
+    for i in range(len(result.axis)):
+        lines.append(",".join(repr(python_scalar(col[i])) for col in cols))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(result):
+    """``json.dumps`` at indent 1 of the table, every non-finite float as null."""
+    def values(col):
+        return [None if isinstance(x, float) and not math.isfinite(x) else x
+                for x in map(python_scalar, col)]
+
+    payload = {"axis_name": result.axis_name, "axis": values(result.axis),
+               "columns": {name: values(col) for name, col in result.columns.items()}}
+    return json.dumps(payload, indent=1, allow_nan=False)
+
+
+def python_scalar(x):
+    return int(x) if isinstance(x, (bool, np.bool_, int, np.integer)) else float(x)
+
+
+_SPECIAL_FLOATS = (float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+                   2.2250738585072014e-308, 1e-310, 1e308, -1e308, 0.1)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 12))
+    floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+    kinds = {
+        "float": lambda: np.array(draw(st.lists(floats, min_size=n, max_size=n)), float),
+        "int": lambda: np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                              min_size=n, max_size=n)), np.int64),
+        "bool": lambda: np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool),
+    }
+    axis = kinds[draw(st.sampled_from(("float", "int")))]()
+    names = draw(st.lists(st.text(max_size=4), max_size=4, unique=True))
+    columns = {name: kinds[draw(st.sampled_from(sorted(kinds)))]() for name in names}
+    return ScanResult(draw(st.text(max_size=4)), axis, columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(result=_tables())
+@example(result=ScanResult("x", np.array([]), {}))
+@example(result=ScanResult("x", np.array([]), {"y": np.array([], bool)}))
+@example(result=ScanResult("x", np.arange(2), {}))
+def test_writer_matches_the_reference_formulas(result):
+    assert result.to_csv() == reference_csv(result)
+    assert result.to_json() == reference_json(result)
+
+
+def test_write_formats_each_value_once(tmp_path, monkeypatch):
+    result = ScanResult("x", np.arange(3.0), {"y": np.array([1.0, np.nan, 3.0]),
+                                               "ok": np.array([True, False, True])})
+    calls = []
+    formatted = ScanResult._formatted
+    monkeypatch.setattr(ScanResult, "_formatted",
+                        lambda self: calls.append(1) or formatted(self))
+    result.write(tmp_path, "demo")
+    assert calls == [1]
+    assert (tmp_path / "demo.csv").read_text() == reference_csv(result)
+    assert (tmp_path / "demo.json").read_text() == reference_json(result)
+
+
 def test_mismatched_columns_rejected():
     with pytest.raises(ValueError):
         ScanResult("x", np.arange(3), {"y": np.arange(4)})
@@ -472,6 +564,28 @@ def test_oracle_uses_the_configured_model(tmp_path):
     assert leakage["strong"] == pytest.approx(0.93, rel=0.01)
     assert (tmp_path / "weak" / "oracle.csv").read_bytes() == \
         (tmp_path / "strong" / "oracle.csv").read_bytes()
+
+
+_IMPORT_SCOPE = """
+import sys
+from floqex.cli import main
+loaded = ["floqex.exactdiag" in sys.modules]
+assert main(["run", "absorbance", "--grid", "16", "--out", sys.argv[1]]) == 0
+loaded.append("floqex.exactdiag" in sys.modules)
+assert main(["run", "oracle", "--set", "instances = 2", "--out", sys.argv[1]]) == 0
+loaded.append("floqex.exactdiag" in sys.modules)
+print(*loaded)
+"""
+
+
+def test_only_oracle_imports_the_dense_solvers(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(floqex.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", _IMPORT_SCOPE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "False False True"
+    for name in ("absorbance", "oracle"):
+        for ext in ("csv", "json", "meta.json"):
+            assert (tmp_path / f"{name}.{ext}").stat().st_size > 0
 
 
 def test_oracle_refuses_doping_without_output(tmp_path, capsys):

@@ -120,22 +120,23 @@ def test_real_z_inside_the_guard_raises():
 
 
 def test_row_sum_guard_decides_the_mesh_fallback(monkeypatch):
-    p = model(-0.2)
-    grid = BZGrid.square(16)
-    occ = occupations(p, grid)
-    lo, hi = shifted_band(p, grid, occ)
     calls = counting_ladder_sum(monkeypatch)
-    resolvent = pair_resolvent(p, grid, occ)
-    seen = set()
-    for w in np.linspace(lo, hi, 401):
-        z = complex(w, 0.01)
-        margin = row_minimum(p, grid, occ, z) - ROW_SUM_GUARD
-        calls.clear()
-        value = resolvent(z)
-        assert bool(calls) == (margin < 0.0), (z, margin)
-        assert abs(value - mesh_sum(p, grid, occ, z)) <= TOL * abs(value)
-        seen.add(margin < 0.0)
-    assert seen == {True, False}
+    p = model(-0.2)
+    for l in (16, 17):  # the folded rows of a complex z at even and at odd l
+        grid = BZGrid.square(l)
+        occ = occupations(p, grid)
+        lo, hi = shifted_band(p, grid, occ)
+        resolvent = pair_resolvent(p, grid, occ)
+        seen = set()
+        for w in np.linspace(lo, hi, 401):
+            z = complex(w, 0.01)
+            margin = row_minimum(p, grid, occ, z) - ROW_SUM_GUARD
+            calls.clear()
+            value = resolvent(z)
+            assert bool(calls) == (margin < 0.0), (z, margin)
+            assert abs(value - mesh_sum(p, grid, occ, z)) <= TOL * abs(value)
+            seen.add(margin < 0.0)
+        assert seen == {True, False}
 
 
 def test_mesh_fallback_runs_over_row_blocks(monkeypatch):
@@ -303,35 +304,80 @@ def test_real_array_matches_scalar_calls():
 def test_block_mixes_closed_form_and_mesh_fallback(monkeypatch):
     # a broadening far below one mesh step: inside the band every z takes the mesh,
     # outside it the closed form answers, and the blocks across the edge hold both
-    p = model(-0.2)
-    grid = BZGrid.square(64)
-    occ = occupations(p, grid)
-    band = pair_band(p, grid, occ)
-    lo, hi = shifted_band(p, grid, occ)
-    z = np.linspace(lo - 0.1, lo + 0.1, 101) + 1e-5j
-    guarded = np.array([row_minimum(p, grid, occ, w) < ROW_SUM_GUARD for w in z])
     passes, meshed = [], []
     closed_form, mesh = PairBand._closed_form, PairBand.mesh
     monkeypatch.setattr(PairBand, "_closed_form",
                         lambda self, w, real: passes.append(np.size(w)) or closed_form(self, w, real))
     monkeypatch.setattr(PairBand, "mesh",
                         lambda self, w, guard: meshed.append(w) or mesh(self, w, guard))
-    values = band.resolvent(z)
-    # every z passes through the closed form once, in equal blocks but the last
-    step = passes[0]
-    assert 1 < step < z.size and sum(passes) == z.size
-    assert passes == [step] * (len(passes) - 1) + [z.size - step * (len(passes) - 1)]
-    took_mesh = np.isin(z, meshed)
-    assert np.all(took_mesh[guarded]) and not np.all(took_mesh)
-    starts = range(0, z.size, step)
-    assert any(0 < took_mesh[i:i + step].sum() < took_mesh[i:i + step].size for i in starts)
-    # and each z takes the same evaluation as when it is asked for alone
-    meshed.clear()
-    for w, value in zip(z, values):
-        assert band.resolvent(w) == pytest.approx(value, rel=1e-13)
-    assert np.array_equal(np.isin(z, meshed), took_mesh)
-    for w, value in zip(z, values):
-        assert abs(value - mesh_sum(p, grid, occ, w)) <= TOL * abs(value)
+    p = model(-0.2)
+    for l in (64, 65):  # the folded rows of a complex z at even and at odd l
+        grid = BZGrid.square(l)
+        occ = occupations(p, grid)
+        band = pair_band(p, grid, occ)
+        lo, hi = shifted_band(p, grid, occ)
+        z = np.linspace(lo - 0.1, lo + 0.1, 101) + 1e-5j
+        guarded = np.array([row_minimum(p, grid, occ, w) < ROW_SUM_GUARD for w in z])
+        passes.clear()
+        meshed.clear()
+        values = band.resolvent(z)
+        # every z passes through the closed form once, in equal blocks but the last
+        step = passes[0]
+        assert 1 < step < z.size and sum(passes) == z.size
+        assert passes == [step] * (len(passes) - 1) + [z.size - step * (len(passes) - 1)]
+        took_mesh = np.isin(z, meshed)
+        assert np.all(took_mesh[guarded]) and not np.all(took_mesh)
+        starts = range(0, z.size, step)
+        assert any(0 < took_mesh[i:i + step].sum() < took_mesh[i:i + step].size
+                   for i in starts)
+        # and each z takes the same evaluation as when it is asked for alone
+        meshed.clear()
+        for w, value in zip(z, values):
+            assert band.resolvent(w) == pytest.approx(value, rel=1e-13)
+        assert np.array_equal(np.isin(z, meshed), took_mesh)
+        for w, value in zip(z, values):
+            assert abs(value - mesh_sum(p, grid, occ, w)) <= TOL * abs(value)
+
+
+def long_double_mesh_sum(t1, l, z):
+    """(1/N) sum_k 1 / (gap_k - z) of the undoped reference model (eps21 = 3.7,
+    t2 = -0.15, Hartree shift -u11 + 2 u12 = 0) in long double, from its literals."""
+    c = np.cos(2 * np.longdouble(np.pi) * np.arange(l, dtype=np.longdouble) / l)
+    d = np.longdouble(3.7) + 2 * (np.longdouble(-0.15) - np.longdouble(t1)) * (c[:, None] + c)
+    d -= np.longdouble(z.real)
+    den = d * d + np.longdouble(z.imag) ** 2
+    n = np.longdouble(l * l)
+    return complex(float(np.sum(d / den) / n), float(np.sum(z.imag / den) / n))
+
+
+@pytest.mark.parametrize("l", (64, 255, 256))
+@pytest.mark.parametrize("t1", (0.05, -0.05))
+def test_complex_z_matches_a_long_double_mesh_sum(t1, l):
+    # the absorbance's broadening across the band: the rows i <= l/2 stand for all l
+    # (the parent of the folded rows measured at most 2.9e-15 here)
+    band = pair_band(ModelParams(t1=t1), BZGrid.square(l))
+    width = 4.0 * abs(band.params.t21)
+    z = np.linspace(3.7 - width - 0.3, 3.7 + width + 0.3, 201) + 0.005j
+    values = band.resolvent(z, guard=0.0)
+    ref = np.array([long_double_mesh_sum(t1, l, w) for w in z])
+    assert np.max(np.abs(values - ref) / np.abs(ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("l", (1, 2, 16, 17, 512))
+def test_complex_z_evaluates_half_the_rows(monkeypatch, l):
+    band = pair_band(model(-0.2), BZGrid.square(l))
+    held = []
+    row_means = PairBand._row_means
+    monkeypatch.setattr(PairBand, "_row_means", lambda self, col, real: held.append(
+        (real, np.shape(row_means(self, col, real)[0])[-1])) or row_means(self, col, real))
+    lo = band.edge
+    band.resolvent(np.array([lo - 0.5, lo - 0.1]) + 0.01j)
+    band.resolvent(lo - 0.5 + 0.01j)
+    band.resolvent(lo - 0.5)
+    band.resolvent(np.array([lo - 0.5, lo - 0.1]))
+    assert set(held) == {(False, l // 2 + 1), (True, l)}
+    weights = screening._fold_weights(l)
+    assert weights.size == l // 2 + 1 and weights.sum() == l
 
 
 @pytest.mark.parametrize("n", [*range(1, 131), 255, 256, 1000, 4096])
