@@ -28,12 +28,9 @@ from .screening import (
     PairBand,
     ResonanceReport,
     ScreenedDetunings,
-    band_resonance_edge,
-    exciton_lhs,
     grpa_stark_equivalence,
     grpa_tmatrix,
     pair_band,
-    pair_resolvent,
     screened_detuning,
     screened_detuning_bs,
     screened_detunings,
@@ -74,19 +71,16 @@ __all__ = [
     "SpectrumCurve",
     "absorbance",
     "band_gap",
-    "band_resonance_edge",
     "bare_detuning",
     "dispersion",
     "effective_band",
     "effective_hopping",
     "enhancement_ratio",
-    "exciton_lhs",
     "grpa_stark_equivalence",
     "grpa_tmatrix",
     "interaction_kernel",
     "occupations",
     "pair_band",
-    "pair_resolvent",
     "peak_location",
     "screened_detuning",
     "screened_detuning_bs",

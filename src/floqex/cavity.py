@@ -1,8 +1,8 @@
 """Photon-mediated electron-electron interaction kernel and enhancement scans.
 
 The kernel V(k, k') = -|g_l g_c|^2 / (N * delta_c * Delta_k * Delta_k') is
-separable in momentum, so it is stored as a scalar prefactor times a rank-1
-outer product and only materialized densely for few momenta. Enhancement
+separable in momentum, so it is stored as a scalar prefactor and the vector
+of its rank-1 factor, and only its forward diagonal is evaluated. Enhancement
 scans compare the interacting model against the u11 = u12 = 0 twin at
 matched detuning from the respective resonance (exciton vs band edge), both
 built by :func:`matched_pair`.
@@ -20,8 +20,6 @@ from .scan import ScanResult
 from .screening import PairBand, pair_band, screened_detunings, solve_exciton_resonance
 
 CAVITY_GUARD_EV = 1e-9
-# Most momenta a kernel may hold to be materialized as a dense matrix (a whole l = 64 mesh).
-_DENSE_MAX_POINTS = 64 * 64
 GAMMA = (0.0, 0.0)
 
 
@@ -30,8 +28,8 @@ class InteractionKernel:
     """Rank-1 factorization of the photon-mediated density-density kernel.
 
     V(k, k') = scale * v_k * v_k' with v_k = g_l*g_c / Delta_k and
-    scale = -1 / (N * delta_c). ``v`` and the indices of :meth:`element` run
-    over the momenta the kernel was built at.
+    scale = -1 / (N * delta_c). ``v`` runs over the momenta the kernel was
+    built at.
     """
 
     v: np.ndarray
@@ -43,25 +41,6 @@ class InteractionKernel:
     def forward(self) -> np.ndarray:
         """Forward-scattering diagonal V(k, k) at the kernel's momenta."""
         return self.scale * self.v * self.v
-
-    def element(self, i: int, j: int) -> float:
-        return self.scale * self.v[i] * self.v[j]
-
-    def factor_vector(self) -> np.ndarray:
-        """Vector u with V = -outer(u, u); defined for positive laser-cavity detuning.
-
-        delta_c > 0 exactly when ``scale`` = -1 / (N * delta_c) is negative.
-        """
-        if not np.signbit(self.scale):
-            raise ValueError("rank-1 factor with real entries requires delta_c > 0")
-        return self.v / np.sqrt(-1.0 / self.scale)
-
-    def dense(self) -> np.ndarray:
-        """Materialize the V(k, k') matrix over the kernel's momenta, at most 64^2 of them."""
-        if self.v.size > _DENSE_MAX_POINTS:
-            raise ValueError(f"dense kernel is limited to {_DENSE_MAX_POINTS} momenta, "
-                             f"got {self.v.size}")
-        return self.scale * np.outer(self.v, self.v)
 
 
 def _require_detuned_cavity(params: ModelParams):

@@ -42,18 +42,27 @@ def _load(args) -> tuple:
     text = ""
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read config file {path}: {err}") from None
     flags = [(f"--{key}", f"{key} = {value}") for key in ("grid", "seed", "workers")
              if (value := getattr(args, key)) is not None]
     return parse_config(text, overrides=args.set, flags=flags)
+
+
+def _check_out(out: Path):
+    """Refuse an output directory that a file stands in the way of, before any scan runs."""
+    path = next(p for p in (out, *out.parents) if p.exists())
+    if not path.is_dir():
+        raise ConfigError(f"--out {out}: {path} is not a directory")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params, opts = _load(args)
+        _check_out(Path(args.out))
         paths = run_scenario(args.scenario, params, opts, args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

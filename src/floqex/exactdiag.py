@@ -63,10 +63,6 @@ class SmallSystem:
     def gaps(self) -> np.ndarray:
         return self.eps2 - self.eps1
 
-    @property
-    def basis_dim(self) -> int:
-        return 1 + 2 * self.n_k
-
 
 def random_system(rng: np.random.Generator, n_k: int, u11: float = 1.6,
                   u12: float = 0.8, gap_range=(2.5, 4.5)) -> SmallSystem:

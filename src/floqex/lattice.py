@@ -143,11 +143,6 @@ class BZGrid:
     def n_sites(self) -> int:
         return self.l * self.l
 
-    @property
-    def weight(self) -> float:
-        """Uniform quadrature weight 1/l^2."""
-        return 1.0 / self.n_sites
-
     def index(self, nx: int, ny: int) -> int:
         """Flat index of the mesh point (2*pi*nx/l, 2*pi*ny/l)."""
         return (nx % self.l) * self.l + (ny % self.l)

@@ -16,20 +16,8 @@ from pathlib import Path
 import numpy as np
 
 
-def _scalar(x):
-    """A table value as a Python ``int`` (bools and integers) or ``float``."""
-    if isinstance(x, (bool, np.bool_, int, np.integer)):
-        return int(x)
-    return float(x)
-
-
-def format_number(x) -> str:
-    """Shortest decimal form that round-trips the value."""
-    return repr(_scalar(x))
-
-
 def _scalars(col) -> list:
-    """The values of a float, integer or bool column as :func:`_scalar` gives them."""
+    """The values of a float, integer or bool column as Python floats or ints (bools 0/1)."""
     col = np.asarray(col)
     return (col.astype(int) if col.dtype == bool else col).tolist()
 
@@ -80,7 +68,7 @@ class ScanResult:
         return self._json(self._formatted())
 
     def _formatted(self) -> list:
-        """Each column, the axis first, as the ``repr`` of its values (:func:`format_number`)."""
+        """Each column, the axis first, as the ``repr`` of its values."""
         return [list(map(repr, _scalars(col))) for col in (self.axis, *self.columns.values())]
 
     def _csv(self, formatted) -> str:

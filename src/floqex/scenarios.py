@@ -40,8 +40,8 @@ MAX_AXIS_POINTS = 1_000_000
 _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 
 # Couplings whose square a scenario's observable is divided by (fig1a, fig2) or
-# scales as (fig3c's kernel column): where that square is zero or subnormal every
-# value would be 0/0, noise or a vanishing kernel, so run_scenario refuses them.
+# scales as (fig3c's kernel column): where that square is zero, subnormal or infinite
+# every value would be 0/0, noise, a vanishing kernel or nan, so run_scenario refuses them.
 # fig3b writes only kernel ratios, (Delta_free/Delta_int)^2, in which both cancel.
 _DIVISOR_COUPLINGS = {"fig1a": ("g_l",), "fig2": ("g_l",), "fig3c": ("g_l", "g_c")}
 
@@ -355,9 +355,9 @@ def run_scenario(name: str, params: ModelParams, opts: RunOptions, out_dir) -> l
         raise ConfigError(f"unknown scenario {name!r}; expected one of: {known}")
     for key in _DIVISOR_COUPLINGS.get(name, ()):
         value = getattr(params, key)
-        if value * value < np.finfo(float).tiny:
-            raise ConfigError(f"{name} divides by {key}**2, so |{key}| must exceed "
-                              f"1.5e-154 (below that the square underflows)")
+        if not np.finfo(float).tiny <= value * value < np.inf:
+            raise ConfigError(f"{name} divides by {key}**2, so |{key}| must lie in "
+                              f"[1.5e-154, 1.3e154] (outside, the square under- or overflows)")
     echo = {
         "scenario": name,
         "version": __version__,

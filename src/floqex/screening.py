@@ -79,17 +79,16 @@ BRACKET_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ScreenedDetunings:
-    """Bare, screened, and counter-rotating screened detunings at a set of momenta.
+    """Screened and counter-rotating screened detunings at a set of momenta.
 
     Values are spin-symmetric: both spin projections share them.
     """
 
-    delta0: np.ndarray
     delta: np.ndarray
     delta_bs: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.delta0, self.delta, self.delta_bs):
+        for arr in (self.delta, self.delta_bs):
             arr.setflags(write=False)
 
 
@@ -417,30 +416,19 @@ def pair_band(params: ModelParams, grid: BZGrid, occ: Occupation | None = None) 
                     gaps=gaps, counts=counts.astype(float))
 
 
-def pair_resolvent(params: ModelParams, grid: BZGrid, occ: Occupation,
-                   guard: float = RESONANCE_GUARD_EV):
-    """The function z -> R(z) = (1/N) sum_k n_k / (gap_k + shift - z) over ``grid``.
-
-    :meth:`PairBand.resolvent` of a band built for this one call; a caller
-    that evaluates R for several models of one band keeps the band instead.
-    """
-    return functools.partial(pair_band(params, grid, occ).resolvent, guard=guard)
-
-
 def screening_factor(params: ModelParams, band: PairBand) -> float:
     """1 - S with S = u12 R(omega_l)."""
     return 1.0 - params.u12 * band.for_params(params).resolvent(params.omega_l)
 
 
 def screened_detunings(params: ModelParams, band: PairBand, k) -> ScreenedDetunings:
-    """Bare, screened and counter-rotating detunings at the (kx, ky) pair ``k``."""
+    """Screened and counter-rotating detunings at the (kx, ky) pair ``k``."""
     band = band.for_params(params)
-    d0 = bare_detuning(params, k)
     d = shifted_detunings(params, k, band.occ)
     d_bs = shifted_detunings(params, k, band.occ, bs=True)
     d *= 1.0 - params.u12 * band.resolvent(params.omega_l)
     d_bs *= 1.0 - params.u12 * band.resolvent(-params.omega_l)
-    return ScreenedDetunings(delta0=d0, delta=d, delta_bs=d_bs)
+    return ScreenedDetunings(delta=d, delta_bs=d_bs)
 
 
 def screened_detuning(params: ModelParams, band: PairBand, k):
@@ -451,20 +439,6 @@ def screened_detuning(params: ModelParams, band: PairBand, k):
 def screened_detuning_bs(params: ModelParams, band: PairBand, k):
     """Counter-rotating (Bloch-Siegert) screened detuning at ``k``."""
     return screened_detunings(params, band, k).delta_bs
-
-
-def band_resonance_edge(params: ModelParams, grid: BZGrid, occ: Occupation) -> float:
-    """Continuum edge: minimum Hartree-shifted gap over the grid (omega_l-independent)."""
-    return gap_range(params, grid)[0] + hartree_shift(params, occ)
-
-
-def exciton_lhs(params: ModelParams, band: PairBand, omega: float) -> float:
-    """Ladder closure F(omega) = (u12/N) sum_k n_k / (gap_k - omega + shift).
-
-    Strictly increasing in omega below the continuum edge; F = 1 marks the
-    bound electron-hole pair.
-    """
-    return params.u12 * band.for_params(params).resolvent(omega, guard=0.0)
 
 
 def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float, below_one=None):

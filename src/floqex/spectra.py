@@ -25,7 +25,6 @@ class SpectrumCurve:
 
     omegas: np.ndarray
     alpha: np.ndarray
-    gamma: float
     scale: float
 
     def __post_init__(self):
@@ -63,7 +62,7 @@ def absorbance(params: ModelParams, band: PairBand, omegas, gamma: float) -> Spe
     if peak <= 0.0:
         raise NoPeak("spectrum has no positive weight on this frequency window")
     out = raw / peak
-    return SpectrumCurve(omegas=omegas.copy(), alpha=out, gamma=gamma, scale=peak)
+    return SpectrumCurve(omegas=omegas.copy(), alpha=out, scale=peak)
 
 
 def peak_location(curve: SpectrumCurve) -> float:

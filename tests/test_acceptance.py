@@ -157,9 +157,11 @@ def test_criterion_07_unscreened_collapse():
         p = ModelParams(u11=0.0, u12=0.0, omega_l=2.87)
         grid = BZGrid.square(128)
         occ = occupations(p, grid)
-        dets = screened_detunings(p, pair_band(p, grid, occ), (grid.kx, grid.ky))
-        assert np.array_equal(dets.delta, dets.delta0)
-        assert np.array_equal(dets.delta_bs, dets.delta0 + 2.0 * p.omega_l)
+        mesh = (grid.kx, grid.ky)
+        dets = screened_detunings(p, pair_band(p, grid, occ), mesh)
+        delta0 = bare_detuning(p, mesh)
+        assert np.array_equal(dets.delta, delta0)
+        assert np.array_equal(dets.delta_bs, delta0 + 2.0 * p.omega_l)
         for nx, ny in ((0, 0), (3, 7), (64, 64), (100, 13)):
             k = (grid.kx[grid.index(nx, ny)], grid.ky[grid.index(nx, ny)])
             d0 = bare_detuning(p, k)

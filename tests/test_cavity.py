@@ -34,42 +34,6 @@ def test_kernel_vanishes_without_cavity_coupling():
     p = ModelParams(g_c=0.0, omega_l=2.68)
     kernel, _, _ = kernel_for(p)
     assert np.all(kernel.forward() == 0.0)
-    assert kernel.element(3, 11) == 0.0
-
-
-def test_kernel_is_symmetric_and_separable():
-    p = ModelParams(omega_l=2.60)
-    kernel, grid, _ = kernel_for(p, l=16)
-    dense = kernel.dense()
-    assert np.array_equal(dense, dense.T)
-    u = kernel.factor_vector()
-    assert np.allclose(dense, -np.outer(u, u), rtol=1e-14, atol=1e-300)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        i, j, a, b = rng.integers(0, grid.n_sites, size=4)
-        lhs = kernel.element(i, j) * kernel.element(a, b)
-        rhs = kernel.element(i, b) * kernel.element(a, j)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_dense_materialization_is_gated():
-    p = ModelParams(omega_l=2.60)
-    kernel, _, _ = kernel_for(p, l=128)
-    with pytest.raises(ValueError):
-        kernel.dense()
-
-
-def test_dense_gate_counts_momenta():
-    # Gamma/Y/M of an l = 128 grid: three momenta densify although the whole mesh does not
-    p = ModelParams(omega_l=2.60)
-    grid = BZGrid.square(128)
-    occ = occupations(p, grid)
-    idx = np.array([grid.gamma_index, grid.y_index, grid.m_index])
-    kernel = interaction_kernel(p, pair_band(p, grid, occ), grid.point(idx))
-    dense = kernel.dense()
-    assert dense.shape == (3, 3)
-    assert np.array_equal(dense, kernel.scale * np.outer(kernel.v, kernel.v))
-    assert np.array_equal(np.diag(dense), kernel.forward())
 
 
 def test_forward_channel_is_attractive_for_positive_detuning():

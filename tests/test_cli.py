@@ -1,6 +1,9 @@
+import functools
+import importlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +19,7 @@ from floqex import BZGrid, ModelParams, Occupation, scenarios
 from floqex.cli import main
 from floqex.config import OPTION_KEYS, PARAM_KEYS, RunOptions, parse_config
 from floqex.exceptions import ConfigError, FloqexError, NoResonance
-from floqex.scan import ScanResult, format_number, parse_csv
+from floqex.scan import ScanResult, parse_csv
 from floqex.scenarios import run_scenario
 
 # Every scenario that builds a momentum grid.
@@ -146,10 +149,11 @@ def test_fig1b_grid_below_hopping_stencil_exits_2_without_output(tmp_path, capsy
 
 @pytest.mark.parametrize("scenario, key", [("fig1a", "g_l"), ("fig2", "g_l"),
                                            ("fig3c", "g_l"), ("fig3c", "g_c")])
-@pytest.mark.parametrize("zero", ["0.0", "-0.0", "1e-160", "-1e-170"])
+@pytest.mark.parametrize("zero", ["0.0", "-0.0", "1e-160", "-1e-170", "1e200"])
 def test_zero_coupling_exits_2_without_output(tmp_path, capsys, scenario, key, zero):
     # the scenario's observable divides by the coupling squared: 0/0 in every
-    # row at zero, and an underflowed square below sqrt(tiny) = 1.49e-154
+    # row at zero, an underflowed square below sqrt(tiny) = 1.49e-154 and an
+    # overflowed one above sqrt(max) = 1.34e154
     out = tmp_path / scenario
     assert main(["run", scenario, "--grid", "16", "--set", f"{key}={zero}",
                  "--out", str(out)]) == 2
@@ -324,10 +328,14 @@ def test_t21_list_option():
 
 
 def test_float_formatting_round_trips():
-    for x in (0.1, 1.0 / 3.0, 2.9000000000000004, 1e-300, 6.23e17, -0.0):
-        assert float(format_number(x)) == x
-    assert format_number(np.float64(0.1)) == "0.1"
-    assert format_number(7) == "7"
+    values = np.array([0.1, 1.0 / 3.0, 2.9000000000000004, 1e-300, 6.23e17, -0.0])
+    text = ScanResult("x", values, {"n": np.full(values.size, 7)}).to_csv()
+    header, data = parse_csv(text)
+    assert header == ["x", "n"]
+    assert np.array_equal(data[:, 0], values)
+    assert np.array_equal(np.signbit(data[:, 0]), np.signbit(values))
+    lines = text.splitlines()
+    assert lines[1] == "0.1,7" and lines[-1] == "-0.0,7"
 
 
 def test_csv_round_trip():
@@ -542,6 +550,21 @@ def test_missing_config_file(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flag, target", [("--out", "afile"), ("--out", "afile/sub"),
+                                          ("--config", "."), ("--config", "bad.cfg")])
+def test_bad_file_argument_exits_2_without_output(tmp_path, capsys, flag, target):
+    # a file in the way of --out; a directory or non-UTF-8 bytes as --config
+    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "bad.cfg").write_bytes(b"\xff\n")
+    path = str(tmp_path / target)
+    args = [flag, path] if flag == "--out" else [flag, path, "--out", str(tmp_path / "out")]
+    assert main(["run", "resonance", "--grid", "16", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and path in err and err.count("\n") == 1
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "bad.cfg"]
+
+
 def test_worker_count_does_not_change_bytes(tmp_path):
     for workers, sub in ((1, "a"), (4, "b")):
         rc = main(["run", "fig3b", "--out", str(tmp_path / sub), "--grid", "32",
@@ -586,6 +609,22 @@ def test_only_oracle_imports_the_dense_solvers(tmp_path):
     for name in ("absorbance", "oracle"):
         for ext in ("csv", "json", "meta.json"):
             assert (tmp_path / f"{name}.{ext}").stat().st_size > 0
+
+
+def test_public_names_resolve():
+    namespace = {}
+    exec("from floqex import *", namespace)
+    assert all(namespace[name] is getattr(floqex, name) for name in floqex.__all__)
+
+
+def test_trace_targets_exist():
+    # perfbench/spans.py rebinds these library functions in the traced benchmark;
+    # it is run from source, so nothing is written under perfbench/
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    for module, names in runpy.run_path(str(spans))["TARGETS"].items():
+        namespace = importlib.import_module(f"floqex.{module}")
+        for name in names:
+            assert callable(functools.reduce(getattr, name.split("."), namespace)), name
 
 
 def test_oracle_refuses_doping_without_output(tmp_path, capsys):

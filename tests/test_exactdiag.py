@@ -29,9 +29,7 @@ def make_system(gaps, u11=1.6, u12=0.8, omega_l=2.4, **extra):
     return SmallSystem(eps1=np.zeros(len(gaps)), eps2=gaps, params=params)
 
 
-def test_basis_dimension():
-    system = make_system([3.0, 3.2, 3.4])
-    assert system.basis_dim == 7
+def test_small_system_limits():
     with pytest.raises(ValueError):
         make_system(np.linspace(3.0, 4.0, 7))
     with pytest.raises(ValueError):

@@ -13,8 +13,6 @@ from floqex import (
     ModelParams,
     ResonantDenominator,
     band_gap,
-    band_resonance_edge,
-    exciton_lhs,
     occupations,
     pair_band,
     solve_exciton_resonance,
@@ -24,7 +22,6 @@ from floqex.screening import (
     ROW_SUM_GUARD,
     PairBand,
     hartree_shift,
-    pair_resolvent,
 )
 
 T21 = (-0.2, -0.05, 0.3, 0.0)
@@ -98,7 +95,7 @@ def test_flat_gap_row_sum_is_one_over_a():
     occ = occupations(p, grid)
     z = 2.5
     a = p.eps21 + hartree_shift(p, occ) - z
-    assert pair_resolvent(p, grid, occ)(z) == pytest.approx(1.0 / a, rel=1e-15)
+    assert pair_band(p, grid, occ).resolvent(z) == pytest.approx(1.0 / a, rel=1e-15)
 
 
 def test_real_z_inside_the_guard_raises():
@@ -106,7 +103,7 @@ def test_real_z_inside_the_guard_raises():
     grid = BZGrid.square(64)
     occ = occupations(p, grid)
     lo, hi = shifted_band(p, grid, occ)
-    resolvent = pair_resolvent(p, grid, occ)
+    resolvent = pair_band(p, grid, occ).resolvent
     for z in (lo - 0.5 * RESONANCE_GUARD_EV, lo, hi + 0.5 * RESONANCE_GUARD_EV):
         with pytest.raises(ResonantDenominator):
             resolvent(z)
@@ -115,7 +112,7 @@ def test_real_z_inside_the_guard_raises():
     assert np.isfinite(resolvent(z))
     # without a guard the in-band value is the plain mesh sum
     inside = lo + 0.3137 * (hi - lo)
-    assert pair_resolvent(p, grid, occ, guard=0.0)(inside) == \
+    assert pair_band(p, grid, occ).resolvent(inside, guard=0.0) == \
         pytest.approx(mesh_sum(p, grid, occ, inside), rel=TOL)
 
 
@@ -126,7 +123,7 @@ def test_row_sum_guard_decides_the_mesh_fallback(monkeypatch):
         grid = BZGrid.square(l)
         occ = occupations(p, grid)
         lo, hi = shifted_band(p, grid, occ)
-        resolvent = pair_resolvent(p, grid, occ)
+        resolvent = pair_band(p, grid, occ).resolvent
         seen = set()
         for w in np.linspace(lo, hi, 401):
             z = complex(w, 0.01)
@@ -145,13 +142,13 @@ def test_mesh_fallback_runs_over_row_blocks(monkeypatch):
     occ = occupations(p, grid)
     lo, hi = shifted_band(p, grid, occ)
     inside = lo + 0.3137 * (hi - lo)
-    whole = pair_resolvent(p, grid, occ, guard=0.0)(inside)
+    whole = pair_band(p, grid, occ).resolvent(inside, guard=0.0)
     sizes = []
     literal = screening.ladder_sum
     monkeypatch.setattr(screening, "ladder_sum",
                         lambda *args: sizes.append(args[0].size) or literal(*args))
     monkeypatch.setattr(screening, "MESH_BLOCK", 3 * 17)
-    blocked = pair_resolvent(p, grid, occ, guard=0.0)(inside)
+    blocked = pair_band(p, grid, occ).resolvent(inside, guard=0.0)
     assert sizes == [3 * 17] * 5 + [2 * 17]
     assert abs(blocked - whole) <= TOL * abs(whole)
     assert abs(blocked - mesh_sum(p, grid, occ, inside)) <= TOL * abs(whole)
@@ -159,7 +156,7 @@ def test_mesh_fallback_runs_over_row_blocks(monkeypatch):
     # before that block is divided
     sizes.clear()
     with pytest.raises(ResonantDenominator):
-        pair_resolvent(p, grid, occ)(lo)
+        pair_band(p, grid, occ).resolvent(lo)
     assert 1 < len(sizes) < 6
 
 
@@ -170,7 +167,7 @@ def test_continuum_edge_is_the_mesh_minimum_bitwise():
             grid = BZGrid.square(l)
             occ = occupations(p, grid)
             expected = float(np.min(band_gap(p, (grid.kx, grid.ky)))) + hartree_shift(p, occ)
-            assert band_resonance_edge(p, grid, occ) == expected
+            assert pair_band(p, grid, occ).edge == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,10 +178,10 @@ def test_ladder_closure_strictly_increasing_below_edge(t21, l, doping, far, rati
     p = model(t21, doping)
     grid = BZGrid.square(l)
     occ = occupations(p, grid)
-    edge = band_resonance_edge(p, grid, occ)
-    near = far / ratio
     band = pair_band(p, grid, occ)
-    assert exciton_lhs(p, band, edge - far) < exciton_lhs(p, band, edge - near)
+    near = far / ratio
+    assert (p.u12 * band.resolvent(band.edge - far, guard=0.0)
+            < p.u12 * band.resolvent(band.edge - near, guard=0.0))
 
 
 @settings(max_examples=60, deadline=None)

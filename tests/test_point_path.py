@@ -9,6 +9,7 @@ from floqex import (
     BZGrid,
     ModelParams,
     ResonantDenominator,
+    bare_detuning,
     effective_band,
     interaction_kernel,
     occupations,
@@ -26,7 +27,8 @@ def _values(params, grid, occ, k):
     dets = screened_detunings(params, pair_band(params, grid, occ), k)
     band = effective_band(params, pair_band(params, grid, occ), k)
     forward = interaction_kernel(params, pair_band(params, grid, occ), k).forward()
-    return [dets.delta0, dets.delta, dets.delta_bs, band.energies, band.stark, band.bs, forward]
+    return [bare_detuning(params, k), dets.delta, dets.delta_bs, band.energies, band.stark,
+            band.bs, forward]
 
 
 @settings(max_examples=60, deadline=None)

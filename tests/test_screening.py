@@ -7,9 +7,7 @@ from floqex import (
     NoResonance,
     ResonantDenominator,
     band_gap,
-    band_resonance_edge,
     bare_detuning,
-    exciton_lhs,
     grpa_stark_equivalence,
     grpa_tmatrix,
     occupations,
@@ -48,17 +46,20 @@ def literal_screened(params, grid, occ, k, bs=False):
 def test_unscreened_collapse_is_exact(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
-    assert np.array_equal(dets.delta, dets.delta0)
-    assert np.array_equal(dets.delta_bs, dets.delta0 + 2.0 * p.omega_l)
+    k = (grid64.kx, grid64.ky)
+    dets = screened_detunings(p, pair_band(p, grid64, occ), k)
+    d0 = bare_detuning(p, k)
+    assert np.array_equal(dets.delta, d0)
+    assert np.array_equal(dets.delta_bs, d0 + 2.0 * p.omega_l)
 
 
 def test_dispersionless_screened_value(grid64):
     # flat bands: Delta = Delta0 - u11 + u12 for every k, binding exactly u12
     p = ModelParams(t1=-0.15, t2=-0.15, omega_l=2.4)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
-    expected = dets.delta0 - p.u11 + p.u12
+    k = (grid64.kx, grid64.ky)
+    dets = screened_detunings(p, pair_band(p, grid64, occ), k)
+    expected = bare_detuning(p, k) - p.u11 + p.u12
     assert np.allclose(dets.delta, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -145,12 +146,12 @@ def test_band_of_another_model_gives_that_models_values(grid64):
 def test_band_resonance_edge_values(grid64):
     p = ModelParams()
     occ = occupations(p, grid64)
-    assert band_resonance_edge(p, grid64, occ) == pytest.approx(2.9)
+    assert pair_band(p, grid64, occ).edge == pytest.approx(2.9)
     p2 = ModelParams(u11=0.0, u12=0.8)
-    assert band_resonance_edge(p2, grid64, occupations(p2, grid64)) == pytest.approx(4.5)
+    assert pair_band(p2, grid64, occupations(p2, grid64)).edge == pytest.approx(4.5)
     flat = ModelParams(t1=-0.15, t2=-0.15)
     expected = flat.eps21 - flat.u11 + 2.0 * flat.u12
-    assert band_resonance_edge(flat, grid64, occupations(flat, grid64)) == pytest.approx(expected)
+    assert pair_band(flat, grid64, occupations(flat, grid64)).edge == pytest.approx(expected)
 
 
 def test_exciton_resonance_defaults(grid256, occ256, params):
@@ -204,10 +205,9 @@ def test_no_resonance_on_finite_grid_when_u12_tiny(grid128):
 
 
 def test_ladder_closure_is_increasing(grid64, params):
-    occ = occupations(params, grid64)
-    edge = band_resonance_edge(params, grid64, occ)
-    omegas = edge - np.array([1.5, 1.0, 0.6, 0.3, 0.1, 0.01])
-    values = [exciton_lhs(params, pair_band(params, grid64, occ), w) for w in omegas]
+    band = pair_band(params, grid64, occupations(params, grid64))
+    omegas = band.edge - np.array([1.5, 1.0, 0.6, 0.3, 0.1, 0.01])
+    values = [params.u12 * band.resolvent(w, guard=0.0) for w in omegas]
     assert np.all(np.diff(values) > 0)
 
 

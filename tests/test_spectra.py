@@ -77,14 +77,12 @@ def test_peak_location_on_synthetic_lorentzian():
     omegas = omega_axis(1.0, 3.0)
     center, gamma = 2.1234, 0.01
     alpha = gamma / ((omegas - center) ** 2 + gamma ** 2)
-    curve = SpectrumCurve(omegas=omegas, alpha=alpha / alpha.max(), gamma=gamma,
-                          scale=float(alpha.max()))
+    curve = SpectrumCurve(omegas=omegas, alpha=alpha / alpha.max(), scale=float(alpha.max()))
     assert abs(peak_location(curve) - center) <= 0.002
 
 
 def test_peak_location_rejects_monotone_curve():
     omegas = omega_axis(1.0, 2.0)
-    curve = SpectrumCurve(omegas=omegas, alpha=omegas / omegas.max(), gamma=0.01,
-                          scale=1.0)
+    curve = SpectrumCurve(omegas=omegas, alpha=omegas / omegas.max(), scale=1.0)
     with pytest.raises(NoPeak):
         peak_location(curve)
