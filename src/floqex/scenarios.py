@@ -12,6 +12,7 @@ has no effect.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .cavity import matched_pair, u12_sweep
 from .config import RunOptions
-from .exceptions import ConfigError, NoPeak, NoResonance, ResonantDenominator
+from .exceptions import ConfigError, FloqexError, NoPeak, NoResonance, ResonantDenominator
 from .floquet import (
     HOPPING_MIN_L,
     effective_band,
@@ -39,12 +40,6 @@ MAX_AXIS_POINTS = 1_000_000
 
 _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 
-# Couplings whose square a scenario's observable is divided by (fig1a, fig2) or
-# scales as (fig3c's kernel column): where that square is zero, subnormal or infinite
-# every value would be 0/0, noise, a vanishing kernel or nan, so run_scenario refuses them.
-# fig3b writes only kernel ratios, (Delta_free/Delta_int)^2, in which both cancel.
-_DIVISOR_COUPLINGS = {"fig1a": ("g_l",), "fig2": ("g_l",), "fig3c": ("g_l", "g_c")}
-
 # Peak memory of any grid scenario in l x l float64 arrays. Scans read only
 # their points, so what remains is the k'-sum's mesh fallback, one block of at
 # most MESH_BLOCK points (the whole mesh up to l = 256). The largest tracemalloc
@@ -55,9 +50,39 @@ _DIVISOR_COUPLINGS = {"fig1a": ("g_l",), "fig2": ("g_l",), "fig3c": ("g_l", "g_c
 PEAK_MESH_ARRAYS = 5
 
 
-def _scenario(name):
+def _scenario(name, grid=256, min_l=1, divides_by=(), **defaults):
+    """Register ``fn(params, opts, grid)``, which returns a :class:`ScanResult` named
+    ``name`` or a list of (table name, ScanResult), as ``SCENARIOS[name](params, opts)``.
+
+    ``grid`` is the default l (``None``: no grid is built) and ``min_l`` the least.
+    ``divides_by`` names couplings whose square the observable is divided by or
+    scales as; a square that is zero, subnormal or infinite would make every value
+    0/0, noise, 0 or nan, so it is refused. ``defaults`` fill the options left
+    ``None``. A table holding +-inf is refused; each table records its ``grid_l``.
+    """
     def register(fn):
-        SCENARIOS[name] = fn
+        def run(params: ModelParams, opts: RunOptions) -> list:
+            for key in divides_by:
+                value = getattr(params, key)
+                if not np.finfo(float).tiny <= value * value < np.inf:
+                    raise ConfigError(f"{name} divides by {key}**2, so |{key}| must lie in "
+                                      "[1.5e-154, 1.3e154] (outside, the square under- or "
+                                      "overflows)")
+            opts = dataclasses.replace(opts, **{key: value for key, value in defaults.items()
+                                                if getattr(opts, key) is None})
+            bz = None if grid is None else _grid(opts, name, grid, min_l)
+            tables = fn(params, opts, bz)
+            tables = [(name, tables)] if isinstance(tables, ScanResult) else tables
+            for table, result in tables:
+                for column, values in result.columns.items():
+                    if np.isinf(values).any():
+                        raise FloqexError(f"table {table}: column {column} holds an infinite value")
+                if bz is not None:
+                    result.metadata["grid_l"] = bz.l
+            return tables
+
+        run.defaults = defaults
+        SCENARIOS[name] = run
         return fn
 
     return register
@@ -78,17 +103,15 @@ def _grid(opts: RunOptions, scenario: str, default_l: int, min_l: int = 1) -> BZ
     return BZGrid.square(l)
 
 
-def _default(value, fallback):
-    return fallback if value is None else value
-
-
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... up to hi: floor((hi - lo) / step) steps, where a span
+    within 1e-9 of an integer below it counts as that integer."""
     span = (hi - lo) / step
     if not span <= MAX_AXIS_POINTS - 1:
         raise ConfigError(
             f"axis [{lo}, {hi}] with step {step} has more than {MAX_AXIS_POINTS} points"
         )
-    n = int(round(span))
+    n = math.floor(span + 1e-9)
     if n < 0:
         raise ConfigError(f"empty axis: [{lo}, {hi}] with step {step}")
     return lo + step * np.arange(n + 1)
@@ -99,17 +122,14 @@ def _symmetry_points(grid: BZGrid) -> tuple:
     return grid.point(np.array([grid.gamma_index, grid.y_index, grid.m_index]))
 
 
-def _path_scan(params, opts, name: str, default_detuning: float, column: str,
-               value) -> ScanResult:
+def _path_scan(params, opts, grid, column: str, value) -> ScanResult:
     """``value(p, band, path)`` along Y -> Gamma -> M for the matched drive pair.
 
     The columns ``<column>_screened`` and ``<column>_unscreened`` hold it for
     the interacting drive and for its free twin.
     """
-    grid = _grid(opts, name, 256)
-    detuning = _default(opts.detuning, default_detuning)
     pair = matched_pair(params, pair_band(params, grid), exciton_required=False)
-    p_s, p_u = pair.drives(detuning)
+    p_s, p_u = pair.drives(opts.detuning)
     kx, ky = path = grid.point(grid.path_y_gamma_m())
     return ScanResult(
         axis_name="path_index",
@@ -117,56 +137,51 @@ def _path_scan(params, opts, name: str, default_detuning: float, column: str,
         columns={"kx": kx, "ky": ky,
                  f"{column}_screened": value(p_s, pair.band, path),
                  f"{column}_unscreened": value(p_u, pair.band, path)},
-        metadata={"detuning": detuning, "grid_l": grid.l},
+        metadata={"detuning": opts.detuning},
     )
 
 
-@_scenario("resonance")
-def _run_resonance(params: ModelParams, opts: RunOptions):
-    grid = _grid(opts, "resonance", 1024)
+@_scenario("resonance", grid=1024)
+def _run_resonance(params: ModelParams, opts: RunOptions, grid: BZGrid):
     rep = solve_exciton_resonance(params, pair_band(params, grid))
-    result = ScanResult.from_rows(
+    return ScanResult.from_rows(
         "index", ("omega_ex", "continuum_edge", "binding", "delta_ex", "converged", "residual"),
         [(0, rep.omega_ex, rep.continuum_edge, rep.binding, rep.delta_ex,
           int(rep.converged), rep.residual)],
-        metadata={"grid_l": grid.l},
     )
-    return [("resonance", result)]
 
 
-@_scenario("fig1a")
-def _run_fig1a(params: ModelParams, opts: RunOptions):
+@_scenario("fig1a", divides_by=("g_l",), detuning=0.03)
+def _run_fig1a(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """Drive-induced band change per |g_l|^2 along Y -> Gamma -> M, screened vs free."""
     def change(p, band, path):
         dressed = effective_band(p, band, path)
         return (dressed.stark + dressed.bs) / (p.g_l * p.g_l)
 
-    return [("fig1a", _path_scan(params, opts, "fig1a", 0.03, "change", change))]
+    return _path_scan(params, opts, grid, "change", change)
 
 
-@_scenario("fig1b")
-def _run_fig1b(params: ModelParams, opts: RunOptions):
+@_scenario("fig1b", min_l=HOPPING_MIN_L, detuning=0.03)
+def _run_fig1b(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """Effective hopping vs drive strength for the interacting and free models."""
-    grid = _grid(opts, "fig1b", 256, min_l=HOPPING_MIN_L)
-    detuning = _default(opts.detuning, 0.03)
     gl_values = _axis(0.0, opts.gl_max, opts.gl_step)
     pair = matched_pair(params, pair_band(params, grid), exciton_required=False)
-    drives = pair.drives(detuning)
+    drives = pair.drives(opts.detuning)
     rows = [(g_l, *(effective_hopping(p.replace(g_l=g_l), pair.band) for p in drives))
             for g_l in gl_values]
-    result = ScanResult.from_rows("g_l", ("t_eff", "t_eff_unscreened"), rows,
-                                  metadata={"detuning": detuning, "grid_l": grid.l})
-    return [("fig1b", result)]
+    return ScanResult.from_rows("g_l", ("t_eff", "t_eff_unscreened"), rows,
+                                metadata={"detuning": opts.detuning})
 
 
-@_scenario("fig2")
-def _run_fig2(params: ModelParams, opts: RunOptions):
+@_scenario("fig2", divides_by=("g_l",), detuning=0.03,
+           det_min=0.005, det_max=0.5, det_step=0.005)
+def _run_fig2(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """Stark/BS ratio vs laser-exciton detuning, plus interaction-strength panels."""
-    grid = _grid(opts, "fig2", 256)
+    det_axis = _axis(opts.det_min, opts.det_max, opts.det_step)
+    u11_axis = _axis(0.0, 3.2, 0.1)
+    u12_axis = _axis(opts.u12_min, opts.u12_max, opts.u12_step)
     points = _symmetry_points(grid)
     band = pair_band(params, grid)
-    det_axis = _axis(_default(opts.det_min, 0.005), _default(opts.det_max, 0.5),
-                     _default(opts.det_step, 0.005))
     omega_ex = solve_exciton_resonance(params, band).omega_ex
 
     def ratios(p, omega_ex, delta_ex):
@@ -177,8 +192,7 @@ def _run_fig2(params: ModelParams, opts: RunOptions):
 
     main = ScanResult.from_rows("delta_ex", _RATIO_COLUMNS,
                                 [(d, *ratios(params, omega_ex, d)) for d in det_axis],
-                                metadata={"omega_ex": omega_ex, "grid_l": grid.l})
-    fixed_det = _default(opts.detuning, 0.03)
+                                metadata={"omega_ex": omega_ex})
 
     def interaction_rows(key, values):
         rows = []
@@ -189,64 +203,51 @@ def _run_fig2(params: ModelParams, opts: RunOptions):
             except NoResonance:
                 rows.append((value, *[float("nan")] * 5, 0))
             else:
-                rows.append((value, *ratios(p, w, fixed_det), w, 1))
+                rows.append((value, *ratios(p, w, opts.detuning), w, 1))
         return ScanResult.from_rows(key, (*_RATIO_COLUMNS, "omega_ex", "converged"), rows,
-                                    metadata={"delta_ex": fixed_det, "grid_l": grid.l})
+                                    metadata={"delta_ex": opts.detuning})
 
-    u11_axis = _axis(0.0, 3.2, 0.1)
-    u12_axis = _axis(opts.u12_min, opts.u12_max, opts.u12_step)
-    return [
-        ("fig2", main),
-        ("fig2_u11", interaction_rows("u11", u11_axis)),
-        ("fig2_u12", interaction_rows("u12", u12_axis)),
-    ]
+    return [("fig2", main), ("fig2_u11", interaction_rows("u11", u11_axis)),
+            ("fig2_u12", interaction_rows("u12", u12_axis))]
 
 
-@_scenario("fig3a")
-def _run_fig3a(params: ModelParams, opts: RunOptions):
+@_scenario("fig3a", detuning=0.05)
+def _run_fig3a(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """Forward-scattering kernel (prefactor removed) along Y -> Gamma -> M."""
     def inv_dsq(p, band, path):
         return 1.0 / screened_detunings(p, band, path).delta ** 2
 
-    return [("fig3a", _path_scan(params, opts, "fig3a", 0.05, "inv_dsq", inv_dsq))]
+    return _path_scan(params, opts, grid, "inv_dsq", inv_dsq)
 
 
-@_scenario("fig3b")
-def _run_fig3b(params: ModelParams, opts: RunOptions):
-    """Excitonic enhancement of the forward kernel vs detuning at Gamma/Y/M."""
-    grid = _grid(opts, "fig3b", 256)
-    det_axis = _axis(_default(opts.det_min, 0.05), _default(opts.det_max, 0.5),
-                     _default(opts.det_step, 0.025))
+@_scenario("fig3b", det_min=0.05, det_max=0.5, det_step=0.025)
+def _run_fig3b(params: ModelParams, opts: RunOptions, grid: BZGrid):
+    """Excitonic enhancement (Delta_free/Delta_int)^2 of the forward kernel vs detuning
+    at Gamma/Y/M; g_l and g_c cancel in it."""
+    det_axis = _axis(opts.det_min, opts.det_max, opts.det_step)
     pair = matched_pair(params, pair_band(params, grid))
     points = _symmetry_points(grid)
-    result = ScanResult.from_rows("detuning", _RATIO_COLUMNS[:3],
-                                  [(d, *pair.enhancement(d, points)) for d in det_axis],
-                                  metadata={"omega_ex": pair.omega_ex, "grid_l": grid.l})
-    return [("fig3b", result)]
+    return ScanResult.from_rows("detuning", _RATIO_COLUMNS[:3],
+                                [(d, *pair.enhancement(d, points)) for d in det_axis],
+                                metadata={"omega_ex": pair.omega_ex})
 
 
-@_scenario("fig3c")
-def _run_fig3c(params: ModelParams, opts: RunOptions):
+@_scenario("fig3c", divides_by=("g_l", "g_c"), detuning=0.05)
+def _run_fig3c(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """Kernel strength and enhancement at Gamma vs the interband repulsion."""
-    grid = _grid(opts, "fig3c", 256)
-    detuning = _default(opts.detuning, 0.05)
     u12_values = _axis(opts.u12_min, opts.u12_max, opts.u12_step)
-    result = u12_sweep(params, grid, detuning, u12_values)
-    result.metadata["grid_l"] = grid.l
-    return [("fig3c", result)]
+    return u12_sweep(params, grid, opts.detuning, u12_values)
 
 
-@_scenario("fig4")
-def _run_fig4(params: ModelParams, opts: RunOptions):
+@_scenario("fig4", omega_min=2.3, omega_max=2.88)
+def _run_fig4(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """Screened detuning vs drive frequency at Gamma/Y/M for several gap dispersions.
 
     A row is ``converged = 0`` where the screened detuning sits on a band
     resonance (its deltas are NaN) or where the dispersion has no exciton line
     (its ``delta_tla`` is NaN).
     """
-    grid = _grid(opts, "fig4", 256)
-    omega_axis = _axis(_default(opts.omega_min, 2.3), _default(opts.omega_max, 2.88),
-                       opts.omega_step)
+    omega_axis = _axis(opts.omega_min, opts.omega_max, opts.omega_step)
     points = _symmetry_points(grid)
     nan = float("nan")
     rows = []
@@ -264,34 +265,30 @@ def _run_fig4(params: ModelParams, opts: RunOptions):
                 rows.append((omega_l, t21, nan, nan, nan, omega_ex - omega_l, 0))
             else:
                 rows.append((omega_l, t21, *delta, omega_ex - omega_l, solved))
-    result = ScanResult.from_rows(
+    return ScanResult.from_rows(
         "omega_l", ("t21", "delta_gamma", "delta_y", "delta_m", "delta_tla", "converged"), rows,
-        metadata={"t21_values": list(opts.t21_values), "grid_l": grid.l},
+        metadata={"t21_values": list(opts.t21_values)},
     )
-    return [("fig4", result)]
 
 
-@_scenario("absorbance")
-def _run_absorbance(params: ModelParams, opts: RunOptions):
-    grid = _grid(opts, "absorbance", 256)
-    omegas = _axis(_default(opts.omega_min, 2.4), _default(opts.omega_max, 5.0),
-                   opts.omega_step)
+@_scenario("absorbance", omega_min=2.4, omega_max=5.0)
+def _run_absorbance(params: ModelParams, opts: RunOptions, grid: BZGrid):
+    omegas = _axis(opts.omega_min, opts.omega_max, opts.omega_step)
     curve = absorbance(params, pair_band(params, grid), omegas, opts.gamma)
     try:
         peak = peak_location(curve)
     except NoPeak:
         peak = float("nan")
-    result = ScanResult(
+    return ScanResult(
         axis_name="omega",
         axis=omegas,
         columns={"alpha": curve.alpha, "alpha_raw": curve.raw()},
-        metadata={"gamma": opts.gamma, "peak_omega": peak, "grid_l": grid.l},
+        metadata={"gamma": opts.gamma, "peak_omega": peak},
     )
-    return [("absorbance", result)]
 
 
-@_scenario("oracle")
-def _run_oracle(params: ModelParams, opts: RunOptions):
+@_scenario("oracle", grid=None)
+def _run_oracle(params: ModelParams, opts: RunOptions, grid: None):
     """Dense-solve reference suite on random small systems of the configured model."""
     # imported here, so that no other scenario loads the dense solvers
     from .exactdiag import (
@@ -335,7 +332,7 @@ def _run_oracle(params: ModelParams, opts: RunOptions):
                                          seed=opts.seed)
     leakage = restriction_leakage(commutator_system)
 
-    result = ScanResult.from_rows(
+    return ScanResult.from_rows(
         "instance", ("n_k", "stark_rel_dev", "eigen_dev"), rows,
         metadata={
             "commutator_max_dev": report.max_dev,
@@ -345,7 +342,6 @@ def _run_oracle(params: ModelParams, opts: RunOptions):
             "pair_restriction_leakage_rel": leakage,
         },
     )
-    return [("oracle", result)]
 
 
 def run_scenario(name: str, params: ModelParams, opts: RunOptions, out_dir) -> list:
@@ -353,11 +349,6 @@ def run_scenario(name: str, params: ModelParams, opts: RunOptions, out_dir) -> l
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {name!r}; expected one of: {known}")
-    for key in _DIVISOR_COUPLINGS.get(name, ()):
-        value = getattr(params, key)
-        if not np.finfo(float).tiny <= value * value < np.inf:
-            raise ConfigError(f"{name} divides by {key}**2, so |{key}| must lie in "
-                              f"[1.5e-154, 1.3e154] (outside, the square under- or overflows)")
     echo = {
         "scenario": name,
         "version": __version__,

@@ -172,8 +172,11 @@ class PairBand:
 
     def for_params(self, params: ModelParams) -> "PairBand":
         """This band with the Hartree shift of ``params``: itself when that shift is
-        its own, else a copy that shares the grouped gaps; a model with another
-        band (eps21, t21) is built anew on the same grid and filling."""
+        its own, else a copy that shares the grouped gaps. A model with another
+        filling (t1, doping) is built anew on the same grid, and one with another
+        band (eps21, t21) on the same grid and filling."""
+        if params.t1 != self.params.t1 or params.doping != self.params.doping:
+            return pair_band(params, self.grid)
         if params.eps21 != self.params.eps21 or params.t21 != self.params.t21:
             return pair_band(params, self.grid, self.occ)
         shift = hartree_shift(params, self.occ)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import json
@@ -7,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +139,31 @@ def test_non_finite_absorbance_exits_3_without_output(tmp_path, capsys, gamma):
     err = capsys.readouterr().err
     assert err.startswith("solver error: spectrum is not finite") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, sets, column", [
+    ("fig1a", ["g_l=1.3e154"], "change_screened"),
+    ("fig2", ["g_l=1e153"], "ratio_tla"),
+    ("fig3c", ["g_l=1e150", "g_c=1e150"], "v_forward"),
+])
+def test_infinite_table_exits_3_without_output(tmp_path, scenario, sets, column):
+    # couplings inside the g**2 bound still overflow a shift: the table is refused
+    # before any file is written, after numpy's own overflow warning
+    out = tmp_path / scenario
+    env = {**os.environ, "PYTHONPATH": str(Path(floqex.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "floqex.cli", "run", scenario, "--grid", "16",
+                          *(a for s in sets for a in ("--set", s)), "--out", str(out)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 3
+    last = run.stderr.splitlines()[-1]
+    assert last.startswith("solver error") and column in last
+    assert not out.exists()
+    # the registered runner refuses it, also when called directly
+    params, opts = parse_config("grid = 16\n", sets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(FloqexError, match=f"{scenario}: column {column}"):
+            scenarios.SCENARIOS[scenario](params, opts)
 
 
 def test_fig1b_grid_below_hopping_stencil_exits_2_without_output(tmp_path, capsys):
@@ -308,6 +335,50 @@ def test_axis_point_ceiling(tmp_path, capsys, monkeypatch):
     assert main(["run", "absorbance", "--grid", "8", "--set", "omega_step=1e-300",
                  "--out", str(tmp_path)]) == 2
     assert "more than" in capsys.readouterr().err
+    # an axis never runs past its maximum
+    assert scenarios._axis(0.05, 0.5, 0.3).tolist() == [0.05, 0.35]
+    assert len(scenarios._axis(2.3, 2.88, 0.1)) == 6
+    assert scenarios._axis(2.3, 2.88, 0.1)[-1] <= 2.88
+    assert main(["run", "fig3b", "--grid", "16", "--set", "det_step=0.3",
+                 "--out", str(tmp_path)]) == 0
+    assert parse_csv((tmp_path / "fig3b.csv").read_text())[1][:, 0].tolist() == [0.05, 0.35]
+    # the default axes keep their points, spans just below an integer included
+    def option(name, key):
+        return scenarios.SCENARIOS[name].defaults.get(key, getattr(RunOptions(), key))
+
+    axes = [((0.0, 3.2, 0.1), 33),
+            ((0.0, option("fig1b", "gl_max"), option("fig1b", "gl_step")), 61)]
+    for name, prefix, n in [("fig2", "det", 100), ("fig3b", "det", 19), ("fig3c", "u12", 23),
+                            ("fig4", "omega", 291), ("absorbance", "omega", 1301)]:
+        axes.append((tuple(option(name, f"{prefix}_{end}") for end in ("min", "max", "step")), n))
+    for (lo, hi, step), n in axes:
+        axis = scenarios._axis(lo, hi, step)
+        assert len(axis) == n and axis[-1] <= hi + 1e-12, (lo, hi, step)
+
+
+def test_declared_defaults_fill_only_unset_options():
+    # a key that is no option, or one whose RunOptions default is not None, would never apply
+    unset = {f.name for f in dataclasses.fields(RunOptions) if f.default is None}
+    for name, run in scenarios.SCENARIOS.items():
+        assert set(run.defaults) <= unset, name
+
+
+def test_default_option_is_echoed_as_given_and_recorded_as_used(tmp_path):
+    assert main(["run", "fig1a", "--grid", "16", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "fig1a.meta.json").read_text()
+    meta = json.loads(text)
+    assert meta["options"]["detuning"] is None and '"detuning": null' in text
+    assert meta["detuning"] == 0.03 and '"detuning": 0.03' in text
+
+
+@pytest.mark.parametrize("name", GRID_SCENARIOS)
+def test_every_table_records_its_grid(name):
+    coarse = ["gl_step = 0.01", "det_step = 0.1", "u12_step = 0.3", "omega_step = 0.05",
+              "t21_values = -0.2, -0.05"]
+    for grid, l in (([], 1024 if name == "resonance" else 256), (["grid = 16"], 16)):
+        params, opts = parse_config("", coarse + grid)
+        for table, result in scenarios.SCENARIOS[name](params, opts):
+            assert result.metadata["grid_l"] == l, (table, l)
 
 
 def test_overrides_win_over_file():

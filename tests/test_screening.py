@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from floqex import (
     solve_exciton_resonance,
 )
 from floqex.screening import hartree_shift, shifted_detunings
+from floqex.spectra import absorbance
 
 GAMMA = (0.0, 0.0)
 
@@ -136,6 +139,34 @@ def test_band_of_another_model_gives_that_models_values(grid64):
         mesh = (grid64.kx, grid64.ky)
         assert np.array_equal(screened_detunings(other, band, mesh).delta,
                               screened_detunings(other, own, mesh).delta)
+
+
+@pytest.mark.parametrize("built, other", [
+    (ModelParams(), ModelParams(doping=0.2)),
+    (ModelParams(doping=0.2), ModelParams(doping=0.2, t1=-0.05, t2=-0.25)),  # t21 kept
+])
+def test_band_of_another_filling_is_rebuilt(grid64, built, other):
+    # the filling depends on t1 and doping: a band built for another one gives
+    # bitwise the values of a band built for this one
+    stale, fresh = pair_band(built, grid64), pair_band(other, grid64)
+    moved = stale.for_params(other).occ
+    assert moved.n_filled == fresh.occ.n_filled
+    assert np.array_equal(moved.minority[0], fresh.occ.minority[0])
+    for k in (GAMMA, (grid64.kx, grid64.ky)):
+        for a, b in zip(dataclasses.astuple(screened_detunings(other, stale, k)),
+                        dataclasses.astuple(screened_detunings(other, fresh, k))):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def solve(band):  # the doped default model has no line on this grid
+        try:
+            return solve_exciton_resonance(other, band)
+        except NoResonance as err:
+            return str(err)
+
+    assert solve(stale) == solve(fresh)
+    omegas = np.linspace(2.4, 3.2, 41)
+    assert absorbance(other, stale, omegas, 0.005).raw().tobytes() == \
+        absorbance(other, fresh, omegas, 0.005).raw().tobytes()
 
 
 # ---------------------------------------------------------------------------
