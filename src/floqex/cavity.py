@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NoResonance, ResonantCavity
+from .exceptions import ResonantCavity
 from .lattice import BZGrid, ModelParams, band_gap
-from .scan import ScanResult
+from .scan import ScanResult, solved
 from .screening import PairBand, pair_band, screened_detunings, solve_exciton_resonance
 
 CAVITY_GUARD_EV = 1e-9
@@ -128,20 +128,18 @@ def u12_sweep(params: ModelParams, grid: BZGrid, detuning: float, u12_values) ->
 
     The first row is the u12 = 0 baseline, the free kernel at the same
     detuning; each enhancement is bitwise :func:`enhancement_ratio`, from one
-    solve per point on one band. Rows whose exciton solve fails are kept with
-    ``converged = 0`` and NaN observables.
+    solve per point on one band. A point that fails is a NaN row marked
+    ``converged = 0`` (:func:`~floqex.scan.solved`).
     """
-    band = pair_band(params, grid)
-    v_base = interaction_kernel(free_drive(params, detuning), band, GAMMA).forward()
-    nan = float("nan")
-    rows = [(0.0, v_base, 1.0, nan, 1)]
-    for u12 in map(float, u12_values):
-        try:
-            pair = matched_pair(params.replace(u12=u12), band)
-        except NoResonance:
-            rows.append((u12, nan, nan, nan, 0))
-            continue
+    def point(u12):
+        pair = matched_pair(params.replace(u12=u12), band)
         v = interaction_kernel(pair.drives(detuning)[0], pair.band, GAMMA).forward()
-        rows.append((u12, v, pair.enhancement(detuning, GAMMA), pair.omega_ex, 1))
-    return ScanResult.from_rows("u12", ("v_forward", "enhancement", "omega_ex", "converged"),
-                                rows, metadata={"detuning": detuning, "u11": params.u11})
+        return v, pair.enhancement(detuning, GAMMA), pair.omega_ex
+
+    band = pair_band(params, grid)
+    names = ("v_forward", "enhancement", "omega_ex", "converged")
+    v_base = interaction_kernel(free_drive(params, detuning), band, GAMMA).forward()
+    rows = [(0.0, v_base, 1.0, float("nan"), 1)]
+    rows += [(u12, *solved(point, u12, width=len(names) - 1)) for u12 in map(float, u12_values)]
+    return ScanResult.from_rows("u12", names, rows,
+                                metadata={"detuning": detuning, "u11": params.u11})

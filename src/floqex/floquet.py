@@ -23,6 +23,9 @@ _CURVATURE_SYMMETRY_TOL = 1e-10
 # Smallest grid on which the curvature at Gamma is extracted.
 HOPPING_MIN_L = 16
 
+# tla_shifts refuses a drive closer than this (eV) to the line, where the Stark shift diverges.
+TLA_GUARD_EV = 1e-12
+
 
 @dataclass(frozen=True)
 class EffectiveBand:
@@ -81,7 +84,7 @@ def tla_shifts(params: ModelParams, omega_ex: float):
     Returns (|g_l|^2/(omega_l - omega_ex), |g_l|^2/(omega_l + omega_ex)).
     """
     g2 = params.g_l * params.g_l
-    if abs(params.omega_l - omega_ex) < 1e-12:
+    if abs(params.omega_l - omega_ex) < TLA_GUARD_EV:
         raise ResonantDenominator("two-level Stark shift diverges at omega_l = omega_ex")
     return g2 / (params.omega_l - omega_ex), g2 / (params.omega_l + omega_ex)
 

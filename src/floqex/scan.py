@@ -1,4 +1,4 @@
-"""Tabular scan results and their CSV/JSON serialization.
+"""Tabular scan results, their CSV/JSON serialization, and the NaN row of a failed point.
 
 Floats are written with ``repr`` (shortest round-trip form), so parsing the
 emitted CSV recovers every value bit-exactly and identical runs produce
@@ -15,11 +15,22 @@ from pathlib import Path
 
 import numpy as np
 
+from .exceptions import NoResonance, ResonantDenominator
+
 
 def _scalars(col) -> list:
     """The values of a float, integer or bool column as Python floats or ints (bools 0/1)."""
     col = np.asarray(col)
     return (col.astype(int) if col.dtype == bool else col).tolist()
+
+
+def solved(point, *args, width: int) -> tuple:
+    """``(*point(*args), 1)``, or ``width`` NaNs and then 0 where the point raises
+    :class:`NoResonance` or :class:`ResonantDenominator`."""
+    try:
+        return (*point(*args), 1)
+    except (NoResonance, ResonantDenominator):
+        return (math.nan,) * width + (0,)
 
 
 # JSON has no NaN or infinity: the formatted non-finite floats become null.

@@ -20,16 +20,17 @@ import numpy as np
 from . import __version__
 from .cavity import matched_pair, u12_sweep
 from .config import RunOptions
-from .exceptions import ConfigError, FloqexError, NoPeak, NoResonance, ResonantDenominator
+from .exceptions import ConfigError, FloqexError, NoPeak
 from .floquet import (
     HOPPING_MIN_L,
+    TLA_GUARD_EV,
     effective_band,
     effective_hopping,
     stark_bs_ratio,
     tla_shifts,
 )
 from .lattice import BZGrid, ModelParams
-from .scan import ScanResult
+from .scan import ScanResult, solved
 from .screening import pair_band, screened_detunings, solve_exciton_resonance
 from .spectra import absorbance, peak_location
 
@@ -177,6 +178,9 @@ def _run_fig1b(params: ModelParams, opts: RunOptions, grid: BZGrid):
            det_min=0.005, det_max=0.5, det_step=0.005)
 def _run_fig2(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """Stark/BS ratio vs laser-exciton detuning, plus interaction-strength panels."""
+    if opts.detuning < TLA_GUARD_EV:
+        raise ConfigError(f"fig2 drives its two-level comparator detuning = {opts.detuning} eV "
+                          f"below the exciton line; detuning must be at least {TLA_GUARD_EV} eV")
     det_axis = _axis(opts.det_min, opts.det_max, opts.det_step)
     u11_axis = _axis(0.0, 3.2, 0.1)
     u12_axis = _axis(opts.u12_min, opts.u12_max, opts.u12_step)
@@ -195,17 +199,14 @@ def _run_fig2(params: ModelParams, opts: RunOptions, grid: BZGrid):
                                 metadata={"omega_ex": omega_ex})
 
     def interaction_rows(key, values):
-        rows = []
-        for value in values:
+        def point(value):
             p = params.replace(**{key: float(value)})
-            try:
-                w = solve_exciton_resonance(p, band).omega_ex
-            except NoResonance:
-                rows.append((value, *[float("nan")] * 5, 0))
-            else:
-                rows.append((value, *ratios(p, w, opts.detuning), w, 1))
-        return ScanResult.from_rows(key, (*_RATIO_COLUMNS, "omega_ex", "converged"), rows,
-                                    metadata={"delta_ex": opts.detuning})
+            w = solve_exciton_resonance(p, band).omega_ex
+            return (*ratios(p, w, opts.detuning), w)
+
+        names = (*_RATIO_COLUMNS, "omega_ex", "converged")
+        rows = [(value, *solved(point, value, width=len(names) - 1)) for value in values]
+        return ScanResult.from_rows(key, names, rows, metadata={"delta_ex": opts.detuning})
 
     return [("fig2", main), ("fig2_u11", interaction_rows("u11", u11_axis)),
             ("fig2_u12", interaction_rows("u12", u12_axis))]
@@ -249,22 +250,16 @@ def _run_fig4(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """
     omega_axis = _axis(opts.omega_min, opts.omega_max, opts.omega_step)
     points = _symmetry_points(grid)
-    nan = float("nan")
     rows = []
     for t21 in opts.t21_values:
         p_t = params.replace(t1=params.t2 - t21)
         band = pair_band(p_t, grid)
-        try:
-            omega_ex, solved = solve_exciton_resonance(p_t, band).omega_ex, 1
-        except NoResonance:
-            omega_ex, solved = nan, 0
+        omega_ex, line = solved(lambda: (solve_exciton_resonance(p_t, band).omega_ex,), width=1)
         for omega_l in omega_axis:
-            try:
-                delta = screened_detunings(p_t.with_laser(omega_l), band, points).delta
-            except ResonantDenominator:
-                rows.append((omega_l, t21, nan, nan, nan, omega_ex - omega_l, 0))
-            else:
-                rows.append((omega_l, t21, *delta, omega_ex - omega_l, solved))
+            drive = p_t.with_laser(omega_l)
+            *delta, ok = solved(lambda: screened_detunings(drive, band, points).delta,
+                                width=len(points[0]))
+            rows.append((omega_l, t21, *delta, omega_ex - omega_l, ok * line))
     return ScanResult.from_rows(
         "omega_l", ("t21", "delta_gamma", "delta_y", "delta_m", "delta_tla", "converged"), rows,
         metadata={"t21_values": list(opts.t21_values)},

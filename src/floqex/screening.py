@@ -172,13 +172,10 @@ class PairBand:
 
     def for_params(self, params: ModelParams) -> "PairBand":
         """This band with the Hartree shift of ``params``: itself when that shift is
-        its own, else a copy that shares the grouped gaps. A model with another
-        filling (t1, doping) is built anew on the same grid, and one with another
-        band (eps21, t21) on the same grid and filling."""
-        if params.t1 != self.params.t1 or params.doping != self.params.doping:
+        its own, else a copy that shares the grouped gaps. A model with another band
+        or filling (eps21, t1, t2, doping) is built anew on the same grid."""
+        if any(getattr(params, k) != getattr(self.params, k) for k in ("eps21", "t1", "t2", "doping")):
             return pair_band(params, self.grid)
-        if params.eps21 != self.params.eps21 or params.t21 != self.params.t21:
-            return pair_band(params, self.grid, self.occ)
         shift = hartree_shift(params, self.occ)
         return self if shift == self.shift else dataclasses.replace(self, params=params,
                                                                     shift=shift)

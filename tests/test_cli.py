@@ -17,11 +17,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import floqex
-from floqex import BZGrid, ModelParams, Occupation, scenarios
+from floqex import (
+    BZGrid,
+    ModelParams,
+    Occupation,
+    pair_band,
+    scenarios,
+    solve_exciton_resonance,
+)
 from floqex.cli import main
 from floqex.config import OPTION_KEYS, PARAM_KEYS, RunOptions, parse_config
-from floqex.exceptions import ConfigError, FloqexError, NoResonance
-from floqex.scan import ScanResult, parse_csv
+from floqex.exceptions import (
+    ConfigError,
+    FloqexError,
+    NoPeak,
+    NoResonance,
+    ResonantCavity,
+    ResonantDenominator,
+)
+from floqex.scan import ScanResult, parse_csv, solved
 from floqex.scenarios import run_scenario
 
 # Every scenario that builds a momentum grid.
@@ -595,6 +609,62 @@ def test_fig4_marks_rows_and_blocks(tmp_path):
     t21 = data[:, header.index("t21")]
     assert set(np.unique(t21)) == {-0.2, -0.1}
     assert np.all(data[:, header.index("converged")] == 1)
+
+    # a drive axis into the band continuum: a band-resonance row keeps its t21 and
+    # delta_tla = omega_ex - omega_l, with NaN deltas; a t21 = 0.3 row (no exciton
+    # line) keeps its deltas, with NaN delta_tla
+    band_axis = ["--grid", "64", "--set", "omega_max=3.4", "--set", "omega_step=0.01"]
+    doped = ["--set", "doping=0.05", "--set", "t21_values=-0.2,0.3,-0.05"]
+    for doping, sets, resonant in (
+            (0.0, band_axis, {(2.9, -0.2), (3.3, -0.2), (3.3, -0.1)}),
+            (0.05, band_axis + doped, {(2.9, -0.2), (3.3, -0.2), (2.5, 0.3), (3.1, 0.3)})):
+        out = tmp_path / f"band-{doping}"
+        assert main(["run", "fig4", "--out", str(out), *sets]) == 0
+        header, data = parse_csv((out / "fig4.csv").read_text())
+        omega_l, t21, *deltas, delta_tla, converged = data.T
+        deltas = np.array(deltas)
+        on_band = np.isnan(deltas).all(axis=0)
+        assert np.array_equal(np.isnan(deltas).any(axis=0), on_band)
+        assert {(round(w, 9), t) for w, t in zip(omega_l[on_band], t21[on_band])} == resonant
+        for t in np.unique(t21):
+            rows = t21 == t
+            base = ModelParams(doping=doping)
+            p_t = base.replace(t1=base.t2 - t)
+            band = pair_band(p_t, BZGrid.square(64))
+            if t == 0.3:
+                with pytest.raises(NoResonance):
+                    solve_exciton_resonance(p_t, band)
+                assert np.isnan(delta_tla[rows]).all() and np.all(converged[rows] == 0)
+                assert np.isfinite(deltas[:, rows & ~on_band]).all()
+            else:
+                omega_ex = solve_exciton_resonance(p_t, band).omega_ex
+                assert np.array_equal(delta_tla[rows], omega_ex - omega_l[rows])
+                assert np.array_equal(converged[rows], np.where(on_band[rows], 0, 1))
+
+
+def test_fig2_refuses_a_detuning_below_the_two_level_guard(tmp_path, capsys):
+    # the panels drive the two-level comparator at omega_ex - detuning: below its
+    # guard every panel row would be NaN, so the run is refused before any scan
+    out = tmp_path / "fig2"
+    assert main(["run", "fig2", "--grid", "16", "--set", "detuning=1e-13",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "detuning" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_failed_point_is_a_nan_row():
+    assert solved(lambda a, b: (a, b), 1.0, 2.0, width=2) == (1.0, 2.0, 1)
+
+    def fail(error):
+        raise error("no solution")
+
+    for error in (NoResonance, ResonantDenominator):
+        *values, converged = solved(fail, error, width=3)
+        assert len(values) == 3 and np.isnan(values).all() and converged == 0
+    for error in (ResonantCavity, NoPeak, ValueError):
+        with pytest.raises(error):
+            solved(fail, error, width=3)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,0 +1,72 @@
+"""The undoped pair resolvent, exciton line and fig3c enhancement against the
+l = infinity closed form of :mod:`infinite_lattice`, which shares no code with floqex.
+
+Undoped, each lattice sum is a periodic trapezoidal rule of a function analytic
+on the torus, so it converges geometrically in l: at l >= 256 it agrees with
+l = infinity to rounding.
+"""
+
+import numpy as np
+import pytest
+
+import infinite_lattice
+from floqex import BZGrid, ModelParams, pair_band, solve_exciton_resonance
+from floqex.config import parse_config
+from floqex.scan import parse_csv
+from floqex.scenarios import run_scenario
+
+
+def hartree_shift(p):
+    """(2 u12 - u11) nu at full filling, nu = 1."""
+    return 2.0 * p.u12 - p.u11
+
+
+@pytest.mark.parametrize("l", [256, 1024, 4096])
+def test_real_resolvent_equals_the_infinite_lattice(l):
+    p = ModelParams(u12=0.6)
+    band = pair_band(p, BZGrid.square(l))
+    edge = p.eps21 + hartree_shift(p) - 4.0 * abs(p.t21)
+    z = np.linspace(edge - 2.0, edge - 0.01, 50)
+    exact = infinite_lattice.resolvent(z, p.eps21, hartree_shift(p), p.t21)
+    assert np.max(np.abs(band.resolvent(z) / exact - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("p", [ModelParams(), ModelParams(t1=-0.15, t2=-0.15, u12=0.5)],
+                         ids=["defaults", "flat-gap"])
+def test_exciton_line_equals_the_infinite_lattice(p):
+    omega_ex = solve_exciton_resonance(p, pair_band(p, BZGrid.square(256))).omega_ex
+    exact = infinite_lattice.exciton_line(p.eps21, hartree_shift(p), p.t21, p.u12)
+    assert abs(omega_ex - exact) <= 1e-12
+    if p.t21 == 0.0:
+        assert abs(exact - (p.eps21 + hartree_shift(p) - p.u12)) <= 1e-12
+    else:
+        assert abs(exact - 2.6908243666328486) <= 1e-12
+
+
+def test_fig3c_enhancement_equals_the_infinite_lattice(tmp_path):
+    """At the matched pair the enhancement is (Delta_free / Delta_int)^2 at Gamma, with
+    Delta_free = delta and Delta_int = (binding + delta)(1 - u12 R(omega_ex - delta)).
+
+    The mesh row through Gamma converges as rho^l, rho ~ 1 - sqrt(2 binding / |B|)
+    at omega_ex, so a line bound by less than the grid resolves is not at its
+    l = infinity place: at l = 256 the rows u12 <= 0.3 (binding <= 1.5e-3 eV) are
+    off by up to 3.6e-4 relative. The rows with l sqrt(2 binding / |B|) > 36
+    (error ~ e^-36) are pinned; they are u12 >= 0.35 and hold the peak.
+    """
+    l, delta = 256, 0.05
+    params, opts = parse_config(f"grid = {l}\n")
+    run_scenario("fig3c", params, opts, tmp_path)
+    header, data = parse_csv((tmp_path / "fig3c.csv").read_text())
+    pinned = []
+    for u12, enhancement in data[1:, [0, header.index("enhancement")]]:
+        p = params.replace(u12=u12)
+        args = (p.eps21, hartree_shift(p), p.t21)
+        omega_ex = infinite_lattice.exciton_line(*args, u12)
+        binding = p.eps21 + hartree_shift(p) - 4.0 * abs(p.t21) - omega_ex
+        if l * np.sqrt(binding / abs(p.t21)) <= 36.0:  # 2 binding / |B| = binding / |t21|
+            continue
+        screening = 1.0 - u12 * infinite_lattice.resolvent(omega_ex - delta, *args)
+        exact = (delta / ((binding + delta) * screening)) ** 2
+        assert abs(enhancement / exact - 1.0) <= 1e-12, u12
+        pinned.append(round(u12, 9))
+    assert pinned == [round(0.35 + 0.05 * i, 9) for i in range(18)]
