@@ -44,7 +44,6 @@ from .floquet import (
     tla_shifts,
 )
 from .cavity import (
-    InteractionKernel,
     enhancement_ratio,
     interaction_kernel,
     u12_sweep,
@@ -57,7 +56,6 @@ __all__ = [
     "ConfigError",
     "EffectiveBand",
     "FloqexError",
-    "InteractionKernel",
     "ModelParams",
     "NoPeak",
     "NoResonance",

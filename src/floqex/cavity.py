@@ -1,10 +1,9 @@
 """Photon-mediated electron-electron interaction kernel and enhancement scans.
 
 The kernel V(k, k') = -|g_l g_c|^2 / (N * delta_c * Delta_k * Delta_k') is
-separable in momentum, so it is stored as a scalar prefactor and the vector
-of its rank-1 factor, and only its forward diagonal is evaluated. Enhancement
-scans compare the interacting model against the u11 = u12 = 0 twin at
-matched detuning from the respective resonance (exciton vs band edge), both
+separable in momentum, and only its forward diagonal V(k, k) is evaluated.
+Enhancement scans compare the interacting model against the u11 = u12 = 0 twin
+at matched detuning from the respective resonance (exciton vs band edge), both
 built by :func:`matched_pair`.
 """
 
@@ -12,35 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exceptions import ResonantCavity
 from .lattice import BZGrid, ModelParams, band_gap
 from .scan import ScanResult, solved
-from .screening import PairBand, pair_band, screened_detunings, solve_exciton_resonance
+from .screening import PairBand, pair_band, screened_detuning, solve_exciton_resonance
 
 CAVITY_GUARD_EV = 1e-9
 GAMMA = (0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class InteractionKernel:
-    """Rank-1 factorization of the photon-mediated density-density kernel.
-
-    V(k, k') = scale * v_k * v_k' with v_k = g_l*g_c / Delta_k and
-    scale = -1 / (N * delta_c). ``v`` runs over the momenta the kernel was
-    built at.
-    """
-
-    v: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        self.v.setflags(write=False)
-
-    def forward(self) -> np.ndarray:
-        """Forward-scattering diagonal V(k, k) at the kernel's momenta."""
-        return self.scale * self.v * self.v
 
 
 def _require_detuned_cavity(params: ModelParams):
@@ -49,11 +26,13 @@ def _require_detuned_cavity(params: ModelParams):
                              f"{CAVITY_GUARD_EV} eV guard")
 
 
-def interaction_kernel(params: ModelParams, band: PairBand, k) -> InteractionKernel:
-    """The kernel at the (kx, ky) pair ``k``; N and the k'-sum are ``band``'s."""
+def interaction_kernel(params: ModelParams, band: PairBand, k):
+    """Forward diagonal V(k, k) = scale * v_k * v_k at the (kx, ky) pair ``k``, with
+    v_k = g_l*g_c / Delta_k and scale = -1 / (N * delta_c); N and the k'-sum are ``band``'s."""
     _require_detuned_cavity(params)
-    v = (params.g_l * params.g_c) / screened_detunings(params, band, k).delta
-    return InteractionKernel(v=v, scale=-1.0 / (band.grid.n_sites * params.delta_c))
+    v = (params.g_l * params.g_c) / screened_detuning(params, band, k)
+    scale = -1.0 / (band.grid.n_sites * params.delta_c)
+    return scale * v * v
 
 
 def forward_enhancement(screened: ModelParams, free: ModelParams, band: PairBand, k):
@@ -62,12 +41,13 @@ def forward_enhancement(screened: ModelParams, free: ModelParams, band: PairBand
     The two share g_l, g_c and delta_c, which cancel, so the ratio is
     (Delta_free/Delta_int)^2 from the screened detunings; the kernels' own
     product scale * v * v underflows for couplings near the smallest accepted
-    ones. Each side takes its own Hartree shift (:meth:`PairBand.for_params`).
+    ones. Only Delta enters, so the Bloch-Siegert channel is not evaluated.
+    Each side takes its own Hartree shift (:meth:`PairBand.for_params`).
     """
     for p in (screened, free):
         _require_detuned_cavity(p)
-    d_free = screened_detunings(free, band, k).delta
-    return (d_free / screened_detunings(screened, band, k).delta) ** 2
+    d_free = screened_detuning(free, band, k)
+    return (d_free / screened_detuning(screened, band, k)) ** 2
 
 
 def free_drive(params: ModelParams, detuning: float) -> ModelParams:
@@ -133,12 +113,12 @@ def u12_sweep(params: ModelParams, grid: BZGrid, detuning: float, u12_values) ->
     """
     def point(u12):
         pair = matched_pair(params.replace(u12=u12), band)
-        v = interaction_kernel(pair.drives(detuning)[0], pair.band, GAMMA).forward()
+        v = interaction_kernel(pair.drives(detuning)[0], pair.band, GAMMA)
         return v, pair.enhancement(detuning, GAMMA), pair.omega_ex
 
     band = pair_band(params, grid)
     names = ("v_forward", "enhancement", "omega_ex", "converged")
-    v_base = interaction_kernel(free_drive(params, detuning), band, GAMMA).forward()
+    v_base = interaction_kernel(free_drive(params, detuning), band, GAMMA)
     rows = [(0.0, v_base, 1.0, float("nan"), 1)]
     rows += [(u12, *solved(point, u12, width=len(names) - 1)) for u12 in map(float, u12_values)]
     return ScanResult.from_rows("u12", names, rows,

@@ -70,7 +70,7 @@ def _parse_value(key: str, raw: str, line):
 def _check_range(key: str, value, line):
     if key == "doping" and not 0.0 <= value < 1.0:
         raise ConfigError(f"line {line}: doping must lie in [0, 1), got {value}")
-    if key in ("u11", "u12") and value < 0.0:
+    if key in ("u11", "u12", "u12_min") and value < 0.0:
         raise ConfigError(f"line {line}: {key} must be non-negative, got {value}")
     if key == "grid":
         if value < 2 or value % 2 != 0:

@@ -98,8 +98,9 @@ class BZGrid:
     factor gamma = cos kx + cos ky = cos_k[i] + cos_k[j] at the flat index
     i * l + j. :meth:`gamma_rows` builds it for a block of mesh rows as the outer
     sum of the cosines (each entry bit-identical to ``np.cos(kx) + np.cos(ky)``,
-    because the same two cosines are added). The flat coordinates ``kx`` and
-    ``ky``, the whole mesh as a (kx, ky) pair, are built only when first read.
+    because the same two cosines are added). :meth:`point` gives the (kx, ky)
+    of one index or an index array; the whole mesh is
+    ``grid.point(np.arange(grid.n_sites))``.
     """
 
     l: int
@@ -121,22 +122,8 @@ class BZGrid:
         c = self.cos_k
         return (c[start:stop, None] + c[None, :]).ravel()
 
-    @functools.cached_property
-    def kx(self) -> np.ndarray:
-        """Flat kx of every mesh point (built on first access)."""
-        kx = np.repeat(self.k, self.l)
-        kx.setflags(write=False)
-        return kx
-
-    @functools.cached_property
-    def ky(self) -> np.ndarray:
-        """Flat ky of every mesh point (built on first access)."""
-        ky = np.tile(self.k, self.l)
-        ky.setflags(write=False)
-        return ky
-
     def point(self, i: int) -> tuple:
-        """Momentum (kx, ky) of the flat mesh index ``i``."""
+        """Momentum (kx, ky) of the flat mesh index ``i``, or of each index of an array."""
         return self.k[i // self.l], self.k[i % self.l]
 
     @property
@@ -226,7 +213,7 @@ def dispersion(params: ModelParams, band: int, k) -> np.ndarray | float:
     """Tight-binding band energy eps_b + 2 t_b (cos kx + cos ky).
 
     ``k`` is a (kx, ky) pair of scalars or of equal-length arrays; the whole
-    mesh, in flat order, is ``(grid.kx, grid.ky)``.
+    mesh, in flat order, is ``grid.point(np.arange(grid.n_sites))``.
     """
     if band == 1:
         center, t = 0.0, params.t1

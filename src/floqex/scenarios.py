@@ -31,7 +31,7 @@ from .floquet import (
 )
 from .lattice import BZGrid, ModelParams
 from .scan import ScanResult, solved
-from .screening import pair_band, screened_detunings, solve_exciton_resonance
+from .screening import pair_band, screened_detuning, solve_exciton_resonance
 from .spectra import absorbance, peak_location
 
 SCENARIOS = {}
@@ -216,7 +216,7 @@ def _run_fig2(params: ModelParams, opts: RunOptions, grid: BZGrid):
 def _run_fig3a(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """Forward-scattering kernel (prefactor removed) along Y -> Gamma -> M."""
     def inv_dsq(p, band, path):
-        return 1.0 / screened_detunings(p, band, path).delta ** 2
+        return 1.0 / screened_detuning(p, band, path) ** 2
 
     return _path_scan(params, opts, grid, "inv_dsq", inv_dsq)
 
@@ -257,7 +257,7 @@ def _run_fig4(params: ModelParams, opts: RunOptions, grid: BZGrid):
         omega_ex, line = solved(lambda: (solve_exciton_resonance(p_t, band).omega_ex,), width=1)
         for omega_l in omega_axis:
             drive = p_t.with_laser(omega_l)
-            *delta, ok = solved(lambda: screened_detunings(drive, band, points).delta,
+            *delta, ok = solved(lambda: screened_detuning(drive, band, points),
                                 width=len(points[0]))
             rows.append((omega_l, t21, *delta, omega_ex - omega_l, ok * line))
     return ScanResult.from_rows(

@@ -24,7 +24,7 @@ Every function here that sums over k' takes the band; the model ``params`` it
 also takes set the drive, and a band built for other couplings is moved to
 their Hartree shift (:meth:`PairBand.for_params`). Per-k values are taken at
 ``k``, a (kx, ky) pair of scalars or arrays (the whole mesh is
-``(grid.kx, grid.ky)``).
+``grid.point(np.arange(grid.n_sites))``).
 """
 
 from __future__ import annotations
@@ -184,7 +184,8 @@ class PairBand:
         """R(z) at a real or a complex ``z``, or at each element of an array of them.
 
         A scalar gives a float or a complex as z is; an array gives an array of
-        its shape, real where every element is real.
+        its shape and kind. A complex z must have Im z != 0 (``ValueError``
+        otherwise): a real z is passed as a float.
 
         On mesh row i, gap_k + shift - z = A_i + B c_j with A_i = eps21 + shift
         - z + B c_i. Each row is a periodic trapezoidal rule with the closed form
@@ -222,16 +223,10 @@ class PairBand:
         divided.
         """
         z = np.asarray(z)
-        if np.iscomplexobj(z):
-            real = z.imag == 0.0
-            if real.all():
-                z = z.real
-            elif real.any():
-                out = z.astype(complex)
-                out[real] = self.resolvent(z[real].real, guard)
-                out[~real] = self.resolvent(z[~real], guard)
-                return out
         real = not np.iscomplexobj(z)
+        if not real and (z.imag == 0.0).any():
+            raise ValueError("a complex z must have a non-zero imaginary part; "
+                             "pass a real z as a float")
         lo, hi = self._window(guard)
         if not z.ndim:
             # one z: the same decisions on Python scalars; on a one-element array
@@ -421,24 +416,25 @@ def screening_factor(params: ModelParams, band: PairBand) -> float:
     return 1.0 - params.u12 * band.for_params(params).resolvent(params.omega_l)
 
 
-def screened_detunings(params: ModelParams, band: PairBand, k) -> ScreenedDetunings:
-    """Screened and counter-rotating detunings at the (kx, ky) pair ``k``."""
+def screened_detuning(params: ModelParams, band: PairBand, k, bs: bool = False):
+    """Screened detuning Delta_k = D_k (1 - u12 R(omega_l)) at the (kx, ky) pair ``k``;
+    with ``bs`` the counter-rotating D^bs_k (1 - u12 R(-omega_l))."""
     band = band.for_params(params)
-    d = shifted_detunings(params, k, band.occ)
-    d_bs = shifted_detunings(params, k, band.occ, bs=True)
-    d *= 1.0 - params.u12 * band.resolvent(params.omega_l)
-    d_bs *= 1.0 - params.u12 * band.resolvent(-params.omega_l)
-    return ScreenedDetunings(delta=d, delta_bs=d_bs)
-
-
-def screened_detuning(params: ModelParams, band: PairBand, k):
-    """Screened detuning Delta_k at ``k``: the ``delta`` of :func:`screened_detunings`."""
-    return screened_detunings(params, band, k).delta
+    d = shifted_detunings(params, k, band.occ, bs)
+    d *= 1.0 - params.u12 * band.resolvent(-params.omega_l if bs else params.omega_l)
+    return d
 
 
 def screened_detuning_bs(params: ModelParams, band: PairBand, k):
     """Counter-rotating (Bloch-Siegert) screened detuning at ``k``."""
-    return screened_detunings(params, band, k).delta_bs
+    return screened_detuning(params, band, k, bs=True)
+
+
+def screened_detunings(params: ModelParams, band: PairBand, k) -> ScreenedDetunings:
+    """Screened and counter-rotating detunings at the (kx, ky) pair ``k``."""
+    band = band.for_params(params)
+    return ScreenedDetunings(delta=screened_detuning(params, band, k),
+                             delta_bs=screened_detuning_bs(params, band, k))
 
 
 def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float, below_one=None):

@@ -1,6 +1,12 @@
+import numpy as np
 import pytest
 
 from floqex import BZGrid, ModelParams, occupations
+
+
+def mesh_points(grid):
+    """(kx, ky) of every mesh point of ``grid``, in flat order."""
+    return grid.point(np.arange(grid.n_sites))
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from conftest import mesh_points
 from floqex import (
     BZGrid,
     ModelParams,
@@ -173,13 +174,13 @@ def test_criterion_07_unscreened_collapse():
         p = ModelParams(u11=0.0, u12=0.0, omega_l=2.87)
         grid = BZGrid.square(128)
         occ = occupations(p, grid)
-        mesh = (grid.kx, grid.ky)
+        mesh = mesh_points(grid)
         dets = screened_detunings(p, pair_band(p, grid, occ), mesh)
         delta0 = bare_detuning(p, mesh)
         assert np.array_equal(dets.delta, delta0)
         assert np.array_equal(dets.delta_bs, delta0 + 2.0 * p.omega_l)
         for nx, ny in ((0, 0), (3, 7), (64, 64), (100, 13)):
-            k = (grid.kx[grid.index(nx, ny)], grid.ky[grid.index(nx, ny)])
+            k = grid.point(grid.index(nx, ny))
             d0 = bare_detuning(p, k)
             assert stark_bs_ratio(p, pair_band(p, grid, occ), k) == (d0 + 2.0 * p.omega_l) / d0
 
@@ -210,7 +211,7 @@ def test_criterion_09_ratio_orderings():
         st, bs = tla_shifts(p, omega_ex)
         tla = abs(st / bs)
         gamma_pt = (0.0, 0.0)
-        m_pt = (grid.kx[grid.m_index], grid.ky[grid.m_index])
+        m_pt = grid.point(grid.m_index)
         assert stark_bs_ratio(p, pair_band(p, grid, occ), gamma_pt) > tla
         assert stark_bs_ratio(p, pair_band(p, grid, occ), m_pt) < tla
 

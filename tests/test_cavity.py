@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import mesh_points
 from floqex import (
     BZGrid,
     ModelParams,
@@ -19,42 +20,42 @@ GAMMA = (0.0, 0.0)
 def kernel_for(params, l=64):
     grid = BZGrid.square(l)
     occ = occupations(params, grid)
-    return interaction_kernel(params, pair_band(params, grid, occ), (grid.kx, grid.ky)), grid, occ
+    return interaction_kernel(params, pair_band(params, grid, occ), mesh_points(grid)), grid, occ
 
 
 def test_unscreened_forward_diagonal():
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.68)
     kernel, grid, _ = kernel_for(p)
-    d0 = bare_detuning(p, (grid.kx, grid.ky))
+    d0 = bare_detuning(p, mesh_points(grid))
     expected = -(p.g_l * p.g_c) ** 2 / (grid.n_sites * p.delta_c * d0 ** 2)
-    assert np.allclose(kernel.forward(), expected, rtol=1e-13)
+    assert np.allclose(kernel, expected, rtol=1e-13)
 
 
 def test_kernel_vanishes_without_cavity_coupling():
     p = ModelParams(g_c=0.0, omega_l=2.68)
     kernel, _, _ = kernel_for(p)
-    assert np.all(kernel.forward() == 0.0)
+    assert np.all(kernel == 0.0)
 
 
 def test_forward_channel_is_attractive_for_positive_detuning():
     p = ModelParams(omega_l=2.60)
     kernel, _, _ = kernel_for(p)
     assert p.delta_c > 0
-    assert np.all(kernel.forward() < 0)
+    assert np.all(kernel < 0)
     flipped = p.replace(omega_c=p.omega_l - 0.1)
     kernel2, _, _ = kernel_for(flipped)
-    assert np.all(kernel2.forward() > 0)
+    assert np.all(kernel2 > 0)
 
 
 def test_kernel_scales_with_couplings():
     p = ModelParams(omega_l=2.60)
     one, _, _ = kernel_for(p)
     two, _, _ = kernel_for(p.replace(g_c=2.0 * p.g_c))
-    assert np.array_equal(two.forward(), 4.0 * one.forward())
+    assert np.array_equal(two, 4.0 * one)
     strong, _, _ = kernel_for(p.replace(g_l=2.0 * p.g_l))
-    assert np.array_equal(strong.forward(), 4.0 * one.forward())
+    assert np.array_equal(strong, 4.0 * one)
     far, _, _ = kernel_for(p.replace(omega_c=p.omega_l + 2.0 * p.delta_c))
-    assert np.allclose(far.forward(), 0.5 * one.forward(), rtol=1e-14)
+    assert np.allclose(far, 0.5 * one, rtol=1e-14)
 
 
 def test_cavity_resonance_guard():

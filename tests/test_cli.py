@@ -77,6 +77,8 @@ def test_out_of_range_values_rejected():
         parse_config("grid = 13\n")
     with pytest.raises(ConfigError, match="seed"):
         parse_config("seed = -1\n")
+    with pytest.raises(ConfigError, match=r"\(--set 1\): u12_min must be non-negative"):
+        parse_config("", ["u12_min = -1"])
 
 
 _VALUES = st.one_of(
@@ -292,14 +294,23 @@ def test_declared_grid_peak_covers_the_scenario(name):
 
 @pytest.mark.parametrize("name", GRID_SCENARIOS)
 def test_grid_scenario_builds_no_mesh_field(name, monkeypatch):
-    """Scenarios read the points they write: no l x l grid or filling array is built."""
-    def forbidden(attr):
-        def get(self):
-            raise AssertionError(f"{name} built the mesh field {attr}")
-        return property(get)
+    """Scenarios read the points they write: no l x l grid or filling array is built.
 
-    for cls, attr in ((BZGrid, "kx"), (BZGrid, "ky"), (Occupation, "n_k")):
-        monkeypatch.setattr(cls, attr, forbidden(attr))
+    The longest request for momenta a scenario makes is the Y -> Gamma -> M path
+    of l + 1 points, so asking ``BZGrid.point`` for more fails.
+    """
+    point = BZGrid.point
+
+    def few_points(self, i):
+        if np.size(i) > self.l + 1:
+            raise AssertionError(f"{name} asked for {np.size(i)} momenta on an l = {self.l} grid")
+        return point(self, i)
+
+    def forbidden(self):
+        raise AssertionError(f"{name} built the mesh field n_k")
+
+    monkeypatch.setattr(BZGrid, "point", few_points)
+    monkeypatch.setattr(Occupation, "n_k", property(forbidden))
     coarse = ["gl_step = 0.01", "det_step = 0.1", "u12_step = 0.3", "omega_step = 0.05",
               "t21_values = -0.2, -0.05", "grid = 32"]
     for doping in (0.0, 0.05):
@@ -704,6 +715,17 @@ def test_bad_file_argument_exits_2_without_output(tmp_path, capsys, flag, target
     assert err.startswith("config error") and path in err and err.count("\n") == 1
     assert (tmp_path / "afile").read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "bad.cfg"]
+
+
+@pytest.mark.parametrize("scenario, sets", [("fig2", ["u12_min=-0.5", "u12_max=0.1"]),
+                                            ("fig3c", ["u12_min=-1"])])
+def test_negative_u12_axis_exits_2_without_output(tmp_path, capsys, scenario, sets):
+    out = tmp_path / scenario
+    args = [arg for assignment in sets for arg in ("--set", assignment)]
+    assert main(["run", scenario, "--grid", "16", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "u12_min" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):

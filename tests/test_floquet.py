@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import mesh_points
 from floqex import (
     BZGrid,
     ModelParams,
@@ -25,15 +26,15 @@ M = (np.pi, np.pi)
 def test_band_reduces_to_bare_without_drive(grid64):
     p = ModelParams(g_l=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
-    bare = dispersion(p, 1, (grid64.kx, grid64.ky))
+    band = effective_band(p, pair_band(p, grid64, occ), mesh_points(grid64))
+    bare = dispersion(p, 1, mesh_points(grid64))
     assert np.array_equal(band.energies, bare)
 
 
 def test_unscreened_stark_at_gamma(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.87)
     occ = occupations(p, grid64)
-    band = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
+    band = effective_band(p, pair_band(p, grid64, occ), mesh_points(grid64))
     expected = -p.g_l ** 2 / bare_detuning(p, GAMMA)
     assert band.stark[grid64.gamma_index] == pytest.approx(expected, rel=1e-14)
 
@@ -41,15 +42,15 @@ def test_unscreened_stark_at_gamma(grid64):
 def test_energies_decompose_exactly(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
-    bare = dispersion(p, 1, (grid64.kx, grid64.ky))
+    band = effective_band(p, pair_band(p, grid64, occ), mesh_points(grid64))
+    bare = dispersion(p, 1, mesh_points(grid64))
     assert np.array_equal(band.energies, bare + band.stark + band.bs)
 
 
 def test_shifts_lower_the_band(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    band = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
+    band = effective_band(p, pair_band(p, grid64, occ), mesh_points(grid64))
     assert np.all(band.stark < 0)
     assert np.all(band.bs < 0)
 
@@ -57,9 +58,9 @@ def test_shifts_lower_the_band(grid64, params):
 def test_shifts_scale_with_drive_squared(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
-    one = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
+    one = effective_band(p, pair_band(p, grid64, occ), mesh_points(grid64))
     two = effective_band(p.replace(g_l=2.0 * p.g_l), pair_band(p, grid64, occ),
-                         (grid64.kx, grid64.ky))
+                         mesh_points(grid64))
     assert np.array_equal(two.stark, 4.0 * one.stark)
     assert np.array_equal(two.bs, 4.0 * one.bs)
 
@@ -71,11 +72,11 @@ def test_band_change_matches_literal_evaluation(grid64, params):
     occ = occupations(params, grid64)
     omega_ex = solve_exciton_resonance(params, pair_band(params, grid64, occ)).omega_ex
     p = params.with_laser(omega_ex - 0.03)
-    band = effective_band(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
+    band = effective_band(p, pair_band(p, grid64, occ), mesh_points(grid64))
     path = grid64.path_y_gamma_m()
     sample = path[:: len(path) // 8]
     for idx in sample:
-        k = (grid64.kx[idx], grid64.ky[idx])
+        k = grid64.point(idx)
         ref = -p.g_l ** 2 / literal_screened(p, grid64, occ, k) \
               - p.g_l ** 2 / literal_screened(p, grid64, occ, k, bs=True)
         change = band.stark[idx] + band.bs[idx]
@@ -87,11 +88,11 @@ def test_screened_change_broader_than_unscreened(grid128, params):
     occ = occupations(params, grid128)
     omega_ex = solve_exciton_resonance(params, pair_band(params, grid128, occ)).omega_ex
     p_s = params.with_laser(omega_ex - 0.03)
-    band_s = effective_band(p_s, pair_band(p_s, grid128, occ), (grid128.kx, grid128.ky))
+    band_s = effective_band(p_s, pair_band(p_s, grid128, occ), mesh_points(grid128))
     free = params.without_interactions()
     occ_f = occupations(free, grid128)
     p_u = free.with_laser(float(band_gap(free, GAMMA)) - 0.03)
-    band_u = effective_band(p_u, pair_band(p_u, grid128, occ_f), (grid128.kx, grid128.ky))
+    band_u = effective_band(p_u, pair_band(p_u, grid128, occ_f), mesh_points(grid128))
     mi = grid128.m_index
     change_s = band_s.stark[mi] + band_s.bs[mi]
     change_u = band_u.stark[mi] + band_u.bs[mi]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mesh_points
 from floqex import (
     BZGrid,
     ModelParams,
@@ -84,8 +85,7 @@ def test_bare_detuning_linear_in_drive_frequency():
 
 
 def test_grid_contains_gamma_and_sums_weights(grid64):
-    assert grid64.kx[grid64.gamma_index] == 0.0
-    assert grid64.ky[grid64.gamma_index] == 0.0
+    assert grid64.point(grid64.gamma_index) == (0.0, 0.0)
 
 
 def test_grid_closed_under_negation(grid64):
@@ -94,14 +94,14 @@ def test_grid_closed_under_negation(grid64):
         idx = grid64.index(nx, ny)
         partner = grid64.index(-nx, -ny)
         assert grid64.index(-(-nx), -(-ny)) == idx
-        assert grid64.kx[partner] == pytest.approx((-grid64.kx[idx]) % two_pi, abs=1e-12)
-        assert grid64.ky[partner] == pytest.approx((-grid64.ky[idx]) % two_pi, abs=1e-12)
+        for k_partner, k in zip(grid64.point(partner), grid64.point(idx)):
+            assert k_partner == pytest.approx((-k) % two_pi, abs=1e-12)
 
 
 def test_inversion_symmetry_of_bands(grid64):
     p = ModelParams()
     l = grid64.l
-    eps1 = dispersion(p, 1, (grid64.kx, grid64.ky))
+    eps1 = dispersion(p, 1, mesh_points(grid64))
     for nx, ny in [(3, 9), (40, 1), (31, 31)]:
         a = eps1[grid64.index(nx, ny)]
         b = eps1[grid64.index(l - nx, l - ny)]
@@ -109,9 +109,9 @@ def test_inversion_symmetry_of_bands(grid64):
 
 
 def test_high_symmetry_indices(grid64):
-    assert grid64.kx[grid64.y_index] == 0.0
-    assert grid64.ky[grid64.y_index] == pytest.approx(np.pi)
-    assert grid64.kx[grid64.m_index] == pytest.approx(np.pi)
+    assert grid64.point(grid64.y_index)[0] == 0.0
+    assert grid64.point(grid64.y_index)[1] == pytest.approx(np.pi)
+    assert grid64.point(grid64.m_index)[0] == pytest.approx(np.pi)
     with pytest.raises(ValueError):
         BZGrid.square(9).y_index
 
@@ -140,15 +140,14 @@ def test_structure_factor_is_bitwise_cos_sum(l):
     g = BZGrid.square(l)
     kx, ky = _literal_mesh(l)
     assert np.array_equal(_bits(g.gamma_rows(0, l)), _bits(np.cos(kx) + np.cos(ky)))
-    assert np.array_equal(g.kx, kx) and np.array_equal(g.ky, ky)
-    assert not g.kx.flags.writeable and not g.ky.flags.writeable
+    assert all(map(np.array_equal, mesh_points(g), (kx, ky)))
 
 
 @pytest.mark.parametrize("l", [3, 17, 64])
 def test_grid_band_functions_match_pair_path_bitwise(l):
     """The whole mesh as one array pair (updated in place) equals each point as scalars."""
     g = BZGrid.square(l)
-    mesh = (g.kx, g.ky)
+    mesh = mesh_points(g)
     for p in (ModelParams(), ModelParams(t1=-0.07, t2=0.11, eps21=2.3, omega_l=2.1)):
         fields = [band_gap(p, mesh), bare_detuning(p, mesh),
                   dispersion(p, 1, mesh), dispersion(p, 2, mesh)]
@@ -164,8 +163,9 @@ def test_grid_band_functions_match_pair_path_bitwise(l):
 @pytest.mark.parametrize("l", [3, 8, 17])
 def test_point_matches_flat_coordinates(l):
     g = BZGrid.square(l)
+    kx, ky = mesh_points(g)
     for i in range(g.n_sites):
-        assert g.point(i) == (g.kx[i], g.ky[i])
+        assert g.point(i) == (kx[i], ky[i])
 
 
 @pytest.mark.parametrize("doping, ceiling", [(0.0, 0.1), (0.05, 1.0)])
@@ -255,8 +255,9 @@ def test_step_filling_matches_exhaustive_sort():
     g = BZGrid.square(16)
     occ = occupations(p, g)
     assert occ.n_filled == 192
-    eps1 = dispersion(p, 1, (g.kx, g.ky))
-    ranked = sorted(range(g.n_sites), key=lambda i: (eps1[i], g.kx[i], g.ky[i]))
+    kx, ky = mesh = mesh_points(g)
+    eps1 = dispersion(p, 1, mesh)
+    ranked = sorted(range(g.n_sites), key=lambda i: (eps1[i], kx[i], ky[i]))
     expected = np.zeros(g.n_sites)
     expected[ranked[:192]] = 1.0
     assert np.array_equal(occ.n_k, expected)

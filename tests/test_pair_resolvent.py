@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mesh_points
 import floqex.screening as screening
 from floqex import (
     BZGrid,
@@ -37,12 +38,12 @@ def model(t21, doping=0.0):
 
 def mesh_sum(params, grid, occ, z):
     """Literal (1/N) sum_k n_k / (gap_k + shift - z) over the flat (kx, ky) mesh."""
-    d = band_gap(params, (grid.kx, grid.ky)) + hartree_shift(params, occ) - z
+    d = band_gap(params, mesh_points(grid)) + hartree_shift(params, occ) - z
     return np.sum(occ.n_k / d) / grid.n_sites
 
 
 def shifted_band(params, grid, occ):
-    gaps = band_gap(params, (grid.kx, grid.ky))
+    gaps = band_gap(params, mesh_points(grid))
     shift = hartree_shift(params, occ)
     return float(np.min(gaps)) + shift, float(np.max(gaps)) + shift
 
@@ -166,7 +167,7 @@ def test_continuum_edge_is_the_mesh_minimum_bitwise():
             p = model(t21, 0.05)
             grid = BZGrid.square(l)
             occ = occupations(p, grid)
-            expected = float(np.min(band_gap(p, (grid.kx, grid.ky)))) + hartree_shift(p, occ)
+            expected = float(np.min(band_gap(p, mesh_points(grid)))) + hartree_shift(p, occ)
             assert pair_band(p, grid, occ).edge == expected
 
 
@@ -244,7 +245,7 @@ def test_resonance_guard_fires_exactly_near_a_mesh_point(t21, l, doping, point, 
     grid = BZGrid.square(l)
     occ = occupations(p, grid)
     band = pair_band(p, grid, occ)
-    gaps = band_gap(p, (grid.kx, grid.ky))
+    gaps = band_gap(p, mesh_points(grid))
     shift = hartree_shift(p, occ)
     lo, hi = shifted_band(p, grid, occ)
     z = gaps[point % grid.n_sites] + shift + offset if near_point else lo + spot * (hi - lo)
@@ -292,10 +293,10 @@ def test_real_array_matches_scalar_calls():
     values = band.resolvent(z, guard=0.0)
     assert values.dtype == float
     assert np.array_equal(values, [band.resolvent(w, guard=0.0) for w in z])
-    # a complex array holding real values gives each its own kind of evaluation
-    mixed = band.resolvent(np.append(z, lo + 0.01j), guard=0.0)
-    assert np.array_equal(mixed[:-1], values)
-    assert mixed[-1] == band.resolvent(lo + 0.01j, guard=0.0)
+    # a complex z with Im z = 0 is refused: a real z is passed as a float
+    for complex_z in (np.append(z, lo + 0.01j), complex(lo - 1.0)):
+        with pytest.raises(ValueError, match="imaginary part"):
+            band.resolvent(complex_z, guard=0.0)
 
 
 def test_block_mixes_closed_form_and_mesh_fallback(monkeypatch):

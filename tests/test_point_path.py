@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mesh_points
 from floqex import (
     BZGrid,
     ModelParams,
@@ -26,7 +27,7 @@ def _values(params, grid, occ, k):
     """Every per-k value of the library at ``k``, in a fixed order."""
     dets = screened_detunings(params, pair_band(params, grid, occ), k)
     band = effective_band(params, pair_band(params, grid, occ), k)
-    forward = interaction_kernel(params, pair_band(params, grid, occ), k).forward()
+    forward = interaction_kernel(params, pair_band(params, grid, occ), k)
     return [bare_detuning(params, k), dets.delta, dets.delta_bs, band.energies, band.stark,
             band.bs, forward]
 
@@ -46,7 +47,7 @@ def test_point_values_match_the_mesh_bitwise(half, doping, t1, t1_sign, t21, t21
     drawn = data.draw(st.lists(st.integers(0, g.n_sites - 1), min_size=1, max_size=12))
     idx = np.array([g.gamma_index, g.y_index, g.m_index, *g.path_y_gamma_m(), *drawn])
     try:
-        fields = _values(p, g, occ, (g.kx, g.ky))
+        fields = _values(p, g, occ, mesh_points(g))
     except ResonantDenominator:
         with pytest.raises(ResonantDenominator):
             _values(p, g, occ, g.point(idx))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import mesh_points
 from floqex import (
     BZGrid,
     ModelParams,
@@ -19,7 +20,7 @@ from floqex import (
     screened_detunings,
     solve_exciton_resonance,
 )
-from floqex.screening import hartree_shift, shifted_detunings
+from floqex.screening import hartree_shift, screening_factor, shifted_detunings
 from floqex.spectra import absorbance
 
 GAMMA = (0.0, 0.0)
@@ -34,7 +35,7 @@ def literal_screened(params, grid, occ, k, bs=False):
     extra = 2.0 * params.omega_l if bs else 0.0
     shift = hartree_shift(params, occ)
     d_k = bare_detuning(params, k) + extra + shift
-    d_grid = bare_detuning(params, (grid.kx, grid.ky)) + extra + shift
+    d_grid = bare_detuning(params, mesh_points(grid)) + extra + shift
     acc = 0.0
     for i in range(grid.n_sites):
         acc += occ.n_k[i] * d_k / d_grid[i]
@@ -49,7 +50,7 @@ def literal_screened(params, grid, occ, k, bs=False):
 def test_unscreened_collapse_is_exact(grid64):
     p = ModelParams(u11=0.0, u12=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
-    k = (grid64.kx, grid64.ky)
+    k = mesh_points(grid64)
     dets = screened_detunings(p, pair_band(p, grid64, occ), k)
     d0 = bare_detuning(p, k)
     assert np.array_equal(dets.delta, d0)
@@ -60,7 +61,7 @@ def test_dispersionless_screened_value(grid64):
     # flat bands: Delta = Delta0 - u11 + u12 for every k, binding exactly u12
     p = ModelParams(t1=-0.15, t2=-0.15, omega_l=2.4)
     occ = occupations(p, grid64)
-    k = (grid64.kx, grid64.ky)
+    k = mesh_points(grid64)
     dets = screened_detunings(p, pair_band(p, grid64, occ), k)
     expected = bare_detuning(p, k) - p.u11 + p.u12
     assert np.allclose(dets.delta, expected, rtol=1e-12, atol=1e-12)
@@ -80,7 +81,7 @@ def test_screened_matches_literal_sum_l512():
     occ = occupations(p, g)
     extra = hartree_shift(p, occ)
     d_k = bare_detuning(p, GAMMA) + extra
-    d_grid = bare_detuning(p, (g.kx, g.ky)) + extra
+    d_grid = bare_detuning(p, mesh_points(g)) + extra
     ref = d_k - p.u12 / g.n_sites * np.sum(occ.n_k * d_k / d_grid)
     assert screened_detuning(p, pair_band(p, g, occ), GAMMA) == pytest.approx(ref, rel=1e-10)
 
@@ -96,7 +97,7 @@ def test_bs_screened_matches_literal_sum(grid64):
 def test_bs_equals_plain_when_drive_frequency_vanishes(grid64):
     p = ModelParams(omega_l=0.0)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
+    dets = screened_detunings(p, pair_band(p, grid64, occ), mesh_points(grid64))
     assert np.array_equal(dets.delta, dets.delta_bs)
 
 
@@ -107,18 +108,31 @@ def test_bs_unscreened_collapse(grid64):
     assert screened_detuning_bs(p, pair_band(p, grid64, occ), GAMMA) == d0 + 2.0 * p.omega_l
 
 
+def test_delta_alone_never_evaluates_the_counter_rotating_channel(grid64):
+    # a negative drive frequency puts -omega_l on the band edge: the Bloch-Siegert
+    # channel refuses, while Delta, which reads only R(omega_l), is finite
+    band = pair_band(ModelParams(), grid64)
+    drive = ModelParams().with_laser(-band.edge)
+    delta = screened_detuning(drive, band, GAMMA)
+    assert np.isfinite(delta)
+    assert delta == shifted_detunings(drive, GAMMA, band.occ) * screening_factor(drive, band)
+    for both_or_bs in (screened_detunings, screened_detuning_bs):
+        with pytest.raises(ResonantDenominator):
+            both_or_bs(drive, band, GAMMA)
+
+
 def test_resonance_guard_fires(grid64):
     # put the drive exactly on the Gamma-point gap of the free model
     p = ModelParams(u11=0.0, u12=0.0, omega_l=float(band_gap(ModelParams(), GAMMA)))
     occ = occupations(p, grid64)
     with pytest.raises(ResonantDenominator):
-        screened_detunings(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
+        screened_detunings(p, pair_band(p, grid64, occ), mesh_points(grid64))
 
 
 def test_spin_channels_share_values(grid64):
     p = ModelParams(omega_l=2.68)
     occ = occupations(p, grid64)
-    dets = screened_detunings(p, pair_band(p, grid64, occ), (grid64.kx, grid64.ky))
+    dets = screened_detunings(p, pair_band(p, grid64, occ), mesh_points(grid64))
     spin_up = dets.delta
     spin_down = dets.delta
     assert np.array_equal(spin_up, spin_down)
@@ -136,7 +150,7 @@ def test_band_of_another_model_gives_that_models_values(grid64):
         own = pair_band(other, grid64, occ)
         assert moved.shift == own.shift and moved.edge == own.edge
         assert np.array_equal(moved.gaps, own.gaps) and np.array_equal(moved.counts, own.counts)
-        mesh = (grid64.kx, grid64.ky)
+        mesh = mesh_points(grid64)
         assert np.array_equal(screened_detunings(other, band, mesh).delta,
                               screened_detunings(other, own, mesh).delta)
 
@@ -152,7 +166,7 @@ def test_band_of_another_filling_is_rebuilt(grid64, built, other):
     moved = stale.for_params(other).occ
     assert moved.n_filled == fresh.occ.n_filled
     assert np.array_equal(moved.minority[0], fresh.occ.minority[0])
-    for k in (GAMMA, (grid64.kx, grid64.ky)):
+    for k in (GAMMA, mesh_points(grid64)):
         for a, b in zip(dataclasses.astuple(screened_detunings(other, stale, k)),
                         dataclasses.astuple(screened_detunings(other, fresh, k))):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -245,9 +259,9 @@ def test_ladder_closure_is_increasing(grid64, params):
 def test_resummation_closed_form(grid64, params):
     # sum of -1/Delta at full filling against the rank-1 update identity
     occ = occupations(params, grid64)
-    dets = screened_detunings(params, pair_band(params, grid64, occ), (grid64.kx, grid64.ky))
+    dets = screened_detunings(params, pair_band(params, grid64, occ), mesh_points(grid64))
     lhs = np.sum(-1.0 / dets.delta)
-    shifted = shifted_detunings(params, (grid64.kx, grid64.ky), occ)
+    shifted = shifted_detunings(params, mesh_points(grid64), occ)
     s_tilde = -np.sum(1.0 / shifted)
     rhs = s_tilde / (1.0 + params.u12 / grid64.n_sites * s_tilde)
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -267,7 +281,7 @@ def test_tmatrix_geometric_partial_sums(grid64, params):
     p = params.with_laser(2.68)
     occ = occupations(p, grid64)
     t = grpa_tmatrix(p, pair_band(p, grid64, occ))
-    shifted = shifted_detunings(p, (grid64.kx, grid64.ky), occ)
+    shifted = shifted_detunings(p, mesh_points(grid64), occ)
     s = p.u12 / grid64.n_sites * np.sum(occ.n_k / shifted)
     partial = sum(s ** n for n in range(50))
     # exact geometric tail: T - sum_{n<50} s^n = s^50 / (1 - s)
@@ -305,7 +319,7 @@ def test_bubble_equivalence_collapses_without_u12(grid64):
     p = ModelParams(u12=0.0, omega_l=2.68)
     occ = occupations(p, grid64)
     bubble, screened = grpa_stark_equivalence(p, pair_band(p, grid64, occ), 0)
-    d = shifted_detunings(p, (grid64.kx, grid64.ky), occ)[0]
+    d = shifted_detunings(p, mesh_points(grid64), occ)[0]
     assert bubble == screened
     assert bubble == pytest.approx(-p.g_l ** 2 / d, rel=1e-14)
 
