@@ -216,7 +216,9 @@ def _run_fig2(params: ModelParams, opts: RunOptions, grid: BZGrid):
 def _run_fig3a(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """Forward-scattering kernel (prefactor removed) along Y -> Gamma -> M."""
     def inv_dsq(p, band, path):
-        return 1.0 / screened_detuning(p, band, path) ** 2
+        delta = screened_detuning(p, band, path)
+        with np.errstate(over="ignore"):  # |Delta| above about 1.3e154 gives 0
+            return 1.0 / delta ** 2
 
     return _path_scan(params, opts, grid, "inv_dsq", inv_dsq)
 

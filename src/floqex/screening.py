@@ -51,14 +51,6 @@ from .lattice import (
 # ladder sum; evaluation refuses rather than returning huge screened values.
 RESONANCE_GUARD_EV = 1e-9
 
-# A complex z with |1 - rho^l| below this in some mesh row takes the literal mesh
-# sum. |rho|^l ~ exp(-l Im z / sqrt(B^2 - A^2)), so this happens when the
-# broadening is narrower than about one mesh step of the band: the sum is then
-# dominated by a few resonant mesh points, each as sensitive to the rounding of
-# its own gap (relative u*gap/Im z) as the closed form is to its rounding, and
-# the mesh sum is the definition the rest of the library agrees with.
-ROW_SUM_GUARD = 0.5
-
 # Largest relative rounding error of R, as estimated below, that the closed form
 # may carry; above it the mesh sum is taken.
 ROUNDING_TOL = 1e-12
@@ -213,9 +205,11 @@ class PairBand:
           have poles. The mesh sum refuses when a grid point sits within
           ``guard`` of z; with ``guard = 0`` only z inside the band takes it,
           and it never refuses;
-        - at a complex z with |1 - rho^l| < :data:`ROW_SUM_GUARD` in some row;
-        - where the closed form's rounding error (:meth:`_closed_form`)
-          exceeds :data:`ROUNDING_TOL` relative.
+        - where subtracted empty states cancel their full-band twins: where the
+          closed form's rounding error, estimated over those states alone
+          (:meth:`_closed_form`), exceeds :data:`ROUNDING_TOL` relative. An
+          undoped band, or one whose filled states are summed directly, never
+          falls back at a complex z.
 
         The mesh sum runs over blocks of :data:`~floqex.lattice.MESH_BLOCK`
         mesh points (one block for l <= 256), so it holds no full-mesh array,
@@ -278,13 +272,11 @@ class PairBand:
         at a scalar ``z`` or at each element of a 1-D array of them.
 
         The error is estimated as eps * (|z| + the largest |gap + shift|) *
-        sum |1/D_k|^2 / N over the terms the closed form rounds otherwise than
-        the mesh sum: the subtracted empty states at real z (near-resonant ones
-        cancel their full-band twins), where that sum is bounded by
-        max |1/D_k| |sum 1/D_k| / N, and every state at complex z (there the
-        sum is Im R_full / Im z). Directly summed filled states carry none.
-        The error is infinite at a z where some row has |1 - rho^l| <
-        :data:`ROW_SUM_GUARD`.
+        sum |1/D_k|^2 / N over the subtracted empty states, where near-resonant
+        ones cancel their full-band twins. At a real z that sum is bounded by
+        max |1/D_k| |sum 1/D_k| / N; at a complex z it is Im part / Im z, part
+        being their sum (1/N) sum 1/D_k. A full band and directly summed filled
+        states carry none.
         """
         col = z[:, None] if np.ndim(z) else z  # one row of the (z x row) arrays per z
         n = self.grid.n_sites
@@ -297,37 +289,33 @@ class PairBand:
             part = inv @ self.counts / n
             if filled:
                 return part, np.zeros(np.shape(z))
-            if real:
-                # every D of a real z outside the band has one sign, so sum 1/D^2
-                # is at most the largest |1/D|, at an end of the sorted gaps, times |sum 1/D|
-                spread = np.maximum(abs(inv[..., 0]), abs(inv[..., -1])) * abs(part)
-        means, rows_ok = self._row_means(col, real)
+            # every D of a real z outside the band has one sign, so sum 1/D^2 is at
+            # most the largest |1/D|, at an end of the sorted gaps, times |sum 1/D|;
+            # at a complex z, Im(1/D) = Im z |1/D|^2
+            spread = (np.maximum(abs(inv[..., 0]), abs(inv[..., -1])) * abs(part) if real
+                      else part.imag / z.imag)
+        means = self._row_means(col, real)
         if not real:
             means *= _fold_weights(self.grid.l)
-        full = means.sum(axis=-1) / self.grid.l
-        value = full - part
-        if not real:
-            spread = full.imag / z.imag
+        value = means.sum(axis=-1) / self.grid.l - part
         lo, hi = self._window(0.0)
-        error = _EPS * (abs(z) + max(abs(lo), abs(hi))) * spread
-        return value, error if real else np.where(rows_ok, error, np.inf)
+        return value, _EPS * (abs(z) + max(abs(lo), abs(hi))) * spread
 
     def _row_means(self, col, real: bool):
         """Row means (1/l) sum_j 1/(A_i + B c_j) at each z of ``col`` (a scalar or a column),
         over every row i at a real z and the rows i <= l/2 at a complex one
-        (:attr:`folded_coeffs`, weighted by the caller with :func:`_fold_weights`),
-        and whether every such row has |1 - rho^l| >= :data:`ROW_SUM_GUARD`
-        (always at a real z). A real rho is raised to the l-th power with ``**``,
-        a complex one by :func:`_power`; the rows of a z that fails the guard
-        take rho^l = 0, so they stay finite for the mesh sum to replace. The
-        steps run in place, so a block holds four arrays of its size."""
+        (:attr:`folded_coeffs`, weighted by the caller with :func:`_fold_weights`).
+        A real rho is raised to the l-th power with ``**``, a complex one by
+        :func:`_power`. The steps run in place, so a block holds four arrays of
+        its size."""
         b = 2.0 * self.params.t21
         coeffs = self.row_coeffs if real else self.folded_coeffs
         a = (self.params.eps21 + self.shift - col) + coeffs
         if b == 0.0:
-            return np.divide(1.0, a, out=a), True
+            return np.divide(1.0, a, out=a)
         s = a - b
-        s *= a + b
+        with np.errstate(over="ignore"):  # |A| above about 1.3e154: s = inf, mean 0
+            s *= a + b
         if real and s.min() > 0.0:
             np.sqrt(s, out=s)
             np.copysign(s, a, out=s)
@@ -338,14 +326,10 @@ class PairBand:
             np.negative(s, out=s, where=s.real * a.real + s.imag * a.imag < 0.0)
         rho = np.divide(-b, np.add(a, s, out=a), out=a)
         q = _power(rho, self.grid.l) if np.iscomplexobj(rho) else rho ** self.grid.l
-        rows_ok = True
-        if not real:
-            rows_ok = ~(np.abs(1.0 - q).min(axis=-1) < ROW_SUM_GUARD)
-            q[~rows_ok] = 0.0
         den = 1.0 - q
         den *= s
         q += 1.0
-        return np.divide(q, den, out=q), rows_ok
+        return np.divide(q, den, out=q)
 
     def mesh(self, z, guard: float = RESONANCE_GUARD_EV):
         """The literal mesh sum of R(z), over blocks of mesh rows, each guarded."""

@@ -1,4 +1,4 @@
-"""The l = infinity pair resolvent of a full lower band, in closed form, with no floqex import.
+"""The l = infinity pair resolvent of a full or doped lower band, with no floqex import.
 
 On the infinite square lattice the k-sum of the undoped pair resolvent is the
 lattice Green's function (Morita, J. Math. Phys. 12, 1744 (1971); Economou,
@@ -10,27 +10,70 @@ with A = eps21 + shift - z and B = 2 t21, at real z below the band edge (A > 2|B
 and at complex z off the real axis. There the AGM starts from the principal root
 and takes at each step the "right choice" of root, |a - b| <= |a + b| (Cox,
 Enseign. Math. 30, 275 (1984)); at real z the principal root is always that one.
+
+A band doped by a fraction ``doping`` < 1/2 of holes has its highest band-1
+energies 2 t1 gamma empty: gamma in [gamma_F, 2] at t1 > 0 and in [-2, -gamma_F]
+at t1 < 0. Its R is the full band's minus the empty states' integral
+int rho(gamma) / (A + B gamma) dgamma, with the square-lattice density of states
+rho(gamma) = 1 / (2 pi AGM(1, |gamma|/2)) (Economou, ch. 5) and gamma_F found by
+bisection on the hole fraction.
 """
 
 import numpy as np
 
+# 200-node Gauss-Legendre on [-1, 1]
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(200)
 
-def resolvent(z, eps21, shift, t21):
+
+def resolvent(z, eps21, shift, t21, doping=0.0, t1=1.0):
     """R(z) at ``z`` (a scalar or an array), real below the edge eps21 + shift - 4|t21|
-    or complex with Im z != 0."""
+    or complex with Im z != 0, of a band with ``doping`` < 1/2 holes placed by the
+    sign of ``t1`` (t1 != 0)."""
     z = np.asarray(z)
     a = eps21 + shift - (z if np.iscomplexobj(z) else z.astype(float))
     x, y = np.ones_like(a), np.sqrt(1.0 - (4.0 * t21 / a) ** 2)
     for _ in range(40):  # the arithmetic-geometric mean converges quadratically
         x, y = 0.5 * (x + y), np.sqrt(x * y)
         y = np.where(np.abs(x - y) > np.abs(x + y), -y, y)
-    return 1.0 / (a * x)
+    full = 1.0 / (a * x)
+    if not doping:
+        return full
+    gamma, weight = states_above(fermi_level(doping))
+    return full - np.sum(weight / (a[..., None] + 2.0 * t21 * np.sign(t1) * gamma), axis=-1)
 
 
-def exciton_line(eps21, shift, t21, u12):
+def density_of_states(gamma):
+    """Fraction of the square lattice's states per unit gamma = cos kx + cos ky, on
+    [-2, 2]; it diverges logarithmically at the van Hove point gamma = 0."""
+    x, y = np.ones_like(gamma), np.abs(gamma) / 2.0
+    for _ in range(40):
+        x, y = 0.5 * (x + y), np.sqrt(x * y)
+    return 1.0 / (2.0 * np.pi * x)
+
+
+def states_above(gamma_f):
+    """Nodes gamma in [gamma_f, 2] (0 <= gamma_f < 2) and weights that integrate the
+    density of states over that interval: Gauss-Legendre in u with
+    gamma = gamma_f + (2 - gamma_f) u^3, which smooths the logarithm at gamma_f = 0."""
+    u = 0.5 * (_NODES + 1.0)
+    gamma = gamma_f + (2.0 - gamma_f) * u ** 3
+    return gamma, density_of_states(gamma) * 1.5 * (2.0 - gamma_f) * u * u * _WEIGHTS
+
+
+def fermi_level(doping):
+    """gamma_F with the fraction ``doping`` < 1/2 of the states above it, bisected to
+    adjacent floats."""
+    lo, hi = 0.0, 2.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if states_above(mid)[1].sum() > doping else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def exciton_line(eps21, shift, t21, u12, doping=0.0, t1=1.0):
     """The root of 1 = u12 R(omega) below the edge, bisected to adjacent floats."""
     hi = eps21 + shift - 4.0 * abs(t21)
     lo = hi - u12 - 1.0  # u12 R(lo) < u12 / (1 + u12) < 1
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if u12 * resolvent(mid, eps21, shift, t21) < 1.0 else (lo, mid)
+        r = resolvent(mid, eps21, shift, t21, doping, t1)
+        lo, hi = (mid, hi) if u12 * r < 1.0 else (lo, mid)
     return 0.5 * (lo + hi)

@@ -182,6 +182,20 @@ def test_infinite_table_exits_3_without_output(tmp_path, scenario, sets, column)
             scenarios.SCENARIOS[scenario](params, opts)
 
 
+@pytest.mark.parametrize("scenario, sets", [
+    ("fig3a", ["detuning=1e300"]),
+    ("fig2", ["det_min=1e299", "det_max=1e300", "det_step=1e299"]),
+])
+def test_far_detuning_exits_0_without_a_warning(tmp_path, scenario, sets):
+    # a drive 1e300 below the band overflows A^2 - B^2 in the row sums (and fig3a's
+    # Delta^2): R and 1/Delta^2, below 1e-154 in magnitude, come out 0 quietly
+    env = {**os.environ, "PYTHONPATH": str(Path(floqex.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "floqex.cli", "run", scenario, "--grid", "16",
+                          *(a for s in sets for a in ("--set", s)), "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stderr == ""
+
+
 def test_fig1b_grid_below_hopping_stencil_exits_2_without_output(tmp_path, capsys):
     out = tmp_path / "small"
     assert main(["run", "fig1b", "--grid", "8", "--out", str(out)]) == 2

@@ -1,9 +1,10 @@
-"""The undoped pair resolvent, exciton line and fig3c enhancement against the
-l = infinity closed form of :mod:`infinite_lattice`, which shares no code with floqex.
+"""The pair resolvent, exciton line and fig3c enhancement against the l = infinity
+closed form of :mod:`infinite_lattice`, which shares no code with floqex.
 
 Undoped, each lattice sum is a periodic trapezoidal rule of a function analytic
 on the torus, so it converges geometrically in l: at l >= 256 it agrees with
-l = infinity to rounding.
+l = infinity to rounding. A doped band's occupation steps at the Fermi surface,
+so its sums converge only as l^-2.
 """
 
 import numpy as np
@@ -80,3 +81,40 @@ def test_fig3c_enhancement_equals_the_infinite_lattice(tmp_path):
         assert abs(enhancement / exact - 1.0) <= 1e-12, u12
         pinned.append(round(u12, 9))
     assert pinned == [round(0.35 + 0.05 * i, 9) for i in range(18)]
+
+
+def test_density_of_states_integrates_to_one():
+    # the density is even in gamma, so the states above gamma = 0 are half of them
+    assert abs(2.0 * infinite_lattice.states_above(0.0)[1].sum() - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("t1", [0.05, -0.05])
+@pytest.mark.parametrize("doping", [0.05, 0.2])
+def test_doped_resolvent_and_exciton_line_converge_as_l_squared(doping, t1):
+    """Real-z R at edge - 0.5 and edge - 0.05, and omega_ex, within l^-2 of l = infinity
+    at l = 1024 (relative for R, in eV for omega_ex). C = 1 rounds up the largest
+    error l^2 of R at doping 0.05 and 0.2 over l = 256, 1024 and 4096 (0.92, at
+    t1 = 0.05); at l = 1024 the measured C is 0.08-0.76 for R and 0.17-0.46 for
+    omega_ex.
+
+    The error falls about 4-fold from l = 512 to 1024, checked at edge - 0.5 and on
+    omega_ex (3.3-4.4 measured). The coefficient of l^-2 oscillates with l: at
+    edge - 0.05 (doping 0.05, t1 = 0.05) it is 0.99, 0.76 and 0.90 at l = 512,
+    1024 and 2048, a ratio of 5.2 there.
+    """
+    # u11 = 2 u12 keeps the Hartree shift at 0 for any filling; u12 = 1.2 binds a
+    # line also where the holes empty the gap minimum (t1 > 0)
+    p = ModelParams(t1=t1, doping=doping, u11=2.4, u12=1.2)
+    band_args = (p.eps21, 0.0, p.t21)
+    z = p.eps21 - 4.0 * abs(p.t21) - np.array([0.5, 0.05])
+    exact = infinite_lattice.resolvent(z, *band_args, doping, t1)
+    omega_exact = infinite_lattice.exciton_line(*band_args, p.u12, doping, t1)
+    errors = {}
+    for l in (512, 1024):
+        band = pair_band(p, BZGrid.square(l))
+        assert band.shift == 0.0
+        omega_ex = solve_exciton_resonance(p, band).omega_ex
+        errors[l] = np.append(np.abs(band.resolvent(z) / exact - 1.0), abs(omega_ex - omega_exact))
+    assert np.all(errors[1024] <= 1.0 / 1024**2), errors[1024] * 1024**2
+    ratio = errors[512] / errors[1024]
+    assert 3.0 <= ratio[0] <= 5.0 and 3.0 <= ratio[2] <= 5.0, ratio
