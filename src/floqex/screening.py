@@ -286,14 +286,16 @@ class PairBand:
             inv = self.gaps - col
             inv += self.shift
             np.divide(1.0, inv, out=inv)  # in place: same bits as 1.0 / (gaps - z + shift)
-            part = inv @ self.counts / n
+            ends = np.maximum(abs(inv[..., 0]), abs(inv[..., -1]))
+            # in place, then summed by numpy: no BLAS kernel picks the order of the sum
+            inv *= self.counts
+            part = inv.sum(axis=-1) / n
             if filled:
                 return part, np.zeros(np.shape(z))
             # every D of a real z outside the band has one sign, so sum 1/D^2 is at
             # most the largest |1/D|, at an end of the sorted gaps, times |sum 1/D|;
             # at a complex z, Im(1/D) = Im z |1/D|^2
-            spread = (np.maximum(abs(inv[..., 0]), abs(inv[..., -1])) * abs(part) if real
-                      else part.imag / z.imag)
+            spread = ends * abs(part) if real else part.imag / z.imag
         means = self._row_means(col, real)
         if not real:
             means *= _fold_weights(self.grid.l)

@@ -12,10 +12,17 @@ in CHANGES.md, never to make this test pass.
 """
 
 import hashlib
+import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import floqex
 from floqex.config import parse_config
 from floqex.scenarios import run_scenario
 
@@ -35,11 +42,13 @@ RUNS = (
 )
 
 
-def table_digests(out: Path) -> dict:
-    """Run every run of RUNS under ``out``; the SHA-256 of each written file by its
-    path relative to ``out``."""
+def table_digests(out: Path, skip=()) -> dict:
+    """Run every run of RUNS but the scenarios named in ``skip`` under ``out``; the
+    SHA-256 of each written file by its path relative to ``out``."""
     digests = {}
     for directory, name, sets in RUNS:
+        if name in skip:
+            continue
         params, opts = parse_config("", sets)
         for path in run_scenario(name, params, opts, out / directory):
             digests[path.relative_to(out).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -58,6 +67,34 @@ def test_every_table_keeps_its_bytes(tmp_path):
     assert sorted(digests) == sorted(pinned)
     moved = [path for path, digest in pinned.items() if digests[path] != digest]
     assert not moved, f"{len(moved)} files differ from the manifest: {moved}"
+
+
+def blas_name() -> str:
+    """The name of the BLAS that numpy was built with, or "" where numpy does not say."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except Exception:
+        return ""
+
+
+@pytest.mark.skipif("openblas" not in blas_name(),
+                    reason="OPENBLAS_CORETYPE selects a kernel of OpenBLAS only, and "
+                           "numpy's BLAS is not OpenBLAS")
+def test_tables_keep_their_bytes_under_another_blas_kernel(tmp_path):
+    """The pinned bytes do not depend on the BLAS kernel that OpenBLAS picks for the
+    host: a process forced onto the Haswell kernel writes them too. Oracle is left out,
+    since its deviation columns are LAPACK rounding noise."""
+    paths = [str(Path(floqex.__file__).parents[1]), str(Path(__file__).parent)]
+    script = ("import json, sys, pathlib, test_table_bytes as t; "
+              "print(json.dumps(t.table_digests(pathlib.Path(sys.argv[1]), skip=('oracle',))))")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(paths))
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    digests = json.loads(run.stdout)
+    pinned = read_manifest(MANIFEST.read_text())
+    assert sorted(digests) == sorted(path for path in pinned if not path.startswith("doping-0/oracle"))
+    moved = [path for path, digest in digests.items() if pinned[path] != digest]
+    assert not moved, f"{len(moved)} files differ from the manifest under Haswell: {moved}"
 
 
 if __name__ == "__main__":
