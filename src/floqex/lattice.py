@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Mesh points per block when a full-mesh pass runs over blocks of rows: small
-# enough that a block's temporaries stay far below one l x l array at large l.
+# Mesh points per block when the minority states of a filling are listed over
+# blocks of rows: small enough that a block's temporaries stay far below one
+# l x l array at large l.
 MESH_BLOCK = 2**16
 
 _ENERGY_FIELDS = (
@@ -96,11 +97,9 @@ class BZGrid:
     The grid keeps only O(l) data: the 1-D table ``k`` of the l coordinates and
     their cosines ``cos_k``. Every band depends on k only through the structure
     factor gamma = cos kx + cos ky = cos_k[i] + cos_k[j] at the flat index
-    i * l + j. :meth:`gamma_rows` builds it for a block of mesh rows as the outer
-    sum of the cosines (each entry bit-identical to ``np.cos(kx) + np.cos(ky)``,
-    because the same two cosines are added). :meth:`point` gives the (kx, ky)
-    of one index or an index array; the whole mesh is
-    ``grid.point(np.arange(grid.n_sites))``.
+    i * l + j, bit-identical to ``np.cos(kx) + np.cos(ky)`` because the same two
+    cosines are added. :meth:`point` gives the (kx, ky) of one index or an index
+    array; the whole mesh is ``grid.point(np.arange(grid.n_sites))``.
     """
 
     l: int
@@ -116,11 +115,6 @@ class BZGrid:
         k.setflags(write=False)
         c.setflags(write=False)
         return cls(l=l, k=k, cos_k=c)
-
-    def gamma_rows(self, start: int, stop: int) -> np.ndarray:
-        """Flat structure factor of the mesh rows ``start <= nx < stop``, a fresh array."""
-        c = self.cos_k
-        return (c[start:stop, None] + c[None, :]).ravel()
 
     def point(self, i: int) -> tuple:
         """Momentum (kx, ky) of the flat mesh index ``i``, or of each index of an array."""

@@ -42,13 +42,16 @@ MAX_AXIS_POINTS = 1_000_000
 _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 
 # Peak memory of any grid scenario in l x l float64 arrays. Scans read only
-# their points, so what remains is the k'-sum's mesh fallback, one block of at
-# most MESH_BLOCK points (the whole mesh up to l = 256). The largest tracemalloc
-# peak over doping 0, 0.05 and 0.5 is fig4's at doping 0.5: 3.9 arrays at
-# l = 128 and 4.3 at l = 64. The ratio falls with l beyond 256, so this bound
-# over-estimates large grids. A grid whose scenario cannot fit in physical
-# memory is refused before anything is allocated.
-PEAK_MESH_ARRAYS = 5
+# their points and no k'-sum passes over the mesh, so the peak is the pair
+# band's: the minority states of its filling (up to half the mesh, at doping
+# 1/2), their gaps, and the sort that groups them. The largest tracemalloc peak
+# over the nine grid scenarios at doping 0, 0.05 and 0.5 and l = 64, 128 and 256
+# (with the coarse axes of tests/test_cli.py) is fig4's at doping 0.5, which
+# holds the bands of two t21 values: 3.12 arrays at l = 64, 2.74 at l = 128 and
+# 2.69 at l = 256; the others stay within 2.5. It is rounded up to 3.5 for other
+# numpy versions. A grid whose scenario cannot fit in physical memory is refused
+# before anything is allocated.
+PEAK_BAND_ARRAYS = 3.5
 
 
 def _scenario(name, grid=256, min_l=1, divides_by=(), **defaults):
@@ -97,7 +100,7 @@ def _grid(opts: RunOptions, scenario: str, default_l: int, min_l: int = 1) -> BZ
     l = opts.grid if opts.grid is not None else default_l
     if l < min_l:
         raise ConfigError(f"grid must be at least {min_l} for this scenario, got {l}")
-    need, have = PEAK_MESH_ARRAYS * 8 * l * l, _physical_memory_bytes()
+    need, have = PEAK_BAND_ARRAYS * 8 * l * l, _physical_memory_bytes()
     if need > have:
         raise ConfigError(f"grid {l} needs about {need / 2**30:.1f} GiB for {scenario}, "
                           f"more than the {have / 2**30:.1f} GiB of physical memory")

@@ -15,10 +15,14 @@ Every k'-reduction is one pair resolvent R(z) = (1/N) sum_k n_k / (gap_k +
 shift - z), held by a :class:`PairBand`: S = u12 R(omega_l), the ladder
 closure is F(omega) = u12 R(omega), and the absorbance continues R to complex
 z. The band is built by :func:`pair_band` once per (band, Hartree shift, grid,
-filling), since R depends on neither the drive nor the couplings g_l, g_c. R is
-an exact O(l) sum over mesh rows, corrected by the minority states of a partial
-filling grouped by their exact gap value; the literal O(l^2) mesh sum
-(:func:`ladder_sum`) remains where that closed form does not hold.
+filling), since R depends on neither the drive nor the couplings g_l, g_c. R
+has one evaluation path, at every real or complex z: an exact O(l) sum over
+mesh rows, corrected by the minority states of a partial filling grouped by
+their exact gap value. A real z inside the band is refused near a grid gap by
+an O(l log l) search of each row, and where subtracted empty states cancel
+their full-band twins, the filled states of a few rows are summed directly.
+No full-mesh pass is made; the literal mesh sum :func:`ladder_sum` serves the
+small systems of :mod:`floqex.exactdiag`.
 
 Every function here that sums over k' takes the band; the model ``params`` it
 also takes set the drive, and a band built for other couplings is moved to
@@ -37,7 +41,6 @@ import numpy as np
 
 from .exceptions import NoResonance, ResonantDenominator
 from .lattice import (
-    MESH_BLOCK,
     BZGrid,
     ModelParams,
     Occupation,
@@ -52,13 +55,13 @@ from .lattice import (
 RESONANCE_GUARD_EV = 1e-9
 
 # Largest relative rounding error of R, as estimated below, that the closed form
-# may carry; above it the mesh sum is taken.
+# may carry; above it the rows holding the cancelling states are summed directly.
 ROUNDING_TOL = 1e-12
 _EPS = np.finfo(float).eps
 
 # Elements of one (z x mesh row) or (z x distinct gap) array of the closed form,
 # and never more than an eighth of the mesh, so that the four such arrays a pass
-# holds stay below the mesh fallback's: :meth:`PairBand.resolvent` evaluates
+# holds stay within half an l x l array: :meth:`PairBand.resolvent` evaluates
 # max(1, min(RESOLVENT_BLOCK, l^2 / 8) // max(rows, distinct gaps)) values of z per
 # pass, with the l rows of a real z or the l // 2 + 1 of a complex one. 2^13 (16
 # real z at l = 512) ran fastest on a 2-vCPU Xeon VM: a block's arrays, about
@@ -114,7 +117,7 @@ def ladder_sum(shifted: np.ndarray, occupancy: np.ndarray, u12: float, n_sites: 
     """Literal S = (u12/N) * sum_k n_k / D_k with the band-resonance guard applied.
 
     ``guard = 0`` never refuses. This is the reference sum for small systems
-    without lattice structure and the fallback of :meth:`PairBand.resolvent`.
+    without lattice structure.
     """
     if np.min(np.abs(shifted)) < guard:
         raise ResonantDenominator(
@@ -185,123 +188,204 @@ class PairBand:
             (1/l) sum_j 1 / (A + B cos(2 pi j / l)) = (1 + rho^l) / ((1 - rho^l) s),
 
         s = sqrt(A^2 - B^2), rho = -B / (A + s) with the root |rho| <= 1, and
-        1/A when B = 0, so a full band costs O(l) per z. Row l - i has the
+        1/A when B = 0, so a full band costs O(l) per z. It holds at every z
+        off the grid gaps: inside the band |rho| = 1 on the rows that z crosses,
+        and the poles of the form are the grid points. Row l - i has the
         cosine of row i, so a complex z sums the rows i <= l/2
         (:attr:`folded_coeffs`), each but row 0 and (at even l) row l/2 twice; a
         real z sums all l rows, which keeps the bits of every real-z value. A
         partial filling starts from the full band and subtracts the empty
         states, or sums the filled states directly when they are no more, one
-        term count/(g + shift - z) per distinct gap g of the minority states. An array of z
-        runs through the closed form in blocks, as many z per pass as keep its
-        (z x row) and (z x distinct gap) arrays within :data:`RESOLVENT_BLOCK`
-        elements and an eighth of the mesh (one z at least); a scalar is the
-        block of one.
+        term count/(g + shift - z) per distinct gap g of the minority states.
 
-        The literal mesh sum (:func:`ladder_sum`) is taken instead, for each z on
-        its own,
+        A real z within ``guard`` (doubled, to cover the rounding of D_k) of the
+        shifted band [gap_min, gap_max] + shift is refused with
+        ``ResonantDenominator`` when a grid point sits within ``guard`` of it:
+        a ``searchsorted`` of each row's crossing over the sorted cosines finds
+        the nearest grid gap of every row in O(l log l). ``guard = 0`` never
+        refuses.
 
-        - at a real z within ``guard`` (doubled, to cover the rounding of D_k)
-          of the shifted band [gap_min, gap_max] + shift, where the row sums
-          have poles. The mesh sum refuses when a grid point sits within
-          ``guard`` of z; with ``guard = 0`` only z inside the band takes it,
-          and it never refuses;
-        - where subtracted empty states cancel their full-band twins: where the
-          closed form's rounding error, estimated over those states alone
-          (:meth:`_closed_form`), exceeds :data:`ROUNDING_TOL` relative. An
-          undoped band, or one whose filled states are summed directly, never
-          falls back at a complex z.
+        Where subtracted empty states cancel their full-band twins, that is
+        where the closed form's rounding error, estimated over those states
+        (:meth:`_closed_form`), exceeds :data:`ROUNDING_TOL` relative, the
+        filled states of a few rows are summed one by one
+        (:meth:`_direct_rows`). An undoped band, or one whose filled states are
+        summed directly, never needs them.
 
-        The mesh sum runs over blocks of :data:`~floqex.lattice.MESH_BLOCK`
-        mesh points (one block for l <= 256), so it holds no full-mesh array,
-        and each block passes the guard of :func:`ladder_sum` before it is
-        divided.
+        An array of z runs through the closed form in blocks, as many z per
+        pass as keep its (z x row) and (z x distinct gap) arrays within
+        :data:`RESOLVENT_BLOCK` elements and an eighth of the mesh (one z at
+        least), the real z inside the guarded band in blocks of their own; a
+        scalar is the block of one.
         """
         z = np.asarray(z)
         real = not np.iscomplexobj(z)
         if not real and (z.imag == 0.0).any():
             raise ValueError("a complex z must have a non-zero imaginary part; "
                              "pass a real z as a float")
-        lo, hi = self._window(guard)
+        lo, hi = self.edge - 2.0 * guard, self.gap_max + self.shift + 2.0 * guard
         if not z.ndim:
-            # one z: the same decisions on Python scalars; on a one-element array
-            # the masks below cost about as much as the closed form at l = 256
+            # one z: the same steps on Python scalars; on a one-element array the
+            # masks below cost about as much as the closed form at l = 256
             w = z.item()
-            if not (real and lo <= w <= hi):
-                value, error = self._closed_form(w, real)
-                if not error > ROUNDING_TOL * abs(value):
-                    return float(value.real) if real else complex(value)
-            return self.mesh(w, guard)
+            if real and guard and lo <= w <= hi:
+                self._refuse_resonant(np.array([w]), guard)
+            value, error = self._closed_form(w, real)
+            if not error <= ROUNDING_TOL * abs(value):
+                value = self._direct_rows(w, real, value)
+            return float(value.real) if real else complex(value)
         zs = z.astype(float if real else complex)
-        mesh = (lo <= zs) & (zs <= hi) if real else np.zeros(zs.size, bool)
-        far = (~mesh).nonzero()[0]
+        inside = (lo <= zs) & (zs <= hi) if real else np.zeros(zs.size, bool)
         out = np.empty_like(zs)
+        cancels = np.zeros(zs.size, bool)
         size = min(RESOLVENT_BLOCK, self.grid.n_sites // 8)
         rows = self.grid.l if real else self.grid.l // 2 + 1
         step = max(1, size // max(rows, self.gaps.size))
-        for start in range(0, far.size, step):
-            block = far[start:start + step]
-            value, error = self._closed_form(zs[block], real)
-            out[block] = value.real if real else value
-            mesh[block] = error > ROUNDING_TOL * abs(value)
-        for i in mesh.nonzero()[0]:
-            out[i] = self.mesh(zs[i], guard)
+        for part in ((~inside).nonzero()[0], inside.nonzero()[0]):
+            for start in range(0, part.size, step):
+                block = part[start:start + step]
+                if guard and inside[block[0]]:
+                    self._refuse_resonant(zs[block], guard)
+                value, error = self._closed_form(zs[block], real)
+                out[block] = value.real if real else value
+                cancels[block] = ~(error <= ROUNDING_TOL * abs(value))
+        for i in cancels.nonzero()[0]:
+            value = self._direct_rows(zs[i], real, out[i])
+            out[i] = value.real if real else value
         return out
 
-    def closure_below_one(self, u12: float, omega: float) -> bool:
-        """Whether the ladder closure u12 R(omega) < 1 at a real ``omega``, unguarded.
+    def _refuse_resonant(self, zs: np.ndarray, guard: float):
+        """Raise ``ResonantDenominator`` if a grid point sits within ``guard`` of a z of ``zs``."""
+        if (self._row_nearest(zs) < guard).any():
+            raise ResonantDenominator(
+                f"a grid point sits within {guard} eV of the Hartree-shifted band resonance"
+            )
 
-        Only the sign of u12 R - 1 is asked for, so the closed form decides it
-        wherever |u12 R - 1| exceeds u12 times its rounding estimate, even where
-        that estimate is too large for :meth:`resolvent` to return R (just
-        below the edge, where near-resonant empty states cancel their
-        full-band twins). The mesh sum decides only where it does not.
+    def _row_nearest(self, zs: np.ndarray, first=0, last=None) -> np.ndarray:
+        """The smallest |D_k| = |gap_k + shift - z| along each mesh row, at each z of
+        the 1-D array ``zs``: a (z x row) array, in O(l log l) per z. ``first`` and
+        ``last`` bound, per row, the places in the ascending order of the cosines
+        over which it is taken (the whole row when not given).
+
+        Along row i, gap(c_i + c_j) + shift - Re z is monotone in c_j, rounding
+        included, so |D| is smallest where it changes sign: a ``searchsorted`` of
+        the crossing c_j = (Re z - shift - eps21) / B - c_i over the sorted cosines
+        places it to within a mirror pair of cosines and the rounding of the
+        crossing, and D is formed, as the gaps of the grid are formed, at the
+        cosines around that place.
         """
-        lo, hi = self._window(0.0)
-        if not lo <= omega <= hi:
-            value, error = self._closed_form(omega, True)
-            if abs(u12 * value - 1.0) > u12 * error:
-                return u12 * value < 1.0
-        return u12 * self.mesh(omega, 0.0) < 1.0
+        p, c = self.params, self.grid.cos_k
+        ranked = np.sort(c)
+        last = c.size - 1 if last is None else last
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cross = (zs.real[:, None] - self.shift - p.eps21) / (2.0 * p.t21) - c
+        near = np.searchsorted(ranked, cross)[..., None] + np.arange(-3, 3)
+        near = np.clip(near, np.reshape(first, (-1, 1)), np.reshape(last, (-1, 1)))
+        d = gap_from_structure_factor(p, c[:, None] + ranked[near])
+        d = d - zs[:, None, None]
+        d += self.shift
+        return abs(d).min(axis=-1)
 
-    def _window(self, guard: float) -> tuple:
-        """The shifted band [gap_min, gap_max] + shift, widened by twice ``guard``."""
-        return self.gap_min + self.shift - 2.0 * guard, self.gap_max + self.shift + 2.0 * guard
-
-    def _closed_form(self, z, real: bool):
+    def _closed_form(self, z, real: bool, counts=None, skip=None):
         """(R(z) from the row sums and the grouped minority states, its rounding error)
         at a scalar ``z`` or at each element of a 1-D array of them.
 
+        ``counts`` replaces the groups' counts, and the mesh rows ``skip`` are left
+        out of the row sums: :meth:`_direct_rows` sums their filled states itself.
         The error is estimated as eps * (|z| + the largest |gap + shift|) *
         sum |1/D_k|^2 / N over the subtracted empty states, where near-resonant
-        ones cancel their full-band twins. At a real z that sum is bounded by
-        max |1/D_k| |sum 1/D_k| / N; at a complex z it is Im part / Im z, part
+        ones cancel their full-band twins. At a real z whose D_k all have one
+        sign that sum is bounded by max |1/D_k| |sum 1/D_k| / N, and left
+        infinite where they have both; at a complex z it is Im part / Im z, part
         being their sum (1/N) sum 1/D_k. A full band and directly summed filled
         states carry none.
         """
         col = z[:, None] if np.ndim(z) else z  # one row of the (z x row) arrays per z
-        n = self.grid.n_sites
+        n, l = self.grid.n_sites, self.grid.l
         filled = self.occ.minority[1]
         part = spread = 0.0
         if filled or self.gaps.size:
             inv = self.gaps - col
             inv += self.shift
             np.divide(1.0, inv, out=inv)  # in place: same bits as 1.0 / (gaps - z + shift)
-            ends = np.maximum(abs(inv[..., 0]), abs(inv[..., -1]))
+            if real and not filled:
+                first, last = inv[..., 0], inv[..., -1]
+                ends = np.maximum(abs(first), abs(last))
+                mixed = np.signbit(first) != np.signbit(last)
             # in place, then summed by numpy: no BLAS kernel picks the order of the sum
-            inv *= self.counts
+            inv *= self.counts if counts is None else counts
             part = inv.sum(axis=-1) / n
             if filled:
                 return part, np.zeros(np.shape(z))
-            # every D of a real z outside the band has one sign, so sum 1/D^2 is at
-            # most the largest |1/D|, at an end of the sorted gaps, times |sum 1/D|;
-            # at a complex z, Im(1/D) = Im z |1/D|^2
-            spread = ends * abs(part) if real else part.imag / z.imag
+            # the D of a real z outside the subtracted gaps have one sign, so sum
+            # 1/D^2 is at most the largest |1/D|, at an end of the sorted gaps,
+            # times |sum 1/D|; among them that bound fails and the estimate is
+            # infinite. At a complex z, Im(1/D) = Im z |1/D|^2
+            spread = np.where(mixed, np.inf, ends * abs(part)) if real else part.imag / z.imag
         means = self._row_means(col, real)
-        if not real:
-            means *= _fold_weights(self.grid.l)
-        value = means.sum(axis=-1) / self.grid.l - part
-        lo, hi = self._window(0.0)
-        return value, _EPS * (abs(z) + max(abs(lo), abs(hi))) * spread
+        if not real or skip is not None:
+            weights = np.ones(l) if real else _fold_weights(l)
+            if skip is not None:
+                np.subtract.at(weights, skip if real else np.minimum(skip, l - skip), 1.0)
+            means *= weights
+        value = means.sum(axis=-1) / l - part
+        return value, self._scale(z) * spread
+
+    def _scale(self, z):
+        """eps * (|z| + the largest |gap + shift|): the rounding of one D_k relative to it."""
+        return _EPS * (abs(z) + max(abs(self.edge), abs(self.gap_max + self.shift)))
+
+    def _direct_rows(self, z, real: bool, value):
+        """R at a scalar ``z`` whose subtracted empty states cancel, from the closed
+        form with a few mesh rows summed one by one; ``value`` is the closed form's R.
+
+        The empty states of a row are its highest band-1 energies 2 t1 (c_i + c_j):
+        its largest cosines at t1 > 0 and its smallest at t1 < 0 (at t1 = 0 whole
+        rows are empty, but for one). So :meth:`_row_nearest` finds each row's
+        nearest empty state, and rows are taken from the one holding the largest
+        |1/D| hole down. Their shares of the rounding estimate are summed
+        exactly, over batches of rows that double in size, until what the empty
+        states of the other rows hold falls below :data:`ROUNDING_TOL` times the
+        least |R| that the whole estimate allows, |value| - estimate. The filled
+        states of the rows taken are summed directly, at O(l) per row, and their
+        empty states leave the groups' counts before the grouped sum is formed,
+        so no separately formed sum is subtracted that would cancel again.
+        """
+        grid, (idx, _) = self.grid, self.occ.minority
+        l, n = grid.l, grid.n_sites
+        stretch = np.searchsorted(idx, np.arange(0, n + 1, l))  # row i: idx[stretch[i]:stretch[i + 1]]
+        holes = np.diff(stretch)
+        span = (l - holes, l - 1) if self.params.t1 >= 0.0 else (0, holes - 1)
+        nearest = self._row_nearest(np.array([z]), *span)[0]
+        ranked = np.flatnonzero(holes)[np.argsort(nearest[holes > 0], kind="stable")]
+        # the estimate, eps * scale * left / n, and the least left to be reached
+        left = (self.counts * _inverse_square(self.gaps - z + self.shift)).sum()
+        goal = max(ROUNDING_TOL * abs(value) * n / self._scale(z) - ROUNDING_TOL * left, 0.0)
+        start, direct, filled, hole_gaps = 0, [], 0.0, []
+        while left > goal and start < ranked.size:
+            rows = ranked[start:2 * start + 8]
+            gaps = gap_from_structure_factor(self.params, grid.cos_k[rows, None] + grid.cos_k)
+            d = gaps - z
+            d += self.shift
+            inv_sq = _inverse_square(d)
+            per_row = holes[rows]
+            at = np.repeat(stretch[rows] - np.cumsum(per_row) + per_row, per_row)
+            at += np.arange(at.size)  # the places in idx of the empty states of the rows
+            empty = np.zeros(d.shape, bool)
+            empty[np.repeat(np.arange(rows.size), per_row), idx[at] % l] = True
+            after = left - np.cumsum(np.where(empty, inv_sq, 0.0).sum(axis=-1))
+            k = min(np.count_nonzero(after > goal) + 1, rows.size)
+            inv_sq[empty] = 0.0
+            filled += (inv_sq[:k] * d[:k].conj()).sum()  # 1/D = conj(D) / |D|^2
+            hole_gaps.append(gaps[:k][empty[:k]])
+            direct.append(rows[:k])
+            left, start = after[k - 1], start + k
+        if not direct:
+            return value
+        # sorted, the holes' gaps find their groups about twice as fast
+        found = np.searchsorted(self.gaps, np.sort(np.concatenate(hole_gaps)))
+        counts = self.counts - np.bincount(found, minlength=self.gaps.size)
+        return self._closed_form(z, real, counts, np.concatenate(direct))[0] + filled / n
 
     def _row_means(self, col, real: bool):
         """Row means (1/l) sum_j 1/(A_i + B c_j) at each z of ``col`` (a scalar or a column),
@@ -333,17 +417,12 @@ class PairBand:
         q += 1.0
         return np.divide(q, den, out=q)
 
-    def mesh(self, z, guard: float = RESONANCE_GUARD_EV):
-        """The literal mesh sum of R(z), over blocks of mesh rows, each guarded."""
-        grid, occ = self.grid, self.occ
-        l, n = grid.l, grid.n_sites
-        step = max(1, MESH_BLOCK // l)
-        total = 0.0
-        for a in range(0, l, step):
-            gaps = gap_from_structure_factor(self.params, grid.gamma_rows(a, a + step))
-            d = gaps - z + self.shift
-            total += ladder_sum(d, occ.n_range(a * l, min(a + step, l) * l), 1.0, n, guard)
-        return total
+
+def _inverse_square(d: np.ndarray) -> np.ndarray:
+    """1 / |d|^2 element by element, real or complex ``d``."""
+    sq = abs(d)
+    sq *= sq
+    return np.divide(1.0, sq, out=sq)
 
 
 def _fold_weights(l: int) -> np.ndarray:
@@ -374,7 +453,7 @@ def _power(base: np.ndarray, n: int) -> np.ndarray:
 
 
 def _minority_gaps(params: ModelParams, grid: BZGrid, occ: Occupation) -> np.ndarray:
-    """Gaps of the minority states of ``occ``, bitwise those of ``gamma_rows``.
+    """Gaps of the minority states of ``occ``, each from c_i + c_j as every grid gap is.
 
     The flat indices are sorted, so each mesh row's states are one stretch of
     them: the row cosine is repeated over its stretch rather than looked up.
@@ -423,25 +502,22 @@ def screened_detunings(params: ModelParams, band: PairBand, k) -> ScreenedDetuni
                              delta_bs=screened_detuning_bs(params, band, k))
 
 
-def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float, below_one=None):
+def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float):
     """Bisect the ladder closure ``lhs(omega) = 1`` below the continuum ``edge``.
 
-    Returns (omega, residual, converged). The bracket top edge - 1e-9 only
-    has to lie on the far side of the root, so there only the sign of
-    lhs - 1 is asked for: ``below_one(omega)``, when given, answers whether
-    lhs(omega) < 1 (:meth:`PairBand.closure_below_one`), else lhs itself is
-    evaluated. Bisection is iterated to floating-point resolution (the
-    bracket endpoints have poles just above, so robustness beats speed);
-    ``converged`` reports whether the final bracket is narrower than
-    :data:`BRACKET_TOL`.
+    Returns (omega, residual, converged). The bracket top edge - 1e-9 has to
+    lie on the far side of the root, lhs(top) >= 1; for a :class:`PairBand`,
+    whose holes may sit just above it, :meth:`PairBand.resolvent` sums the
+    cancelling rows there directly. Bisection is iterated to floating-point
+    resolution (the bracket endpoints have poles just above, so robustness
+    beats speed); ``converged`` reports whether the final bracket is narrower
+    than :data:`BRACKET_TOL`.
     """
     if u12 <= 0.0 or nu <= 0.0:
         raise NoResonance("a bound state requires u12 > 0 and a partially filled band")
-    if below_one is None:
-        below_one = lambda omega: lhs(omega) < 1.0
     lo = edge - u11 - 5.0 * u12
     hi = edge - 1e-9
-    if below_one(hi):
+    if lhs(hi) < 1.0:
         raise NoResonance(
             "no sign change inside the bracket (u12 too small for a bound state "
             "on this grid)"
@@ -464,10 +540,19 @@ def solve_exciton_resonance(params: ModelParams, band: PairBand) -> ResonanceRep
     """Locate the exciton resonance: the unique F(omega) = 1 root below the edge."""
     band = band.for_params(params)
     u12 = params.u12
-    omega, residual, converged = solve_bound_state(
-        lambda w: u12 * band.resolvent(w, guard=0.0), band.edge, params.u11, u12,
-        band.occ.nu, below_one=functools.partial(band.closure_below_one, u12),
-    )
+
+    def closure(omega):
+        # u12 R(omega), unguarded. Bisection reads only the sign of u12 R - 1 until
+        # the root, and the closed form decides it wherever |u12 R - 1| exceeds u12
+        # times its rounding estimate: just below holes that cancel, as at the
+        # bracket top, that spares the direct rows of PairBand.resolvent
+        value, error = band._closed_form(omega, True)
+        if not (error <= ROUNDING_TOL * abs(value) or abs(u12 * value - 1.0) > u12 * error):
+            return u12 * band.resolvent(omega, guard=0.0)
+        return u12 * float(value)
+
+    omega, residual, converged = solve_bound_state(closure, band.edge, params.u11, u12,
+                                                   band.occ.nu)
     return ResonanceReport(
         omega_ex=omega,
         continuum_edge=band.edge,

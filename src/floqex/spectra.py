@@ -41,7 +41,7 @@ def absorbance(params: ModelParams, band: PairBand, omegas, gamma: float) -> Spe
     Per frequency, raw = Im[R / (1 - u12 R)] / pi with the pair resolvent R at
     z = omega + i*gamma, taken for all of ``omegas`` in one call of
     :meth:`floqex.screening.PairBand.resolvent` (a frequency whose subtracted
-    empty states cancel their full-band twins takes the mesh sum on its own),
+    empty states cancel their full-band twins sums a few mesh rows directly),
     which is (1/(pi N)) sum_k n_k Im[1 / (d_k (1 - (u12/N) sum_k' n_k'/d_k'))] for
     d_k = gap_k - z + shift. gamma regularizes every pole, so no resonance
     guard applies; the in-gap peak sits at the exciton resonance, band

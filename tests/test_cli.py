@@ -276,7 +276,7 @@ def test_grid_beyond_physical_memory_rejected(monkeypatch, tmp_path, capsys):
         assert scenarios._grid(RunOptions(grid=4096), "fig1a", 256).l == 4096
         with pytest.raises(ConfigError, match="grid 8192.*fig1a.*physical memory"):
             scenarios._grid(RunOptions(grid=8192), "fig1a", 256)
-        m.setattr(scenarios, "_physical_memory_bytes", lambda: 4 * 2**30)
+        m.setattr(scenarios, "_physical_memory_bytes", lambda: 3 * 2**30)
         out = tmp_path / "fig1a"
         assert main(["run", "fig1a", "--grid", "12000", "--out", str(out)]) == 2
         assert "grid 12000" in capsys.readouterr().err and not out.exists()
@@ -303,7 +303,7 @@ def test_declared_grid_peak_covers_the_scenario(name):
         finally:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        assert peak <= scenarios.PEAK_MESH_ARRAYS * 8 * l * l, (doping, peak)
+        assert peak <= scenarios.PEAK_BAND_ARRAYS * 8 * l * l, (doping, peak)
 
 
 @pytest.mark.parametrize("name", GRID_SCENARIOS)

@@ -12,6 +12,7 @@ import floqex.screening as screening
 from floqex import (
     BZGrid,
     ModelParams,
+    NoResonance,
     ResonantDenominator,
     band_gap,
     occupations,
@@ -20,6 +21,7 @@ from floqex import (
 )
 from floqex.screening import (
     RESONANCE_GUARD_EV,
+    ROUNDING_TOL,
     PairBand,
     hartree_shift,
 )
@@ -131,28 +133,41 @@ def test_undoped_complex_z_never_takes_the_mesh(monkeypatch):
     assert calls == []
 
 
-def test_mesh_fallback_runs_over_row_blocks(monkeypatch):
+def test_real_z_inside_the_band_takes_the_row_sums(monkeypatch):
+    # no mesh sum: the closed form answers inside the band, and the row search
+    # refuses the band minimum, which for t21 > 0 lies in a middle mesh row
     p = model(0.3, 0.05)
     grid = BZGrid.square(17)
     occ = occupations(p, grid)
+    band = pair_band(p, grid, occ)
     lo, hi = shifted_band(p, grid, occ)
     inside = lo + 0.3137 * (hi - lo)
-    whole = pair_band(p, grid, occ).resolvent(inside, guard=0.0)
-    sizes = []
-    literal = screening.ladder_sum
-    monkeypatch.setattr(screening, "ladder_sum",
-                        lambda *args: sizes.append(args[0].size) or literal(*args))
-    monkeypatch.setattr(screening, "MESH_BLOCK", 3 * 17)
-    blocked = pair_band(p, grid, occ).resolvent(inside, guard=0.0)
-    assert sizes == [3 * 17] * 5 + [2 * 17]
-    assert abs(blocked - whole) <= TOL * abs(whole)
-    assert abs(blocked - mesh_sum(p, grid, occ, inside)) <= TOL * abs(whole)
-    # the band minimum of t21 > 0 lies in a middle block, whose guard refuses
-    # before that block is divided
-    sizes.clear()
+    calls = counting_ladder_sum(monkeypatch)
+    value = band.resolvent(inside, guard=0.0)
+    assert abs(value - mesh_sum(p, grid, occ, inside)) <= TOL * abs(value)
     with pytest.raises(ResonantDenominator):
-        pair_band(p, grid, occ).resolvent(lo)
-    assert 1 < len(sizes) < 6
+        band.resolvent(lo)
+    assert np.argmin(band._row_nearest(np.array([lo]))[0]) in (8, 9)  # k_x next to pi
+    assert calls == []
+
+
+@pytest.mark.parametrize("l", (64, 255, 256))
+@pytest.mark.parametrize("t1", (0.05, -0.05))
+def test_real_z_inside_the_band_matches_a_long_double_mesh_sum(t1, l):
+    """Real z across the shifted band, off the grid gaps, undoped and at doping 0.05,
+    within C eps (|z| + max |gap + shift|) (1/N) sum_k 1/D_k^2, the problem's own
+    conditioning: C = 0.3, against 0.133 measured (a float mesh sum reaches 0.265)."""
+    c = np.cos(2.0 * np.pi * np.arange(l) / l)
+    for doping in (0.0, 0.05):
+        band = pair_band(ModelParams(t1=t1, doping=doping), BZGrid.square(l))
+        assert band.shift == 0.0
+        lo, hi = band.edge, band.gap_max
+        z = lo + (hi - lo) * (np.arange(1, 98) - 0.4137) / 97
+        values = np.array([band.resolvent(w, guard=0.0) for w in z])
+        ref = long_double_mesh_sum(t1, l, z + 0j, band.occ.n_k).real
+        d = (band.params.eps21 + 2.0 * band.params.t21 * (c[:, None] + c)).ravel() - z[:, None]
+        conditioning = np.finfo(float).eps * (np.abs(z) + max(abs(lo), abs(hi))) * np.mean(d ** -2.0, axis=-1)
+        assert np.max(np.abs(values - ref) / conditioning) <= 0.3, doping
 
 
 def test_continuum_edge_is_the_mesh_minimum_bitwise():
@@ -204,7 +219,7 @@ def test_doped_solve_takes_no_mesh_sum(monkeypatch):
     assert calls == []
 
 
-def test_bracket_top_within_its_rounding_estimate_takes_the_mesh(monkeypatch):
+def test_bracket_top_within_its_rounding_estimate_takes_the_direct_rows(monkeypatch):
     # u11 = 2 u12 keeps the Hartree shift at exactly 0, so R at the bracket top
     # does not move when u12 is tuned to put u12 R(top) on 1
     base = ModelParams(doping=0.05)
@@ -212,20 +227,30 @@ def test_bracket_top_within_its_rounding_estimate_takes_the_mesh(monkeypatch):
     band = pair_band(base, grid)
     top = band.edge - 1e-9
     value, error = band._closed_form(top, True)
+    assert error > ROUNDING_TOL * value  # the holes at the edge cancel
     u12 = 1.0 / value
-    tuned = pair_band(base.replace(u11=2.0 * u12, u12=u12), grid)
-    assert tuned.shift == band.shift == 0.0
-    value, error = tuned._closed_form(top, True)
+    tuned = base.replace(u11=2.0 * u12, u12=u12)
+    tuned_band = pair_band(tuned, grid)
+    assert tuned_band.shift == band.shift == 0.0
+    value, error = tuned_band._closed_form(top, True)
     assert abs(u12 * value - 1.0) <= u12 * error
-    calls = counting_ladder_sum(monkeypatch)
-    below = tuned.closure_below_one(u12, top)
-    assert calls
-    assert below == (u12 * tuned.mesh(top, 0.0) < 1.0)
+    direct = []
+    rows = PairBand._direct_rows
+    monkeypatch.setattr(PairBand, "_direct_rows",
+                        lambda self, *args: direct.append(1) or rows(self, *args))
+    # the closed form cannot tell the sign of u12 R - 1 there: the solve asks the
+    # resolvent, whose direct rows put R within rounding of a long-double sum
+    with pytest.raises(NoResonance):
+        solve_exciton_resonance(tuned, tuned_band)
+    assert direct
+    ref = long_double_mesh_sum(base.t1, grid.l, top + 0j, band.occ.n_k).real
+    assert u12 * ref < 1.0
+    assert abs(tuned_band.resolvent(top, guard=0.0) - ref) <= 1e-13 * ref
     # the default coupling sits further from 1 than its estimate (0.24 against
     # 0.02): the closed form decides, although R is too uncertain to return
-    calls.clear()
-    assert not band.closure_below_one(base.u12, top)
-    assert calls == []
+    direct.clear()
+    assert solve_exciton_resonance(base, band).converged
+    assert direct == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -296,16 +321,21 @@ def test_real_array_matches_scalar_calls():
             band.resolvent(complex_z, guard=0.0)
 
 
-def test_block_mixes_closed_form_and_mesh_fallback(monkeypatch):
+def test_block_mixes_closed_form_and_direct_rows(monkeypatch):
     # a broadening far below one mesh step at a partial filling: a z whose subtracted
-    # empty states cancel their full-band twins takes the mesh, the others the
-    # closed form, and some blocks across the edge hold both
-    passes, meshed = [], []
-    closed_form, mesh = PairBand._closed_form, PairBand.mesh
-    monkeypatch.setattr(PairBand, "_closed_form",
-                        lambda self, w, real: passes.append(np.size(w)) or closed_form(self, w, real))
-    monkeypatch.setattr(PairBand, "mesh",
-                        lambda self, w, guard: meshed.append(w) or mesh(self, w, guard))
+    # empty states cancel their full-band twins takes direct rows, the others the
+    # closed form alone, and some blocks across the edge hold both
+    passes, direct = [], []
+    closed_form, rows = PairBand._closed_form, PairBand._direct_rows
+
+    def block_pass(self, w, real, *args):  # the direct rows' own passes are not counted
+        if not args:
+            passes.append(np.size(w))
+        return closed_form(self, w, real, *args)
+
+    monkeypatch.setattr(PairBand, "_closed_form", block_pass)
+    monkeypatch.setattr(PairBand, "_direct_rows",
+                        lambda self, w, *args: direct.append(w) or rows(self, w, *args))
     p = model(-0.2, 0.05)
     for l in (64, 65):  # the folded rows of a complex z at even and at odd l
         grid = BZGrid.square(l)
@@ -314,22 +344,22 @@ def test_block_mixes_closed_form_and_mesh_fallback(monkeypatch):
         lo, hi = shifted_band(p, grid, occ)
         z = np.linspace(lo - 0.1, lo + 0.1, 101) + 1e-5j
         passes.clear()
-        meshed.clear()
+        direct.clear()
         values = band.resolvent(z)
         # every z passes through the closed form once, in equal blocks but the last
         step = passes[0]
         assert 1 < step < z.size and sum(passes) == z.size
         assert passes == [step] * (len(passes) - 1) + [z.size - step * (len(passes) - 1)]
-        took_mesh = np.isin(z, meshed)
-        assert 0 < took_mesh.sum() < z.size
+        took_rows = np.isin(z, direct)
+        assert 0 < took_rows.sum() < z.size
         starts = range(0, z.size, step)
-        assert any(0 < took_mesh[i:i + step].sum() < took_mesh[i:i + step].size
+        assert any(0 < took_rows[i:i + step].sum() < took_rows[i:i + step].size
                    for i in starts)
         # and each z takes the same evaluation as when it is asked for alone
-        meshed.clear()
+        direct.clear()
         for w, value in zip(z, values):
             assert band.resolvent(w) == pytest.approx(value, rel=1e-13)
-        assert np.array_equal(np.isin(z, meshed), took_mesh)
+        assert np.array_equal(np.isin(z, direct), took_rows)
         for w, value in zip(z, values):
             assert abs(value - mesh_sum(p, grid, occ, w)) <= TOL * abs(value)
 
@@ -380,16 +410,25 @@ def test_complex_z_matches_a_long_double_mesh_sum(t1, l):
 @pytest.mark.parametrize("gamma", (1e-3, 5e-4, 1e-4))
 @pytest.mark.parametrize("doping, most", [(0.0, 0), (0.05, 61)])
 def test_narrow_absorbance_takes_few_mesh_sums(monkeypatch, doping, most, gamma):
-    # the absorbance window below a mesh step: undoped nothing cancels, so no
-    # frequency takes the O(l^2) mesh sum; doped only those whose subtracted empty
-    # states cancel their full-band twins (44, 60 and 61 measured)
-    meshed = []
-    mesh = PairBand.mesh
-    monkeypatch.setattr(PairBand, "mesh",
-                        lambda self, w, guard: meshed.append(w) or mesh(self, w, guard))
+    # the absorbance window below a mesh step at l = 512: undoped nothing cancels,
+    # so no frequency sums mesh rows directly; doped only those whose subtracted
+    # empty states cancel their full-band twins (44, 60 and 61 of 1301 measured),
+    # each over at most 12, 40 and 53 of the 131 rows that hold empty states (as
+    # many measured), where the literal mesh sum took all 512 rows
+    rows = {1e-3: 12, 5e-4: 40, 1e-4: 53}[gamma]
+    taken = []
+    closed_form = PairBand._closed_form
+
+    def counting(self, w, real, counts=None, skip=None):  # skip: the rows summed directly
+        if skip is not None:
+            taken.append(skip.size)
+        return closed_form(self, w, real, counts, skip)
+
+    monkeypatch.setattr(PairBand, "_closed_form", counting)
     p = ModelParams(doping=doping)
     absorbance(p, pair_band(p, BZGrid.square(512)), np.linspace(2.4, 5.0, 1301), gamma)
-    assert len(meshed) <= most
+    assert len(taken) <= most
+    assert max(taken, default=0) <= rows
 
 
 @pytest.mark.parametrize("l", (1, 2, 16, 17, 512))

@@ -23,8 +23,11 @@ import numpy as np
 import pytest
 
 import floqex
+import floqex.screening as screening
+from floqex import BZGrid, ModelParams, pair_band
 from floqex.config import parse_config
 from floqex.scenarios import run_scenario
+from floqex.spectra import absorbance
 
 MANIFEST = Path(__file__).parent / "data" / "tables-l64.sha256"
 
@@ -67,6 +70,23 @@ def test_every_table_keeps_its_bytes(tmp_path):
     assert sorted(digests) == sorted(pinned)
     moved = [path for path, digest in pinned.items() if digests[path] != digest]
     assert not moved, f"{len(moved)} files differ from the manifest: {moved}"
+
+
+def test_no_run_takes_a_mesh_sum(monkeypatch, tmp_path):
+    """No full-mesh pass is left: with the literal mesh sum refused, every run of
+    the manifest but oracle (whose small systems sum their states literally) writes
+    its pinned bytes, and a doped absorbance below a mesh step completes."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a k'-sum took the literal mesh sum")
+
+    monkeypatch.setattr(screening, "ladder_sum", refused)
+    digests = table_digests(tmp_path, skip=("oracle",))
+    pinned = read_manifest(MANIFEST.read_text())
+    assert [path for path, digest in digests.items() if pinned[path] != digest] == []
+    p = ModelParams(doping=0.05)
+    band = pair_band(p, BZGrid.square(512))
+    for gamma in (1e-3, 1e-4):
+        absorbance(p, band, np.linspace(2.4, 5.0, 1301), gamma)
 
 
 def blas_name() -> str:
