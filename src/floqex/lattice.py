@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Mesh points per block when the minority states of a filling are listed over
-# blocks of rows: small enough that a block's temporaries stay far below one
-# l x l array at large l.
+# Mesh points per block of rows when the minority states of a filling are listed:
+# small enough that a block's temporaries stay far below one l x l array.
 MESH_BLOCK = 2**16
 
 _ENERGY_FIELDS = (

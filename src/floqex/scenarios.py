@@ -41,16 +41,12 @@ MAX_AXIS_POINTS = 1_000_000
 
 _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 
-# Peak memory of any grid scenario in l x l float64 arrays. Scans read only
-# their points and no k'-sum passes over the mesh, so the peak is the pair
-# band's: the minority states of its filling (up to half the mesh, at doping
-# 1/2), their gaps, and the sort that groups them. The largest tracemalloc peak
-# over the nine grid scenarios at doping 0, 0.05 and 0.5 and l = 64, 128 and 256
-# (with the coarse axes of tests/test_cli.py) is fig4's at doping 0.5, which
-# holds the bands of two t21 values: 3.12 arrays at l = 64, 2.74 at l = 128 and
-# 2.69 at l = 256; the others stay within 2.5. It is rounded up to 3.5 for other
-# numpy versions. A grid whose scenario cannot fit in physical memory is refused
-# before anything is allocated.
+# Peak memory of any grid scenario in l x l float64 arrays: no k'-sum passes over
+# the mesh, so it is the pair band's, whose minority states (up to half the mesh)
+# are listed, gapped and sorted. The largest tracemalloc peak of the nine grid
+# scenarios at doping 0, 0.05 and 0.5 and l = 64, 128 and 256 (coarse axes, as in
+# tests/test_cli.py) is 3.12, fig4's at doping 0.5 and l = 64, rounded up for other
+# numpy versions. A grid that cannot fit is refused before anything is allocated.
 PEAK_BAND_ARRAYS = 3.5
 
 

@@ -15,14 +15,10 @@ Every k'-reduction is one pair resolvent R(z) = (1/N) sum_k n_k / (gap_k +
 shift - z), held by a :class:`PairBand`: S = u12 R(omega_l), the ladder
 closure is F(omega) = u12 R(omega), and the absorbance continues R to complex
 z. The band is built by :func:`pair_band` once per (band, Hartree shift, grid,
-filling), since R depends on neither the drive nor the couplings g_l, g_c. R
-has one evaluation path, at every real or complex z: an exact O(l) sum over
-mesh rows, corrected by the minority states of a partial filling grouped by
-their exact gap value. A real z inside the band is refused near a grid gap by
-an O(l log l) search of each row, and where subtracted empty states cancel
-their full-band twins, the filled states of a few rows are summed directly.
-No full-mesh pass is made; the literal mesh sum :func:`ladder_sum` serves the
-small systems of :mod:`floqex.exactdiag`.
+filling), since R depends on neither the drive nor the couplings g_l, g_c. At
+every z, R is an exact O(l) sum over mesh rows, corrected by the minority states
+of a partial filling grouped by their exact gap value, with a few rows summed
+directly where subtracted states cancel; no k'-sum passes over the whole mesh.
 
 Every function here that sums over k' takes the band; the model ``params`` it
 also takes set the drive, and a band built for other couplings is moved to
@@ -114,11 +110,9 @@ def shifted_detunings(params, k, occ, bs: bool = False) -> np.ndarray | float:
 
 def ladder_sum(shifted: np.ndarray, occupancy: np.ndarray, u12: float, n_sites: int,
                guard: float = RESONANCE_GUARD_EV) -> float:
-    """Literal S = (u12/N) * sum_k n_k / D_k with the band-resonance guard applied.
-
-    ``guard = 0`` never refuses. This is the reference sum for small systems
-    without lattice structure.
-    """
+    """Literal S = (u12/N) * sum_k n_k / D_k, refused within ``guard`` of a band
+    resonance (``guard = 0`` never refuses): the sum of small systems without lattice
+    structure."""
     if np.min(np.abs(shifted)) < guard:
         raise ResonantDenominator(
             f"a grid point sits within {guard} eV of the Hartree-shifted band resonance"
@@ -188,35 +182,23 @@ class PairBand:
             (1/l) sum_j 1 / (A + B cos(2 pi j / l)) = (1 + rho^l) / ((1 - rho^l) s),
 
         s = sqrt(A^2 - B^2), rho = -B / (A + s) with the root |rho| <= 1, and
-        1/A when B = 0, so a full band costs O(l) per z. It holds at every z
-        off the grid gaps: inside the band |rho| = 1 on the rows that z crosses,
-        and the poles of the form are the grid points. Row l - i has the
-        cosine of row i, so a complex z sums the rows i <= l/2
+        1/A when B = 0, so a full band costs O(l) per z; inside the band,
+        |rho| = 1 on the rows that z crosses and the poles are the grid points.
+        Row l - i has the cosine of row i, so a complex z sums the rows i <= l/2
         (:attr:`folded_coeffs`), each but row 0 and (at even l) row l/2 twice; a
         real z sums all l rows, which keeps the bits of every real-z value. A
-        partial filling starts from the full band and subtracts the empty
-        states, or sums the filled states directly when they are no more, one
-        term count/(g + shift - z) per distinct gap g of the minority states.
-
-        A real z within ``guard`` (doubled, to cover the rounding of D_k) of the
-        shifted band [gap_min, gap_max] + shift is refused with
-        ``ResonantDenominator`` when a grid point sits within ``guard`` of it:
-        a ``searchsorted`` of each row's crossing over the sorted cosines finds
-        the nearest grid gap of every row in O(l log l). ``guard = 0`` never
-        refuses.
-
-        Where subtracted empty states cancel their full-band twins, that is
-        where the closed form's rounding error, estimated over those states
-        (:meth:`_closed_form`), exceeds :data:`ROUNDING_TOL` relative, the
-        filled states of a few rows are summed one by one
-        (:meth:`_direct_rows`). An undoped band, or one whose filled states are
-        summed directly, never needs them.
-
-        An array of z runs through the closed form in blocks, as many z per
-        pass as keep its (z x row) and (z x distinct gap) arrays within
-        :data:`RESOLVENT_BLOCK` elements and an eighth of the mesh (one z at
-        least), the real z inside the guarded band in blocks of their own; a
-        scalar is the block of one.
+        partial filling subtracts the empty states from the full band, or sums
+        the filled states when they are fewer, one term count/(g + shift - z)
+        per distinct gap g. Where subtracted states cancel their full-band twins
+        (their rounding estimate, :meth:`_closed_form`, exceeds
+        :data:`ROUNDING_TOL` relative), a few rows are summed directly
+        (:meth:`_direct_rows`). A real z within twice ``guard`` of the shifted
+        band is refused when a grid point sits within ``guard`` of it
+        (:meth:`_refuse_resonant`; ``guard = 0`` never refuses). An array of z
+        runs through the closed form in blocks, as many z per pass as keep its
+        (z x row) and (z x distinct gap) arrays within :data:`RESOLVENT_BLOCK`
+        elements and an eighth of the mesh (one z at least); a z inside the
+        guarded band, or one whose states cancel, is then evaluated on its own.
         """
         z = np.asarray(z)
         real = not np.iscomplexobj(z)
@@ -225,80 +207,57 @@ class PairBand:
                              "pass a real z as a float")
         lo, hi = self.edge - 2.0 * guard, self.gap_max + self.shift + 2.0 * guard
         if not z.ndim:
-            # one z: the same steps on Python scalars; on a one-element array the
-            # masks below cost about as much as the closed form at l = 256
+            # one z: the same decisions on Python scalars; on a one-element array
+            # the masks below cost about as much as the closed form at l = 256
             w = z.item()
             if real and guard and lo <= w <= hi:
-                self._refuse_resonant(np.array([w]), guard)
+                self._refuse_resonant(w, guard)
             value, error = self._closed_form(w, real)
             if not error <= ROUNDING_TOL * abs(value):
                 value = self._direct_rows(w, real, value)
             return float(value.real) if real else complex(value)
         zs = z.astype(float if real else complex)
-        inside = (lo <= zs) & (zs <= hi) if real else np.zeros(zs.size, bool)
+        alone = (lo <= zs) & (zs <= hi) if real else np.zeros(zs.size, bool)
+        far = (~alone).nonzero()[0]
         out = np.empty_like(zs)
-        cancels = np.zeros(zs.size, bool)
         size = min(RESOLVENT_BLOCK, self.grid.n_sites // 8)
         rows = self.grid.l if real else self.grid.l // 2 + 1
         step = max(1, size // max(rows, self.gaps.size))
-        for part in ((~inside).nonzero()[0], inside.nonzero()[0]):
-            for start in range(0, part.size, step):
-                block = part[start:start + step]
-                if guard and inside[block[0]]:
-                    self._refuse_resonant(zs[block], guard)
-                value, error = self._closed_form(zs[block], real)
-                out[block] = value.real if real else value
-                cancels[block] = ~(error <= ROUNDING_TOL * abs(value))
-        for i in cancels.nonzero()[0]:
-            value = self._direct_rows(zs[i], real, out[i])
-            out[i] = value.real if real else value
+        for start in range(0, far.size, step):
+            block = far[start:start + step]
+            value, error = self._closed_form(zs[block], real)
+            out[block] = value.real if real else value
+            alone[block] = ~(error <= ROUNDING_TOL * abs(value))
+        for i in alone.nonzero()[0]:
+            out[i] = self.resolvent(zs[i], guard)
         return out
 
-    def _refuse_resonant(self, zs: np.ndarray, guard: float):
-        """Raise ``ResonantDenominator`` if a grid point sits within ``guard`` of a z of ``zs``."""
-        if (self._row_nearest(zs) < guard).any():
+    def _refuse_resonant(self, z: float, guard: float):
+        """Raise ``ResonantDenominator`` if a grid point's |D| = |gap + shift - z| is
+        below ``guard``. On row i, D is monotone in c_j, rounding included, so |D| is
+        least where D changes sign: a ``searchsorted`` of c_j = (z - shift - eps21)
+        / B - c_i over the sorted cosines finds it, to within a mirror pair and its
+        rounding, and D is formed as every grid gap is around it: O(l log l)."""
+        p, c = self.params, self.grid.cos_k
+        ranked = np.sort(c)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cross = (z - self.shift - p.eps21) / np.float64(2.0 * p.t21) - c
+        near = np.clip(np.searchsorted(ranked, cross)[:, None] + np.arange(-3, 3), 0, c.size - 1)
+        d = gap_from_structure_factor(p, c[:, None] + ranked[near]) - z + self.shift
+        if (abs(d) < guard).any():
             raise ResonantDenominator(
                 f"a grid point sits within {guard} eV of the Hartree-shifted band resonance"
             )
-
-    def _row_nearest(self, zs: np.ndarray, first=0, last=None) -> np.ndarray:
-        """The smallest |D_k| = |gap_k + shift - z| along each mesh row, at each z of
-        the 1-D array ``zs``: a (z x row) array, in O(l log l) per z. ``first`` and
-        ``last`` bound, per row, the places in the ascending order of the cosines
-        over which it is taken (the whole row when not given).
-
-        Along row i, gap(c_i + c_j) + shift - Re z is monotone in c_j, rounding
-        included, so |D| is smallest where it changes sign: a ``searchsorted`` of
-        the crossing c_j = (Re z - shift - eps21) / B - c_i over the sorted cosines
-        places it to within a mirror pair of cosines and the rounding of the
-        crossing, and D is formed, as the gaps of the grid are formed, at the
-        cosines around that place.
-        """
-        p, c = self.params, self.grid.cos_k
-        ranked = np.sort(c)
-        last = c.size - 1 if last is None else last
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cross = (zs.real[:, None] - self.shift - p.eps21) / (2.0 * p.t21) - c
-        near = np.searchsorted(ranked, cross)[..., None] + np.arange(-3, 3)
-        near = np.clip(near, np.reshape(first, (-1, 1)), np.reshape(last, (-1, 1)))
-        d = gap_from_structure_factor(p, c[:, None] + ranked[near])
-        d = d - zs[:, None, None]
-        d += self.shift
-        return abs(d).min(axis=-1)
 
     def _closed_form(self, z, real: bool, counts=None, skip=None):
         """(R(z) from the row sums and the grouped minority states, its rounding error)
         at a scalar ``z`` or at each element of a 1-D array of them.
 
-        ``counts`` replaces the groups' counts, and the mesh rows ``skip`` are left
-        out of the row sums: :meth:`_direct_rows` sums their filled states itself.
-        The error is estimated as eps * (|z| + the largest |gap + shift|) *
-        sum |1/D_k|^2 / N over the subtracted empty states, where near-resonant
-        ones cancel their full-band twins. At a real z whose D_k all have one
-        sign that sum is bounded by max |1/D_k| |sum 1/D_k| / N, and left
-        infinite where they have both; at a complex z it is Im part / Im z, part
-        being their sum (1/N) sum 1/D_k. A full band and directly summed filled
-        states carry none.
+        ``counts`` replaces the groups' counts, and the mesh rows ``skip``, whose
+        filled states :meth:`_direct_rows` sums, are left out of the row sums. The
+        error is estimated as :meth:`_scale` times sum |1/D_k|^2 / N over the
+        subtracted empty states, where near-resonant ones cancel their full-band
+        twins; a full band and directly summed filled states carry none.
         """
         col = z[:, None] if np.ndim(z) else z  # one row of the (z x row) arrays per z
         n, l = self.grid.n_sites, self.grid.l
@@ -319,8 +278,7 @@ class PairBand:
                 return part, np.zeros(np.shape(z))
             # the D of a real z outside the subtracted gaps have one sign, so sum
             # 1/D^2 is at most the largest |1/D|, at an end of the sorted gaps,
-            # times |sum 1/D|; among them that bound fails and the estimate is
-            # infinite. At a complex z, Im(1/D) = Im z |1/D|^2
+            # times |sum 1/D| (among them, unbounded); Im(1/D) = Im z |1/D|^2
             spread = np.where(mixed, np.inf, ends * abs(part)) if real else part.imag / z.imag
         means = self._row_means(col, real)
         if not real or skip is not None:
@@ -336,56 +294,28 @@ class PairBand:
         return _EPS * (abs(z) + max(abs(self.edge), abs(self.gap_max + self.shift)))
 
     def _direct_rows(self, z, real: bool, value):
-        """R at a scalar ``z`` whose subtracted empty states cancel, from the closed
-        form with a few mesh rows summed one by one; ``value`` is the closed form's R.
-
-        The empty states of a row are its highest band-1 energies 2 t1 (c_i + c_j):
-        its largest cosines at t1 > 0 and its smallest at t1 < 0 (at t1 = 0 whole
-        rows are empty, but for one). So :meth:`_row_nearest` finds each row's
-        nearest empty state, and rows are taken from the one holding the largest
-        |1/D| hole down. Their shares of the rounding estimate are summed
-        exactly, over batches of rows that double in size, until what the empty
-        states of the other rows hold falls below :data:`ROUNDING_TOL` times the
-        least |R| that the whole estimate allows, |value| - estimate. The filled
-        states of the rows taken are summed directly, at O(l) per row, and their
-        empty states leave the groups' counts before the grouped sum is formed,
-        so no separately formed sum is subtracted that would cancel again.
+        """R at a scalar ``z`` whose subtracted empty states cancel, ``value`` being
+        the closed form's. The rows holding the largest shares of the rounding
+        estimate (the largest |1/D| holes) are taken until the others' fall below
+        :data:`ROUNDING_TOL` times the least |R| the estimate allows. Their filled
+        states are summed directly, O(l) per row, and their empty states leave the
+        groups' counts before the grouped sum is formed: no separately formed sum
+        is subtracted, which would cancel again.
         """
-        grid, (idx, _) = self.grid, self.occ.minority
-        l, n = grid.l, grid.n_sites
-        stretch = np.searchsorted(idx, np.arange(0, n + 1, l))  # row i: idx[stretch[i]:stretch[i + 1]]
-        holes = np.diff(stretch)
-        span = (l - holes, l - 1) if self.params.t1 >= 0.0 else (0, holes - 1)
-        nearest = self._row_nearest(np.array([z]), *span)[0]
-        ranked = np.flatnonzero(holes)[np.argsort(nearest[holes > 0], kind="stable")]
-        # the estimate, eps * scale * left / n, and the least left to be reached
-        left = (self.counts * _inverse_square(self.gaps - z + self.shift)).sum()
-        goal = max(ROUNDING_TOL * abs(value) * n / self._scale(z) - ROUNDING_TOL * left, 0.0)
-        start, direct, filled, hole_gaps = 0, [], 0.0, []
-        while left > goal and start < ranked.size:
-            rows = ranked[start:2 * start + 8]
-            gaps = gap_from_structure_factor(self.params, grid.cos_k[rows, None] + grid.cos_k)
-            d = gaps - z
-            d += self.shift
-            inv_sq = _inverse_square(d)
-            per_row = holes[rows]
-            at = np.repeat(stretch[rows] - np.cumsum(per_row) + per_row, per_row)
-            at += np.arange(at.size)  # the places in idx of the empty states of the rows
-            empty = np.zeros(d.shape, bool)
-            empty[np.repeat(np.arange(rows.size), per_row), idx[at] % l] = True
-            after = left - np.cumsum(np.where(empty, inv_sq, 0.0).sum(axis=-1))
-            k = min(np.count_nonzero(after > goal) + 1, rows.size)
-            inv_sq[empty] = 0.0
-            filled += (inv_sq[:k] * d[:k].conj()).sum()  # 1/D = conj(D) / |D|^2
-            hole_gaps.append(gaps[:k][empty[:k]])
-            direct.append(rows[:k])
-            left, start = after[k - 1], start + k
-        if not direct:
-            return value
-        # sorted, the holes' gaps find their groups about twice as fast
-        found = np.searchsorted(self.gaps, np.sort(np.concatenate(hole_gaps)))
+        grid, l, n = self.grid, self.grid.l, self.grid.n_sites
+        rows = self.occ.minority[0] // l
+        gaps = _minority_gaps(self.params, grid, self.occ)
+        share = np.bincount(rows, weights=abs(gaps - z + self.shift) ** -2.0, minlength=l)
+        ranked = np.argsort(share, kind="stable")
+        left = np.cumsum(share[ranked]) * (self._scale(z) / n)  # the estimate over rows kept
+        goal = ROUNDING_TOL * max(abs(value) - left[-1], 0.0)
+        direct = ranked[np.searchsorted(left, goal, side="right"):]
+        found = np.searchsorted(self.gaps, gaps[np.isin(rows, direct)])
         counts = self.counts - np.bincount(found, minlength=self.gaps.size)
-        return self._closed_form(z, real, counts, np.concatenate(direct))[0] + filled / n
+        d = gap_from_structure_factor(self.params, grid.cos_k[direct, None] + grid.cos_k)
+        d = d - z + self.shift
+        filled = np.reshape([self.occ.n_range(i * l, (i + 1) * l) for i in direct], d.shape)
+        return self._closed_form(z, real, counts, direct)[0] + (filled / d).sum() / n
 
     def _row_means(self, col, real: bool):
         """Row means (1/l) sum_j 1/(A_i + B c_j) at each z of ``col`` (a scalar or a column),
@@ -416,13 +346,6 @@ class PairBand:
         den *= s
         q += 1.0
         return np.divide(q, den, out=q)
-
-
-def _inverse_square(d: np.ndarray) -> np.ndarray:
-    """1 / |d|^2 element by element, real or complex ``d``."""
-    sq = abs(d)
-    sq *= sq
-    return np.divide(1.0, sq, out=sq)
 
 
 def _fold_weights(l: int) -> np.ndarray:
@@ -505,13 +428,11 @@ def screened_detunings(params: ModelParams, band: PairBand, k) -> ScreenedDetuni
 def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float):
     """Bisect the ladder closure ``lhs(omega) = 1`` below the continuum ``edge``.
 
-    Returns (omega, residual, converged). The bracket top edge - 1e-9 has to
-    lie on the far side of the root, lhs(top) >= 1; for a :class:`PairBand`,
-    whose holes may sit just above it, :meth:`PairBand.resolvent` sums the
-    cancelling rows there directly. Bisection is iterated to floating-point
-    resolution (the bracket endpoints have poles just above, so robustness
-    beats speed); ``converged`` reports whether the final bracket is narrower
-    than :data:`BRACKET_TOL`.
+    Returns (omega, residual, converged). The bracket top edge - 1e-9 must lie
+    on the far side of the root, lhs(top) >= 1. Bisection is iterated to
+    floating-point resolution (the bracket endpoints have poles just above, so
+    robustness beats speed); ``converged`` reports whether the final bracket is
+    narrower than :data:`BRACKET_TOL`.
     """
     if u12 <= 0.0 or nu <= 0.0:
         raise NoResonance("a bound state requires u12 > 0 and a partially filled band")
@@ -542,10 +463,8 @@ def solve_exciton_resonance(params: ModelParams, band: PairBand) -> ResonanceRep
     u12 = params.u12
 
     def closure(omega):
-        # u12 R(omega), unguarded. Bisection reads only the sign of u12 R - 1 until
-        # the root, and the closed form decides it wherever |u12 R - 1| exceeds u12
-        # times its rounding estimate: just below holes that cancel, as at the
-        # bracket top, that spares the direct rows of PairBand.resolvent
+        # u12 R(omega), unguarded; bisection reads only the sign of u12 R - 1, which the closed
+        # form decides where |u12 R - 1| > u12 times its estimate, sparing the bracket top's rows
         value, error = band._closed_form(omega, True)
         if not (error <= ROUNDING_TOL * abs(value) or abs(u12 * value - 1.0) > u12 * error):
             return u12 * band.resolvent(omega, guard=0.0)

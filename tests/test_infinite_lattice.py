@@ -84,8 +84,10 @@ def test_fig3c_enhancement_equals_the_infinite_lattice(tmp_path):
 
 
 def test_density_of_states_integrates_to_one():
-    # the density is even in gamma, so the states above gamma = 0 are half of them
+    # the density is even in gamma, so the states above gamma = 0 are half of them;
+    # from gamma = -2 the integral is split at the van Hove point
     assert abs(2.0 * infinite_lattice.states_above(0.0)[1].sum() - 1.0) <= 1e-13
+    assert abs(infinite_lattice.states_above(-2.0)[1].sum() - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("t1", [0.05, -0.05])
@@ -116,5 +118,33 @@ def test_doped_resolvent_and_exciton_line_converge_as_l_squared(doping, t1):
         omega_ex = solve_exciton_resonance(p, band).omega_ex
         errors[l] = np.append(np.abs(band.resolvent(z) / exact - 1.0), abs(omega_ex - omega_exact))
     assert np.all(errors[1024] <= 1.0 / 1024**2), errors[1024] * 1024**2
+    ratio = errors[512] / errors[1024]
+    assert 3.0 <= ratio[0] <= 5.0 and 3.0 <= ratio[2] <= 5.0, ratio
+
+
+@pytest.mark.parametrize("t1", [0.05, -0.05])
+@pytest.mark.parametrize("doping", [0.5, 0.6])
+def test_doped_past_the_van_hove_point_converges_as_l_squared(doping, t1):
+    """From doping 1/2 on, the holes reach the van Hove point gamma = 0 and floqex
+    sums the filled states, now the fewer, directly. Real-z R at edge - 0.5 and
+    edge - 0.05, and omega_ex, within C l^-2 of l = infinity at l = 1024 (relative
+    for R, in eV for omega_ex), with C = 2: measured 0.24-1.26 for R and
+    0.22-1.68 for omega_ex, the largest at doping 0.6 and t1 = 0.05. The error
+    falls about 4-fold from l = 512 to 1024 (3.9-4.0 measured).
+    """
+    # u11 = 2 u12 keeps the Hartree shift at 0; u12 = 3.5 binds a line at every
+    # filling here, also where the filled states lie far from the gap minimum
+    p = ModelParams(t1=t1, doping=doping, u11=7.0, u12=3.5)
+    band_args = (p.eps21, 0.0, p.t21)
+    z = p.eps21 - 4.0 * abs(p.t21) - np.array([0.5, 0.05])
+    exact = infinite_lattice.resolvent(z, *band_args, doping, t1)
+    omega_exact = infinite_lattice.exciton_line(*band_args, p.u12, doping, t1)
+    errors = {}
+    for l in (512, 1024):
+        band = pair_band(p, BZGrid.square(l))
+        assert band.shift == 0.0 and band.occ.minority[1]  # the filled states are listed
+        omega_ex = solve_exciton_resonance(p, band).omega_ex
+        errors[l] = np.append(np.abs(band.resolvent(z) / exact - 1.0), abs(omega_ex - omega_exact))
+    assert np.all(errors[1024] <= 2.0 / 1024**2), errors[1024] * 1024**2
     ratio = errors[512] / errors[1024]
     assert 3.0 <= ratio[0] <= 5.0 and 3.0 <= ratio[2] <= 5.0, ratio

@@ -147,7 +147,6 @@ def test_real_z_inside_the_band_takes_the_row_sums(monkeypatch):
     assert abs(value - mesh_sum(p, grid, occ, inside)) <= TOL * abs(value)
     with pytest.raises(ResonantDenominator):
         band.resolvent(lo)
-    assert np.argmin(band._row_nearest(np.array([lo]))[0]) in (8, 9)  # k_x next to pi
     assert calls == []
 
 
@@ -328,8 +327,8 @@ def test_block_mixes_closed_form_and_direct_rows(monkeypatch):
     passes, direct = [], []
     closed_form, rows = PairBand._closed_form, PairBand._direct_rows
 
-    def block_pass(self, w, real, *args):  # the direct rows' own passes are not counted
-        if not args:
+    def block_pass(self, w, real, *args):  # z asked for alone are not counted
+        if np.ndim(w):
             passes.append(np.size(w))
         return closed_form(self, w, real, *args)
 
