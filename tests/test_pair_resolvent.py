@@ -165,8 +165,8 @@ def test_real_z_inside_the_band_matches_a_long_double_mesh_sum(t1, l):
         values = np.array([band.resolvent(w, guard=0.0) for w in z])
         ref = long_double_mesh_sum(t1, l, z + 0j, band.occ.n_k).real
         d = (band.params.eps21 + 2.0 * band.params.t21 * (c[:, None] + c)).ravel() - z[:, None]
-        conditioning = np.finfo(float).eps * (np.abs(z) + max(abs(lo), abs(hi))) * np.mean(d ** -2.0, axis=-1)
-        assert np.max(np.abs(values - ref) / conditioning) <= 0.3, doping
+        scale = np.finfo(float).eps * (np.abs(z) + max(abs(lo), abs(hi)))
+        assert np.max(np.abs(values - ref) / (scale * np.mean(d ** -2.0, axis=-1))) <= 0.3, doping
 
 
 def test_continuum_edge_is_the_mesh_minimum_bitwise():
@@ -412,9 +412,9 @@ def test_narrow_absorbance_takes_few_mesh_sums(monkeypatch, doping, most, gamma)
     # the absorbance window below a mesh step at l = 512: undoped nothing cancels,
     # so no frequency sums mesh rows directly; doped only those whose subtracted
     # empty states cancel their full-band twins (44, 60 and 61 of 1301 measured),
-    # each over at most 12, 40 and 53 of the 131 rows that hold empty states (as
+    # each over at most 6, 36 and 52 of the 131 rows that hold empty states (as
     # many measured), where the literal mesh sum took all 512 rows
-    rows = {1e-3: 12, 5e-4: 40, 1e-4: 53}[gamma]
+    rows = {1e-3: 6, 5e-4: 36, 1e-4: 52}[gamma]
     taken = []
     closed_form = PairBand._closed_form
 
