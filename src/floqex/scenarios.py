@@ -45,7 +45,7 @@ _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 # the mesh, so it is the pair band's, whose minority states (up to half the mesh)
 # are listed, gapped and sorted. The largest tracemalloc peak of the nine grid
 # scenarios at doping 0, 0.05 and 0.5 and l = 64, 128 and 256 (coarse axes, as in
-# tests/test_cli.py) is 3.12, fig4's at doping 0.5 and l = 64, rounded up for other
+# tests/test_cli.py) is 3.13, fig4's at doping 0.5 and l = 64, rounded up for other
 # numpy versions. A grid that cannot fit is refused before anything is allocated.
 PEAK_BAND_ARRAYS = 3.5
 

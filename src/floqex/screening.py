@@ -37,6 +37,7 @@ import numpy as np
 
 from .exceptions import NoResonance, ResonantDenominator
 from .lattice import (
+    MESH_BLOCK,
     BZGrid,
     ModelParams,
     Occupation,
@@ -245,9 +246,8 @@ class PairBand:
         near = np.clip(np.searchsorted(ranked, cross)[:, None] + np.arange(-3, 3), 0, c.size - 1)
         d = gap_from_structure_factor(p, c[:, None] + ranked[near]) - z + self.shift
         if (abs(d) < guard).any():
-            raise ResonantDenominator(
-                f"a grid point sits within {guard} eV of the Hartree-shifted band resonance"
-            )
+            raise ResonantDenominator(f"a grid point sits within {guard} eV of the "
+                                      "Hartree-shifted band resonance")
 
     def _closed_form(self, z, real: bool, counts=None, skip=None):
         """(R(z) from the row sums and the grouped minority states, its rounding error)
@@ -268,9 +268,8 @@ class PairBand:
             inv += self.shift
             np.divide(1.0, inv, out=inv)  # in place: same bits as 1.0 / (gaps - z + shift)
             if real and not filled:
-                first, last = inv[..., 0], inv[..., -1]
-                ends = np.maximum(abs(first), abs(last))
-                mixed = np.signbit(first) != np.signbit(last)
+                ends = np.maximum(abs(inv[..., 0]), abs(inv[..., -1]))
+                mixed = np.signbit(inv[..., 0]) != np.signbit(inv[..., -1])
             # in place, then summed by numpy: no BLAS kernel picks the order of the sum
             inv *= self.counts if counts is None else counts
             part = inv.sum(axis=-1) / n
@@ -294,28 +293,30 @@ class PairBand:
         return _EPS * (abs(z) + max(abs(self.edge), abs(self.gap_max + self.shift)))
 
     def _direct_rows(self, z, real: bool, value):
-        """R at a scalar ``z`` whose subtracted empty states cancel, ``value`` being
-        the closed form's. The rows holding the largest shares of the rounding
-        estimate (the largest |1/D| holes) are taken until the others' fall below
-        :data:`ROUNDING_TOL` times the least |R| the estimate allows. Their filled
-        states are summed directly, O(l) per row, and their empty states leave the
-        groups' counts before the grouped sum is formed: no separately formed sum
-        is subtracted, which would cancel again.
-        """
-        grid, l, n = self.grid, self.grid.l, self.grid.n_sites
-        rows = self.occ.minority[0] // l
-        gaps = _minority_gaps(self.params, grid, self.occ)
-        share = np.bincount(rows, weights=abs(gaps - z + self.shift) ** -2.0, minlength=l)
+        """R at a scalar ``z`` whose subtracted empty states cancel, ``value`` being the
+        closed form's. The rows holding the largest shares of the rounding estimate
+        (the largest |1/D| holes) are taken until the others' fall below
+        :data:`ROUNDING_TOL` times the least |R| it allows. Their filled states are
+        summed directly, O(l) per row, and their empty states leave the groups' counts
+        before the grouped sum is formed, so no separately formed sum is subtracted."""
+        c, idx, l, n = self.grid.cos_k, self.occ.minority[0], self.grid.l, self.grid.n_sites
+        share = _minority_gaps(self.params, self.grid, self.occ) - np.real(z) + self.shift
+        share = np.hypot(share, np.imag(z), out=share) ** -2.0  # |1/D|^2, state by state
+        share = np.bincount(idx // l, weights=share, minlength=l)
         ranked = np.argsort(share, kind="stable")
         left = np.cumsum(share[ranked]) * (self._scale(z) / n)  # the estimate over rows kept
         goal = ROUNDING_TOL * max(abs(value) - left[-1], 0.0)
         direct = ranked[np.searchsorted(left, goal, side="right"):]
-        found = np.searchsorted(self.gaps, gaps[np.isin(rows, direct)])
-        counts = self.counts - np.bincount(found, minlength=self.gaps.size)
-        d = gap_from_structure_factor(self.params, grid.cos_k[direct, None] + grid.cos_k)
-        d = d - z + self.shift
-        filled = np.reshape([self.occ.n_range(i * l, (i + 1) * l) for i in direct], d.shape)
-        return self._closed_form(z, real, counts, direct)[0] + (filled / d).sum() / n
+        empty = idx[np.isin(idx // l, direct)]  # the empty states of the rows taken
+        g = gap_from_structure_factor(self.params, c[empty // l] + c[empty % l])  # group bits
+        counts = self.counts - np.bincount(np.searchsorted(self.gaps, g), minlength=self.gaps.size)
+        filled, step = 0.0, max(1, MESH_BLOCK // l)  # rows per block, as occupations lists them
+        for rows in (direct[start:start + step] for start in range(0, direct.size, step)):
+            d = gap_from_structure_factor(self.params, c[rows, None] + c) - z
+            d += self.shift
+            on = np.reshape([self.occ.n_range(i * l, (i + 1) * l) for i in rows], d.shape)
+            filled += np.divide(on, d, out=d).sum()
+        return self._closed_form(z, real, counts, direct)[0] + filled / n
 
     def _row_means(self, col, real: bool):
         """Row means (1/l) sum_j 1/(A_i + B c_j) at each z of ``col`` (a scalar or a column),
