@@ -93,7 +93,7 @@ def blas_name() -> str:
     """The name of the BLAS that numpy was built with, or "" where numpy does not say."""
     try:
         return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except Exception:
+    except (TypeError, KeyError):  # a numpy before 1.25 takes no mode
         return ""
 
 
