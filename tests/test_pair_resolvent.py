@@ -63,6 +63,15 @@ def counting_ladder_sum(monkeypatch):
     return calls
 
 
+def counting_direct_rows(monkeypatch):
+    """Record each z at which the resolvent sums rows directly; returns the list."""
+    taken = []
+    direct_rows = PairBand._direct_rows
+    monkeypatch.setattr(PairBand, "_direct_rows",
+                        lambda self, z, *args: taken.append(z) or direct_rows(self, z, *args))
+    return taken
+
+
 @pytest.mark.parametrize("doping", DOPINGS)
 @pytest.mark.parametrize("l", SIZES)
 @pytest.mark.parametrize("t21", T21)
@@ -118,8 +127,8 @@ def test_real_z_inside_the_guard_raises():
 
 def test_undoped_complex_z_never_takes_the_mesh(monkeypatch):
     # a broadening below one mesh step: no empty state is subtracted, so nothing
-    # cancels and the closed form answers at every z across the band
-    calls = counting_ladder_sum(monkeypatch)
+    # cancels and the closed form alone answers at every z across the band
+    calls, direct = counting_ladder_sum(monkeypatch), counting_direct_rows(monkeypatch)
     p = model(-0.2)
     for l in (16, 17):  # the folded rows of a complex z at even and at odd l
         grid = BZGrid.square(l)
@@ -130,7 +139,7 @@ def test_undoped_complex_z_never_takes_the_mesh(monkeypatch):
             z = complex(w, 0.01)
             value = resolvent(z)
             assert abs(value - mesh_sum(p, grid, occ, z)) <= TOL * abs(value), z
-    assert calls == []
+    assert calls == [] and direct == []
 
 
 def test_real_z_inside_the_band_takes_the_row_sums(monkeypatch):
@@ -212,10 +221,10 @@ def test_doped_solve_takes_no_mesh_sum(monkeypatch):
     p = ModelParams(doping=0.05)
     grid = BZGrid.square(1024)
     band = pair_band(p, grid)
-    calls = counting_ladder_sum(monkeypatch)
+    calls, direct = counting_ladder_sum(monkeypatch), counting_direct_rows(monkeypatch)
     rep = solve_exciton_resonance(p, band)
     assert rep.converged and rep.residual < 1e-9
-    assert calls == []
+    assert calls == [] and direct == []  # the closed form decides every sign here
 
 
 def test_bracket_top_within_its_rounding_estimate_takes_the_direct_rows(monkeypatch):
@@ -233,10 +242,7 @@ def test_bracket_top_within_its_rounding_estimate_takes_the_direct_rows(monkeypa
     assert tuned_band.shift == band.shift == 0.0
     value, error = tuned_band._closed_form(top, True)
     assert abs(u12 * value - 1.0) <= u12 * error
-    direct = []
-    rows = PairBand._direct_rows
-    monkeypatch.setattr(PairBand, "_direct_rows",
-                        lambda self, *args: direct.append(1) or rows(self, *args))
+    direct = counting_direct_rows(monkeypatch)
     # the closed form cannot tell the sign of u12 R - 1 there: the solve asks the
     # resolvent, whose direct rows put R within rounding of a long-double sum
     with pytest.raises(NoResonance):
@@ -324,8 +330,8 @@ def test_block_mixes_closed_form_and_direct_rows(monkeypatch):
     # a broadening far below one mesh step at a partial filling: a z whose subtracted
     # empty states cancel their full-band twins takes direct rows, the others the
     # closed form alone, and some blocks across the edge hold both
-    passes, direct = [], []
-    closed_form, rows = PairBand._closed_form, PairBand._direct_rows
+    passes, direct = [], counting_direct_rows(monkeypatch)
+    closed_form = PairBand._closed_form
 
     def block_pass(self, w, real, *args):  # z asked for alone are not counted
         if np.ndim(w):
@@ -333,8 +339,6 @@ def test_block_mixes_closed_form_and_direct_rows(monkeypatch):
         return closed_form(self, w, real, *args)
 
     monkeypatch.setattr(PairBand, "_closed_form", block_pass)
-    monkeypatch.setattr(PairBand, "_direct_rows",
-                        lambda self, w, *args: direct.append(w) or rows(self, w, *args))
     p = model(-0.2, 0.05)
     for l in (64, 65):  # the folded rows of a complex z at even and at odd l
         grid = BZGrid.square(l)
