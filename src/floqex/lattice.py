@@ -89,9 +89,10 @@ class ModelParams:
 class BZGrid:
     """Uniform l x l momentum mesh, k = 2*pi*n/l, Gamma always on-mesh.
 
-    Points are stored flat in row-major (nx, ny) order; this order is the
-    canonical reduction order for every k-sum in the library. The mesh is
-    closed under k -> -k (mod 2*pi) by construction.
+    Points are indexed flat in row-major (nx, ny) order, the index order of
+    :meth:`point` and the order in which a filling breaks ties between equal
+    energies; no k-sum runs over it, since the pair resolvent sums mesh rows. The
+    mesh is closed under k -> -k (mod 2*pi) by construction.
 
     The grid keeps only O(l) data: the 1-D table ``k`` of the l coordinates and
     their cosines ``cos_k``. Every band depends on k only through the structure

@@ -46,7 +46,9 @@ _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 # are listed, gapped and sorted. The largest tracemalloc peak of the nine grid
 # scenarios at doping 0, 0.05 and 0.5 and l = 64, 128 and 256 (coarse axes, as in
 # tests/test_cli.py) is 3.13, fig4's at doping 0.5 and l = 64, rounded up for other
-# numpy versions. A grid that cannot fit is refused before anything is allocated.
+# numpy versions; absorbance at doping 0.49, gamma = 1e-4 and l = 128, whose directly
+# summed rows come in blocks of at most an eighth of the mesh, reads 3.30. A grid
+# that cannot fit is refused before anything is allocated.
 PEAK_BAND_ARRAYS = 3.5
 
 

@@ -30,7 +30,6 @@ their Hartree shift (:meth:`PairBand.for_params`). Per-k values are taken at
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +58,8 @@ _EPS = np.finfo(float).eps
 # Elements of one (z x mesh row) or (z x distinct gap) array of the closed form,
 # and never more than an eighth of the mesh, so that the four such arrays a pass
 # holds stay within half an l x l array: :meth:`PairBand.resolvent` evaluates
-# max(1, min(RESOLVENT_BLOCK, l^2 / 8) // max(rows, distinct gaps)) values of z per
-# pass, with the l rows of a real z or the l // 2 + 1 of a complex one. 2^13 (16
-# real z at l = 512) ran fastest on a 2-vCPU Xeon VM: a block's arrays, about
+# max(1, min(RESOLVENT_BLOCK, l^2 / 8) // max(l // 2 + 1, distinct gaps)) values
+# of z per pass. 2^13 ran fastest on a 2-vCPU Xeon VM: a block's arrays, about
 # 0.5 MB, stay in its 2 MB L2 cache, where 2^15 ran 1.8x slower at l = 512.
 RESOLVENT_BLOCK = 2**13
 
@@ -126,8 +124,10 @@ class PairBand:
     """The k'-sum of one model: R(z) = (1/N) sum_k n_k / (gap_k + shift - z) over ``grid``.
 
     ``params`` gives the band (eps21, t21) and ``shift`` its Hartree shift for
-    the filling ``occ``. ``row_coeffs`` are B c_i (B = 2 t21, c = cos k), the
-    row coefficients of :meth:`resolvent`. The minority states of ``occ`` are
+    the filling ``occ``. ``row_coeffs`` are B c_i (B = 2 t21, c = cos k) of the
+    rows i <= l/2 that stand for all l rows in :meth:`resolvent`: rows i and
+    l - i share their cosine, whose two roundings differ by about an ulp, and each
+    folded row takes their mean. The minority states of ``occ`` are
     grouped by their exact gap value: the distinct, ascending ``gaps`` occur
     ``counts`` times (held as floats), so a partial filling costs one term
     per distinct gap rather than one per state.
@@ -147,18 +147,6 @@ class PairBand:
     def edge(self) -> float:
         """Continuum edge: the smallest Hartree-shifted gap on the grid."""
         return self.gap_min + self.shift
-
-    @functools.cached_property
-    def folded_coeffs(self) -> np.ndarray:
-        """Row coefficients of the rows i <= l/2 that stand for all l rows at a complex z.
-
-        Rows i and l - i share their cosine, whose two roundings differ by about an
-        ulp; each folded row takes their mean, which keeps R where the unfolded sum
-        of both rows had it (to about 6e-14 relative in a doped absorbance at
-        l = 64, against 1e-13 from row i alone).
-        """
-        half = np.arange(self.grid.l // 2 + 1)
-        return 0.5 * (self.row_coeffs[half] + self.row_coeffs[-half])
 
     def for_params(self, params: ModelParams) -> "PairBand":
         """This band with the Hartree shift of ``params``: itself when that shift is
@@ -185,9 +173,8 @@ class PairBand:
         s = sqrt(A^2 - B^2), rho = -B / (A + s) with the root |rho| <= 1, and
         1/A when B = 0, so a full band costs O(l) per z; inside the band,
         |rho| = 1 on the rows that z crosses and the poles are the grid points.
-        Row l - i has the cosine of row i, so a complex z sums the rows i <= l/2
-        (:attr:`folded_coeffs`), each but row 0 and (at even l) row l/2 twice; a
-        real z sums all l rows, which keeps the bits of every real-z value. A
+        Row l - i has the cosine of row i, so every z sums the rows i <= l/2
+        (:attr:`row_coeffs`), each but row 0 and (at even l) row l/2 twice. A
         partial filling subtracts the empty states from the full band, or sums
         the filled states when they are fewer, one term count/(g + shift - z)
         per distinct gap g. Where subtracted states cancel their full-band twins
@@ -222,8 +209,7 @@ class PairBand:
         far = (~alone).nonzero()[0]
         out = np.empty_like(zs)
         size = min(RESOLVENT_BLOCK, self.grid.n_sites // 8)
-        rows = self.grid.l if real else self.grid.l // 2 + 1
-        step = max(1, size // max(rows, self.gaps.size))
+        step = max(1, size // max(self.grid.l // 2 + 1, self.gaps.size))
         for start in range(0, far.size, step):
             block = far[start:start + step]
             value, error = self._closed_form(zs[block], real)
@@ -279,12 +265,11 @@ class PairBand:
             # 1/D^2 is at most the largest |1/D|, at an end of the sorted gaps,
             # times |sum 1/D| (among them, unbounded); Im(1/D) = Im z |1/D|^2
             spread = np.where(mixed, np.inf, ends * abs(part)) if real else part.imag / z.imag
+        weights = _fold_weights(l)
+        if skip is not None:
+            np.subtract.at(weights, np.minimum(skip, l - skip), 1.0)
         means = self._row_means(col, real)
-        if not real or skip is not None:
-            weights = np.ones(l) if real else _fold_weights(l)
-            if skip is not None:
-                np.subtract.at(weights, skip if real else np.minimum(skip, l - skip), 1.0)
-            means *= weights
+        means *= weights
         value = means.sum(axis=-1) / l - part
         return value, self._scale(z) * spread
 
@@ -310,7 +295,7 @@ class PairBand:
         empty = idx[np.isin(idx // l, direct)]  # the empty states of the rows taken
         g = gap_from_structure_factor(self.params, c[empty // l] + c[empty % l])  # group bits
         counts = self.counts - np.bincount(np.searchsorted(self.gaps, g), minlength=self.gaps.size)
-        filled, step = 0.0, max(1, MESH_BLOCK // l)  # rows per block, as occupations lists them
+        filled, step = 0.0, max(1, min(MESH_BLOCK, n // 8) // l)  # rows per block, <= mesh / 8
         for rows in (direct[start:start + step] for start in range(0, direct.size, step)):
             d = gap_from_structure_factor(self.params, c[rows, None] + c) - z
             d += self.shift
@@ -319,15 +304,13 @@ class PairBand:
         return self._closed_form(z, real, counts, direct)[0] + filled / n
 
     def _row_means(self, col, real: bool):
-        """Row means (1/l) sum_j 1/(A_i + B c_j) at each z of ``col`` (a scalar or a column),
-        over every row i at a real z and the rows i <= l/2 at a complex one
-        (:attr:`folded_coeffs`, weighted by the caller with :func:`_fold_weights`).
-        A real rho is raised to the l-th power with ``**``, a complex one by
-        :func:`_power`. The steps run in place, so a block holds four arrays of
-        its size."""
+        """Row means (1/l) sum_j 1/(A_i + B c_j) at each z of ``col`` (a scalar or a column)
+        over the rows i <= l/2 (:attr:`row_coeffs`, weighted by the caller with
+        :func:`_fold_weights`), with rho^l by :func:`_power`. A real z takes the
+        real root s where every A^2 - B^2 > 0. The steps run in place, so a block
+        holds four arrays of its size."""
         b = 2.0 * self.params.t21
-        coeffs = self.row_coeffs if real else self.folded_coeffs
-        a = (self.params.eps21 + self.shift - col) + coeffs
+        a = (self.params.eps21 + self.shift - col) + self.row_coeffs
         if b == 0.0:
             return np.divide(1.0, a, out=a)
         s = a - b
@@ -342,7 +325,7 @@ class PairBand:
             # the root with Re(s conj(A)) >= 0, so that |rho| <= 1
             np.negative(s, out=s, where=s.real * a.real + s.imag * a.imag < 0.0)
         rho = np.divide(-b, np.add(a, s, out=a), out=a)
-        q = _power(rho, self.grid.l) if np.iscomplexobj(rho) else rho ** self.grid.l
+        q = _power(rho, self.grid.l)
         den = 1.0 - q
         den *= s
         q += 1.0
@@ -364,7 +347,10 @@ def _power(base: np.ndarray, n: int) -> np.ndarray:
     products; ``base`` is overwritten.
 
     ``**`` on a complex array takes exp(n log base) per element for n >= 100,
-    about a hundred times the cost of a product.
+    about a hundred times the cost of a product. On a real array it calls the
+    host's vectorised ``pow``, whose last bit differs between SIMD kernels (AVX2
+    and AVX-512 disagree near the band edge), while a real product is correctly
+    rounded on every host, so a real base gives the same bits everywhere.
     """
     result = None
     while True:
@@ -395,8 +381,9 @@ def pair_band(params: ModelParams, grid: BZGrid, occ: Occupation | None = None) 
     occ = occupations(params, grid) if occ is None else occ
     gaps, counts = np.unique(_minority_gaps(params, grid, occ), return_counts=True)
     gap_min, gap_max = gap_range(params, grid)
+    b, half = 2.0 * params.t21 * grid.cos_k, np.arange(grid.l // 2 + 1)
     return PairBand(params=params, grid=grid, occ=occ, shift=hartree_shift(params, occ),
-                    gap_min=gap_min, gap_max=gap_max, row_coeffs=2.0 * params.t21 * grid.cos_k,
+                    gap_min=gap_min, gap_max=gap_max, row_coeffs=0.5 * (b[half] + b[-half]),
                     gaps=gaps, counts=counts.astype(float))
 
 

@@ -306,6 +306,21 @@ def test_declared_grid_peak_covers_the_scenario(name):
         assert peak <= scenarios.PEAK_BAND_ARRAYS * 8 * l * l, (doping, peak)
 
 
+def test_declared_grid_peak_covers_a_narrow_doped_absorbance():
+    """Near half filling and below a mesh step, the rows that absorbance sums directly
+    stay within the declared arrays too: at l = 128 one block of MESH_BLOCK points
+    would be the whole mesh."""
+    l = 128
+    params, opts = parse_config("", [f"grid = {l}", "doping = 0.49", "gamma = 0.0001"])
+    tracemalloc.start()
+    try:
+        scenarios.SCENARIOS["absorbance"](params, opts)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= scenarios.PEAK_BAND_ARRAYS * 8 * l * l, peak / (8 * l * l)
+
+
 @pytest.mark.parametrize("name", GRID_SCENARIOS)
 def test_grid_scenario_builds_no_mesh_field(name, monkeypatch):
     """Scenarios read the points they write: no l x l grid or filling array is built.

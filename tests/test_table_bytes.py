@@ -97,24 +97,77 @@ def blas_name() -> str:
         return ""
 
 
-@pytest.mark.skipif("openblas" not in blas_name(),
-                    reason="OPENBLAS_CORETYPE selects a kernel of OpenBLAS only, and "
-                           "numpy's BLAS is not OpenBLAS")
-def test_tables_keep_their_bytes_under_another_blas_kernel(tmp_path):
-    """The pinned bytes do not depend on the BLAS kernel that OpenBLAS picks for the
-    host: a process forced onto the Haswell kernel writes them too. Oracle is left out,
-    since its deviation columns are LAPACK rounding noise."""
+def has_avx512_dispatch() -> bool:
+    """Whether numpy dispatches AVX-512 kernels (its X86_V4 group) on this CPU."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return "X86_V4" in __cpu_dispatch__ and __cpu_features__.get("X86_V4", False)
+
+
+OPENBLAS_ONLY = pytest.mark.skipif(
+    "openblas" not in blas_name(),
+    reason="OPENBLAS_CORETYPE selects a kernel of OpenBLAS only, and numpy's BLAS is not OpenBLAS")
+AVX512_ONLY = pytest.mark.skipif(
+    not has_avx512_dispatch(),
+    reason="numpy dispatches no AVX-512 kernel on this CPU, so there is none to disable")
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def run_elsewhere(settings: dict, script: str, *args) -> object:
+    """The JSON that ``script`` prints, run with these tests importable in a fresh
+    process under the environment ``settings``."""
     paths = [str(Path(floqex.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, **settings, PYTHONPATH=os.pathsep.join(paths))
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
+def assert_tables_keep_their_bytes_under(settings: dict, out: Path):
+    """Every run of the manifest but oracle, whose deviation columns are LAPACK
+    rounding noise, writes its pinned bytes in a process under ``settings``."""
     script = ("import json, sys, pathlib, test_table_bytes as t; "
               "print(json.dumps(t.table_digests(pathlib.Path(sys.argv[1]), skip=('oracle',))))")
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(paths))
-    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                         capture_output=True, text=True, check=True)
-    digests = json.loads(run.stdout)
+    digests = run_elsewhere(settings, script, str(out))
     pinned = read_manifest(MANIFEST.read_text())
     assert sorted(digests) == sorted(path for path in pinned if "/oracle." not in path)
     moved = [path for path, digest in digests.items() if pinned[path] != digest]
-    assert not moved, f"{len(moved)} files differ from the manifest under Haswell: {moved}"
+    assert not moved, f"{len(moved)} files differ from the manifest under {settings}: {moved}"
+
+
+@OPENBLAS_ONLY
+def test_tables_keep_their_bytes_under_another_blas_kernel(tmp_path):
+    """The pinned bytes do not depend on the BLAS kernel that OpenBLAS picks for the
+    host: a process forced onto the Haswell kernel writes them too."""
+    assert_tables_keep_their_bytes_under({"OPENBLAS_CORETYPE": "Haswell"}, tmp_path)
+
+
+@AVX512_ONLY
+def test_tables_keep_their_bytes_without_avx512(tmp_path):
+    """Nor on numpy's SIMD kernels: a process whose numpy may not use AVX-512 (so
+    runs its AVX2 kernels, as a host without AVX-512 does) writes them too."""
+    assert_tables_keep_their_bytes_under(NO_AVX512, tmp_path)
+
+
+def edge_resolvents() -> list:
+    """R of the default model at l = 64, undoped, at 200 real z from edge - 1e-6 to
+    edge - 3, as bit strings: first each z as a scalar, then all of them as one
+    array. The z are spaced geometrically by Python's own float power, since numpy's
+    (``np.geomspace``) depends on the host's kernels."""
+    band = pair_band(ModelParams(), BZGrid.square(64))
+    zs = [band.edge - 1e-6 * 3e6 ** (i / 199) for i in range(200)]
+    values = [band.resolvent(z) for z in zs] + band.resolvent(np.array(zs)).tolist()
+    return [value.hex() for value in values]
+
+
+@AVX512_ONLY
+def test_real_resolvent_keeps_its_bits_without_avx512():
+    """Real-z R near the band edge, where rho^l is closest to 1, has the same bits in a
+    process without numpy's AVX-512 kernels as in this one."""
+    script = "import json, test_table_bytes as t; print(json.dumps(t.edge_resolvents()))"
+    elsewhere, here = run_elsewhere(NO_AVX512, script), edge_resolvents()
+    assert len(here) == 400
+    moved = [i for i, (a, b) in enumerate(zip(here, elsewhere)) if a != b]
+    assert not moved, f"{len(moved)} of 400 values differ without AVX-512: {moved}"
 
 
 if __name__ == "__main__":
