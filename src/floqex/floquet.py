@@ -1,10 +1,13 @@
 """Drive-renormalized lower band: Stark and Bloch-Siegert shifts, effective hopping.
 
-The dressed band is eps_1(k) - |g_l|^2/Delta_k - |g_l|^2/Delta_bs_k with the
-screened detunings of :mod:`floqex.screening`; both shifts scale exactly as
-|g_l|^2 and are negative whenever the detunings are positive, so driving
-lowers the occupied band. Comparators treating the exciton line as a
-two-level emitter are provided for reference.
+The drive is 2 g_l cos(omega_l t) sum_k (c2_k^dag c1_k + h.c.): its two Fourier
+components g_l e^(-+i omega_l t) give the rotating (Stark) and the counter-rotating
+(Bloch-Siegert) channel. The dressed band is eps_1(k) - |g_l|^2/Delta_k -
+|g_l|^2/Delta_bs_k with the screened detunings of :mod:`floqex.screening`: the
+second-order Floquet (Sambe-space) quasi-energy shift of the lower level. Both
+shifts scale exactly as |g_l|^2 and are negative whenever the detunings are
+positive, so driving lowers the occupied band. Comparators treating the exciton
+line as a two-level emitter are provided for reference.
 """
 
 from __future__ import annotations

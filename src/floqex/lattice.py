@@ -15,10 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Mesh points per block of rows when the minority states of a filling are listed:
-# small enough that a block's temporaries stay far below one l x l array.
-MESH_BLOCK = 2**16
-
 _ENERGY_FIELDS = (
     "u11", "u12", "u22", "eps21", "t1", "t2",
     "g_l", "g_c", "omega_l", "omega_c", "mu",
@@ -159,42 +155,62 @@ class BZGrid:
 
 @dataclass(frozen=True)
 class Occupation:
-    """Zero-temperature lower-band filling, stored as its minority state set.
+    """Zero-temperature lower-band filling, held row by row in O(l).
 
-    ``minority`` is (indices, filled): the sorted flat indices of the smaller
-    of the filled and the empty state sets, and whether they list the filled
-    ones; a tie lists the filled states. A full or an empty band lists no
-    states. The per-point occupancies ``n_k`` (1.0 filled, 0.0 empty) are built
-    from it only when first read; :meth:`n_range` gives a stretch of them
-    without building the whole mesh.
+    Mesh row i holds its ``count[i]`` lowest band-1 states, at the columns
+    ``order[:count[i]]`` (along ``order`` every row's energies ascend), but the tie
+    row ``row``, whose filled columns are the mask ``row_filled``.
+    :meth:`minority_states` lists the fewer of the filled and the empty states
+    (:attr:`filled`); ``n_k`` (1.0 filled, 0.0 empty) is built only when first read,
+    and :meth:`row_occupancy` gives one row of it.
     """
 
     n_sites: int
     n_filled: int
-    minority: tuple
-
-    def __post_init__(self):
-        self.minority[0].setflags(write=False)
+    order: np.ndarray
+    count: np.ndarray
+    row: int
+    row_filled: np.ndarray
 
     @property
     def nu(self) -> float:
         """Per-spin filling n_filled / n_sites."""
         return self.n_filled / self.n_sites
 
+    @property
+    def filled(self) -> bool:
+        """Whether the minority states are the filled ones (at a tie, they are)."""
+        return self.n_filled <= self.n_sites - self.n_filled
+
     @functools.cached_property
     def n_k(self) -> np.ndarray:
         """Read-only occupancies over the flat mesh (built on first access)."""
-        n_k = self.n_range(0, self.n_sites)
+        on = np.argsort(self.order) < self.count[:, None]  # each column's rank in its row
+        on[self.row] = self.row_filled
+        n_k = on.ravel().astype(float)
         n_k.setflags(write=False)
         return n_k
 
-    def n_range(self, start: int, stop: int) -> np.ndarray:
-        """Occupancies of the flat indices ``start <= i < stop``, a fresh array."""
-        idx, filled = self.minority
-        lo, hi = np.searchsorted(idx, (start, stop))
-        n = np.zeros(stop - start) if filled else np.ones(stop - start)
-        n[idx[lo:hi] - start] = 1.0 if filled else 0.0
+    def row_occupancy(self, i: int) -> np.ndarray:
+        """Occupancies of the l states of mesh row ``i``, a fresh array."""
+        if i == self.row:
+            return self.row_filled.astype(float)
+        n = np.zeros(self.order.size)
+        n[self.order[:self.count[i]]] = 1.0
         return n
+
+    def minority_states(self) -> tuple:
+        """(rows, columns) of the minority states, row by row: ``order[:count[i]]`` or
+        ``order[count[i]:]`` on row i, the tie row's read off its mask."""
+        l, filled = self.order.size, self.filled
+        size = self.count if filled else l - self.count
+        end = np.cumsum(size)
+        rows = np.repeat(np.arange(l), size)
+        # the k-th state listed lies on row i at rank k - end[i] + count[i], or + l if empty
+        cols = self.order[np.arange(end[-1]) - (end - (self.count if filled else l))[rows]]
+        tie = slice(end[self.row] - size[self.row], end[self.row])
+        cols[tie] = np.flatnonzero(self.row_filled == filled)
+        return rows, cols
 
 
 def _structure_factor(k):
@@ -259,17 +275,18 @@ def occupations(params: ModelParams, grid: BZGrid) -> Occupation:
     in c_j, rounding included, so once the l cosines are sorted, one
     ``searchsorted`` counts the states at or below an energy in every row
     (:func:`_count_at_or_below`), and a bisection over energies finds the
-    n_filled-th one (:func:`_filled_per_row`).
-    The minority states are then read off row by row.
+    n_filled-th one (:func:`_filled_per_row`), whose row filling the
+    :class:`Occupation` keeps. A full or an empty band fills every row alike.
     """
-    n_sites = grid.n_sites
-    n_filled = int(round((1.0 - params.doping) * n_sites))
-    filled = n_filled <= n_sites - n_filled
-    if n_filled in (0, n_sites):
-        idx = np.empty(0, dtype=np.intp)
+    n_filled = int(round((1.0 - params.doping) * grid.n_sites))
+    if n_filled in (0, grid.n_sites):
+        full = np.full(grid.l, n_filled > 0)
+        filling = np.arange(grid.l), full * grid.l, 0, full
     else:
-        idx = _minority_states(params.t1, grid, n_filled, filled)
-    return Occupation(n_sites=n_sites, n_filled=n_filled, minority=(idx, filled))
+        filling = _filled_per_row(params.t1, grid.cos_k, n_filled)
+    for array in filling[:2] + filling[3:]:  # order, count, row_filled
+        array.setflags(write=False)
+    return Occupation(grid.n_sites, n_filled, *filling)
 
 
 def _band1(scale: float, ci, cj):
@@ -354,24 +371,3 @@ def _filled_per_row(t1: float, c: np.ndarray, n_filled: int):
     row_filled[shell] = True
     count[row] = below[row] + from_shell
     return order, count, row, row_filled
-
-
-def _minority_states(t1: float, grid: BZGrid, n_filled: int, filled: bool) -> np.ndarray:
-    """Sorted flat indices of the filled states (``filled``) or of the empty ones."""
-    l = grid.l
-    order, count, row, row_filled = _filled_per_row(t1, grid.cos_k, n_filled)
-    rank = np.empty(l, dtype=np.intp)
-    rank[order] = np.arange(l)
-    step = max(1, MESH_BLOCK // l)
-    lacking = count == (0 if filled else l)  # rows that hold no minority state
-    parts = []
-    for start in range(0, l, step):
-        if lacking[start:start + step].all():
-            continue
-        mask = rank < count[start:start + step, None]
-        if start <= row < start + step:
-            mask[row - start] = row_filled
-        if not filled:
-            np.logical_not(mask, out=mask)
-        parts.append(np.flatnonzero(mask) + start * l)
-    return np.concatenate(parts)

@@ -41,14 +41,15 @@ MAX_AXIS_POINTS = 1_000_000
 
 _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 
-# Peak memory of any grid scenario in l x l float64 arrays: no k'-sum passes over
-# the mesh, so it is the pair band's, whose minority states (up to half the mesh)
-# are listed, gapped and sorted. The largest tracemalloc peak of the nine grid
+# Peak memory of any grid scenario in l x l float64 arrays, counting only arrays that
+# grow as l^2: no k'-sum passes over the mesh, so it is the pair band's build, which
+# lists, gaps and sorts the minority states (up to half the mesh); the band keeps only
+# their distinct gaps and counts. The largest tracemalloc peak of the nine grid
 # scenarios at doping 0, 0.05 and 0.5 and l = 64, 128 and 256 (coarse axes, as in
-# tests/test_cli.py) is 3.13, fig4's at doping 0.5 and l = 64, rounded up for other
-# numpy versions; absorbance at doping 0.49, gamma = 1e-4 and l = 128, whose directly
-# summed rows come in blocks of at most an eighth of the mesh, reads 3.30. A grid
-# that cannot fit is refused before anything is allocated.
+# tests/test_cli.py) is 2.86, fig4's at doping 0.5 and l = 64, rounded up for other
+# numpy versions; absorbance at doping 0.49, gamma = 1e-4 and l = 128 reads 2.96. At
+# l = 64 the default axis's own arrays dominate: absorbance at doping 0.49 reads 5.31
+# (5.40 at gamma = 1e-4). A grid that cannot fit is refused before anything is allocated.
 PEAK_BAND_ARRAYS = 3.5
 
 

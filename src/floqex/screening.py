@@ -36,7 +36,6 @@ import numpy as np
 
 from .exceptions import NoResonance, ResonantDenominator
 from .lattice import (
-    MESH_BLOCK,
     BZGrid,
     ModelParams,
     Occupation,
@@ -62,6 +61,10 @@ _EPS = np.finfo(float).eps
 # of z per pass. 2^13 ran fastest on a 2-vCPU Xeon VM: a block's arrays, about
 # 0.5 MB, stay in its 2 MB L2 cache, where 2^15 ran 1.8x slower at l = 512.
 RESOLVENT_BLOCK = 2**13
+
+# Mesh points per block of the rows that :meth:`PairBand._direct_rows` sums, and never
+# more than an eighth of the mesh: a block's temporaries stay far below one l x l array.
+MESH_BLOCK = 2**16
 
 # A bisection whose final bracket is wider than this (eV) reports converged = False.
 BRACKET_TOL = 1e-10
@@ -247,7 +250,7 @@ class PairBand:
         """
         col = z[:, None] if np.ndim(z) else z  # one row of the (z x row) arrays per z
         n, l = self.grid.n_sites, self.grid.l
-        filled = self.occ.minority[1]
+        filled = self.occ.filled
         part = spread = 0.0
         if filled or self.gaps.size:
             inv = self.gaps - col
@@ -284,22 +287,23 @@ class PairBand:
         :data:`ROUNDING_TOL` times the least |R| it allows. Their filled states are
         summed directly, O(l) per row, and their empty states leave the groups' counts
         before the grouped sum is formed, so no separately formed sum is subtracted."""
-        c, idx, l, n = self.grid.cos_k, self.occ.minority[0], self.grid.l, self.grid.n_sites
-        share = _minority_gaps(self.params, self.grid, self.occ) - np.real(z) + self.shift
-        share = np.hypot(share, np.imag(z), out=share) ** -2.0  # |1/D|^2, state by state
-        share = np.bincount(idx // l, weights=share, minlength=l)
+        c, l, n = self.grid.cos_k, self.grid.l, self.grid.n_sites
+        rows, gaps = _minority_gaps(self.params, self.grid, self.occ)
+        share = gaps - np.real(z) + self.shift  # |1/D|^2, state by state, then row by row
+        share = np.power(np.hypot(share, np.imag(z), out=share), -2.0, out=share)
+        share = np.bincount(rows, weights=share, minlength=l)
         ranked = np.argsort(share, kind="stable")
         left = np.cumsum(share[ranked]) * (self._scale(z) / n)  # the estimate over rows kept
         goal = ROUNDING_TOL * max(abs(value) - left[-1], 0.0)
         direct = ranked[np.searchsorted(left, goal, side="right"):]
-        empty = idx[np.isin(idx // l, direct)]  # the empty states of the rows taken
-        g = gap_from_structure_factor(self.params, c[empty // l] + c[empty % l])  # group bits
-        counts = self.counts - np.bincount(np.searchsorted(self.gaps, g), minlength=self.gaps.size)
+        taken = np.searchsorted(self.gaps, gaps[np.isin(np.arange(l), direct)[rows]])  # holes
+        counts = self.counts - np.bincount(taken, minlength=self.gaps.size)
+        del rows, gaps  # up to half the mesh each: not held while the rows are summed
         filled, step = 0.0, max(1, min(MESH_BLOCK, n // 8) // l)  # rows per block, <= mesh / 8
-        for rows in (direct[start:start + step] for start in range(0, direct.size, step)):
-            d = gap_from_structure_factor(self.params, c[rows, None] + c) - z
+        for block in (direct[start:start + step] for start in range(0, direct.size, step)):
+            d = gap_from_structure_factor(self.params, c[block, None] + c) - z
             d += self.shift
-            on = np.reshape([self.occ.n_range(i * l, (i + 1) * l) for i in rows], d.shape)
+            on = np.array([self.occ.row_occupancy(i) for i in block])
             filled += np.divide(on, d, out=d).sum()
         return self._closed_form(z, real, counts, direct)[0] + filled / n
 
@@ -362,24 +366,19 @@ def _power(base: np.ndarray, n: int) -> np.ndarray:
         np.multiply(base, base, out=base)
 
 
-def _minority_gaps(params: ModelParams, grid: BZGrid, occ: Occupation) -> np.ndarray:
-    """Gaps of the minority states of ``occ``, each from c_i + c_j as every grid gap is.
-
-    The flat indices are sorted, so each mesh row's states are one stretch of
-    them: the row cosine is repeated over its stretch rather than looked up.
-    """
-    idx, l, n = occ.minority[0], grid.l, grid.n_sites
-    per_row = np.diff(np.searchsorted(idx, np.arange(0, n + 1, l)))
-    gamma = np.repeat(grid.cos_k, per_row)
-    gamma += grid.cos_k[idx - np.repeat(np.arange(0, n, l), per_row)]
-    return gap_from_structure_factor(params, gamma)
+def _minority_gaps(params: ModelParams, grid: BZGrid, occ: Occupation) -> tuple:
+    """(rows, gaps) of the minority states of ``occ``, from c_i + c_j as every grid gap is."""
+    rows, cols = occ.minority_states()
+    gamma = grid.cos_k[rows]
+    gamma += grid.cos_k[cols]
+    return rows, gap_from_structure_factor(params, gamma)
 
 
 def pair_band(params: ModelParams, grid: BZGrid, occ: Occupation | None = None) -> PairBand:
     """The :class:`PairBand` of ``params`` on ``grid`` for the filling ``occ``
     (:func:`~floqex.lattice.occupations` when not given)."""
     occ = occupations(params, grid) if occ is None else occ
-    gaps, counts = np.unique(_minority_gaps(params, grid, occ), return_counts=True)
+    gaps, counts = np.unique(_minority_gaps(params, grid, occ)[1], return_counts=True)
     gap_min, gap_max = gap_range(params, grid)
     b, half = 2.0 * params.t21 * grid.cos_k, np.arange(grid.l // 2 + 1)
     return PairBand(params=params, grid=grid, occ=occ, shift=hartree_shift(params, occ),
@@ -491,7 +490,7 @@ def grpa_stark_equivalence(params: ModelParams, band: PairBand, k_index: int):
     """
     band = band.for_params(params)
     g2 = params.g_l * params.g_l
-    n_k = band.occ.n_range(k_index, k_index + 1)[0]
+    n_k = band.occ.row_occupancy(k_index // band.grid.l)[k_index % band.grid.l]
     d = shifted_detunings(params, band.grid.point(k_index), band.occ)
     t = grpa_tmatrix(params, band)
     bubble = g2 * (-n_k / d) * t

@@ -54,7 +54,7 @@ def absorbance(params: ModelParams, band: PairBand, omegas, gamma: float) -> Spe
     band = band.for_params(params)
     # an extreme gamma overflows the resolvent; the whole curve is checked below
     with np.errstate(all="ignore"):
-        r = band.resolvent(omegas + complex(0.0, gamma), guard=0.0)
+        r = band.resolvent(omegas + complex(0.0, gamma))
         raw = (r / (1.0 - params.u12 * r)).imag / np.pi
     if not np.all(np.isfinite(raw)):
         raise NoPeak(f"spectrum is not finite at broadening gamma = {gamma!r} on this grid")

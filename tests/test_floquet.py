@@ -99,6 +99,42 @@ def test_screened_change_broader_than_unscreened(grid128, params):
     assert abs(change_s) > abs(change_u)
 
 
+def sambe_shift_over_g2(gap, omega, g, m_max=8):
+    """Exact quasi-energy shift over g^2 of the lower level of two levels ``gap`` apart,
+    driven by 2 g cos(omega t) sigma_x.
+
+    The Floquet matrix in Sambe space, H_mn = H_(m-n) + m omega delta_mn with
+    H_(+-1) = g sigma_x, is truncated at |m| <= ``m_max`` (Shirley, Phys. Rev. 138,
+    B979 (1965); Sambe, Phys. Rev. A 7, 2203 (1973)). The lower level sits at 0, so
+    its quasi-energy is the eigenvalue nearest 0. It is read as the Rayleigh
+    quotient of its eigenvector: every term of that sum is of order g^2, so its
+    rounding is relative to the shift, not to the m omega of the far blocks.
+    """
+    size = 2 * m_max + 1
+    h = np.kron(np.diag(np.arange(-m_max, m_max + 1) * omega), np.eye(2))
+    h += np.kron(np.eye(size), np.diag([0.0, gap]))
+    h += np.kron(np.eye(size, k=1) + np.eye(size, k=-1), [[0.0, g], [g, 0.0]])
+    values, vectors = np.linalg.eigh(h)
+    x = vectors[:, np.argmin(abs(values))]
+    return (x @ h @ x) / g**2
+
+
+def test_dressed_band_matches_sambe_quasi_energies():
+    # at u = 0 each k is a driven two-level system; its g^2 shift, Richardson-
+    # extrapolated to g -> 0 from g = 4e-3, 2e-3, 1e-3 (remainder O(g^6)), is
+    # the Stark plus Bloch-Siegert shift of the dressed band over g_l^2
+    p = ModelParams(u11=0.0, u12=0.0, omega_l=2.6)
+    grid = BZGrid.square(16)
+    kx, ky = k = grid.point(np.array([grid.index(*n) for n in ((0, 0), (1, 0), (3, 5), (8, 8))]))
+    band = effective_band(p, pair_band(p, grid), k)
+    gaps = p.eps21 + 2.0 * (p.t2 - p.t1) * (np.cos(kx) + np.cos(ky))
+    for change, gap in zip((band.stark + band.bs) / p.g_l**2, gaps):
+        f = [sambe_shift_over_g2(gap, p.omega_l, g) for g in (4e-3, 2e-3, 1e-3)]
+        f = [(4.0 * b - a) / 3.0 for a, b in zip(f, f[1:])]
+        exact = (16.0 * f[1] - f[0]) / 15.0
+        assert abs(change / exact - 1.0) <= 1e-11, (gap, change, exact)
+
+
 # ---------------------------------------------------------------------------
 # effective hopping
 # ---------------------------------------------------------------------------

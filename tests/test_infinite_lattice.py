@@ -142,7 +142,7 @@ def test_doped_past_the_van_hove_point_converges_as_l_squared(doping, t1):
     errors = {}
     for l in (512, 1024):
         band = pair_band(p, BZGrid.square(l))
-        assert band.shift == 0.0 and band.occ.minority[1]  # the filled states are listed
+        assert band.shift == 0.0 and band.occ.filled  # the filled states are listed
         omega_ex = solve_exciton_resonance(p, band).omega_ex
         errors[l] = np.append(np.abs(band.resolvent(z) / exact - 1.0), abs(omega_ex - omega_exact))
     assert np.all(errors[1024] <= 2.0 / 1024**2), errors[1024] * 1024**2

@@ -208,11 +208,12 @@ def _assert_filling_is_lexsort(l, t1, doping):
     occ = occupations(p, BZGrid.square(l))
     expected, (idx, filled) = _lexsort_filling(l, t1, doping)
     assert occ.n_filled == int(expected.sum())
-    assert occ.minority[1] == filled
-    assert occ.minority[0].dtype == np.intp and np.array_equal(occ.minority[0], idx)
-    n = l * l
-    for start, stop in ((0, n), (n // 3, n // 2), (n - 1, n)):
-        assert np.array_equal(_bits(occ.n_range(start, stop)), _bits(expected[start:stop]))
+    assert occ.filled == filled
+    rows, cols = occ.minority_states()
+    assert rows.dtype == cols.dtype == np.intp
+    assert np.array_equal(np.sort(rows * l + cols), idx)
+    for i in range(l):  # the tie row among them
+        assert np.array_equal(_bits(occ.row_occupancy(i)), _bits(expected[i * l:(i + 1) * l]))
     assert np.array_equal(_bits(occ.n_k), _bits(expected))
     return occ
 
@@ -228,7 +229,18 @@ def _assert_filling_is_lexsort(l, t1, doping):
 def test_filling_matches_lexsort_reference(l, t1, doping):
     occ = _assert_filling_is_lexsort(l, t1, doping)
     if doping == 0.5 and l % 2 == 0:
-        assert occ.minority[1]
+        assert occ.filled
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 9, 16, 17])
+@pytest.mark.parametrize("doping", [0.0, 0.05, 0.5, 0.999])
+def test_filling_holds_no_array_longer_than_a_row(l, doping):
+    # the filling is kept row by row; n_k, the only mesh-sized array, is not built
+    occ = occupations(ModelParams(doping=doping), BZGrid.square(l))
+    held = [v for value in vars(occ).values()
+            for v in (value if isinstance(value, tuple) else (value,))]
+    assert max(np.size(v) for v in held) <= l
+    assert "n_k" not in vars(occ)
 
 
 @settings(max_examples=80, deadline=None)

@@ -81,7 +81,7 @@ def test_matches_mesh_sum(t21, l, doping):
     occ = occupations(p, grid)
     band = pair_band(p, grid, occ)
     # every minority state sits in exactly one group of equal gaps
-    assert band.counts.sum() == occ.minority[0].size
+    assert band.counts.sum() == occ.minority_states()[0].size
     assert np.all(np.diff(band.gaps) > 0.0) and np.all(band.counts >= 1.0)
     resolvent = band.resolvent
     lo, hi = shifted_band(p, grid, occ)
@@ -212,9 +212,9 @@ def test_occupations_fill_round_of_filling(l, doping, t1):
     expected = int(round((1.0 - doping) * grid.n_sites))
     assert set(np.unique(occ.n_k)) <= {0.0, 1.0}
     assert int(occ.n_k.sum()) == occ.n_filled == expected
-    idx, filled = occ.minority
-    assert len(idx) == min(expected, grid.n_sites - expected)
-    assert np.all(occ.n_k[idx] == (1.0 if filled else 0.0))
+    rows, cols = occ.minority_states()
+    assert len(rows) == min(expected, grid.n_sites - expected)
+    assert np.all(occ.n_k[rows * grid.l + cols] == (1.0 if occ.filled else 0.0))
 
 
 def test_doped_solve_takes_no_mesh_sum(monkeypatch):
@@ -307,7 +307,7 @@ def test_array_matches_scalar_calls_and_mesh_sum(t21, l, doping):
 
 def test_array_covers_both_minority_branches():
     grid = BZGrid.square(64)
-    branches = {occupations(model(-0.2, doping), grid).minority[1] for doping in DOPINGS[1:]}
+    branches = {occupations(model(-0.2, doping), grid).filled for doping in DOPINGS[1:]}
     assert branches == {False, True}
 
 
