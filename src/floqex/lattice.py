@@ -207,7 +207,7 @@ class Occupation:
         end = np.cumsum(size)
         rows = np.repeat(np.arange(l), size)
         # the k-th state listed lies on row i at rank k - end[i] + count[i], or + l if empty
-        cols = self.order[np.arange(end[-1]) - (end - (self.count if filled else l))[rows]]
+        cols = self.order[np.arange(end[-1]) - np.repeat(end - (self.count if filled else l), size)]
         tie = slice(end[self.row] - size[self.row], end[self.row])
         cols[tie] = np.flatnonzero(self.row_filled == filled)
         return rows, cols

@@ -46,10 +46,10 @@ _RATIO_COLUMNS = ("ratio_gamma", "ratio_y", "ratio_m", "ratio_tla")
 # lists, gaps and sorts the minority states (up to half the mesh); the band keeps only
 # their distinct gaps and counts. The largest tracemalloc peak of the nine grid
 # scenarios at doping 0, 0.05 and 0.5 and l = 64, 128 and 256 (coarse axes, as in
-# tests/test_cli.py) is 2.86, fig4's at doping 0.5 and l = 64, rounded up for other
-# numpy versions; absorbance at doping 0.49, gamma = 1e-4 and l = 128 reads 2.96. At
-# l = 64 the default axis's own arrays dominate: absorbance at doping 0.49 reads 5.31
-# (5.40 at gamma = 1e-4). A grid that cannot fit is refused before anything is allocated.
+# tests/test_cli.py) is 2.88, fig4's at doping 0.5 and l = 64, rounded up for other
+# numpy versions; absorbance at doping 0.49, gamma = 1e-4 and l = 128 reads 2.98. At
+# l = 64 the default axis's own arrays dominate: absorbance at doping 0.49 reads 5.35
+# (5.51 at gamma = 1e-4). A grid that cannot fit is refused before anything is allocated.
 PEAK_BAND_ARRAYS = 3.5
 
 
