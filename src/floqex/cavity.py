@@ -3,8 +3,8 @@
 The kernel V(k, k') = -|g_l g_c|^2 / (N * delta_c * Delta_k * Delta_k') is
 separable in momentum, and only its forward diagonal V(k, k) is evaluated.
 Enhancement scans compare the interacting model against the u11 = u12 = 0 twin
-at matched detuning from the respective resonance (exciton vs band edge), both
-built by :func:`matched_pair`.
+at matched detuning from the respective resonance (the exciton line vs the
+band's continuum edge), both read off one band by :func:`matched_pair`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exceptions import ResonantCavity
-from .lattice import BZGrid, ModelParams, band_gap
+from .lattice import BZGrid, ModelParams
 from .scan import ScanResult, solved
 from .screening import PairBand, pair_band, screened_detuning, solve_exciton_resonance
 
@@ -35,31 +35,16 @@ def interaction_kernel(params: ModelParams, band: PairBand, k):
     return scale * v * v
 
 
-def forward_enhancement(screened: ModelParams, free: ModelParams, band: PairBand, k):
-    """V_int(k,k) / V_free(k,k) at ``k`` for a drive and its free twin on ``band``.
-
-    The two share g_l, g_c and delta_c, which cancel, so the ratio is
-    (Delta_free/Delta_int)^2 from the screened detunings; the kernels' own
-    product scale * v * v underflows for couplings near the smallest accepted
-    ones. Only Delta enters, so the Bloch-Siegert channel is not evaluated.
-    Each side takes its own Hartree shift (:meth:`PairBand.for_params`).
-    """
-    for p in (screened, free):
-        _require_detuned_cavity(p)
-    d_free = screened_detuning(free, band, k)
-    return (d_free / screened_detuning(screened, band, k)) ** 2
-
-
-def free_drive(params: ModelParams, detuning: float) -> ModelParams:
-    """The u11 = u12 = 0 twin of ``params``, driven ``detuning`` below its band edge gap(Gamma)."""
-    free = params.without_interactions()
-    return free.with_laser(float(band_gap(free, GAMMA)) - detuning)
+def free_drive(params: ModelParams, band: PairBand, detuning: float) -> ModelParams:
+    """The u11 = u12 = 0 twin of ``params``, driven ``detuning`` below the continuum edge
+    of ``band`` without a Hartree shift, ``band.gap_min``."""
+    return params.without_interactions().with_laser(band.gap_min - detuning)
 
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """A model, its exciton line and its band, which its free twin shares (the
-    twin differs only by its Hartree shift); :meth:`drives` detunes both."""
+    """A model, its resonance and its band, which its free twin shares (the twin
+    differs only by its Hartree shift); :meth:`drives` detunes both."""
 
     params: ModelParams
     band: PairBand
@@ -67,49 +52,55 @@ class MatchedPair:
 
     def drives(self, detuning: float):
         """(the model at omega_ex - detuning, its :func:`free_drive` at the same detuning)."""
-        return self.params.with_laser(self.omega_ex - detuning), free_drive(self.params, detuning)
+        return (self.params.with_laser(self.omega_ex - detuning),
+                free_drive(self.params, self.band, detuning))
 
     def enhancement(self, detuning: float, k):
-        """:func:`forward_enhancement` of the two :meth:`drives` at ``k``."""
-        return forward_enhancement(*self.drives(detuning), self.band, k)
+        """V_int(k,k) / V_free(k,k) at ``k`` for the two :meth:`drives`.
+
+        The two share g_l, g_c and delta_c, which cancel, so the ratio is
+        (Delta_free/Delta_int)^2 from the screened detunings; the kernels' own
+        product scale * v * v underflows for couplings near the smallest accepted
+        ones. Only Delta enters, so the Bloch-Siegert channel is not evaluated.
+        Each side takes its own Hartree shift (:meth:`PairBand.for_params`).
+        """
+        screened, free = self.drives(detuning)
+        for p in (screened, free):
+            _require_detuned_cavity(p)
+        d_free = screened_detuning(free, self.band, k)
+        return (d_free / screened_detuning(screened, self.band, k)) ** 2
 
 
 def matched_pair(params: ModelParams, band: PairBand,
                  exciton_required: bool = True) -> MatchedPair:
     """Solve the exciton line of ``params`` on ``band``; with ``exciton_required=False``
-    a u12 = 0 model takes gap(Gamma) instead of raising."""
+    a u12 = 0 model takes its Hartree-shifted continuum edge ``band.edge`` instead of
+    raising."""
     band = band.for_params(params)
     if params.u12 > 0.0 or exciton_required:
         omega_ex = solve_exciton_resonance(params, band).omega_ex
     else:
-        omega_ex = float(band_gap(params, GAMMA))
+        omega_ex = band.edge
     return MatchedPair(params=params, band=band, omega_ex=omega_ex)
 
 
-def enhancement_ratio(params_screened: ModelParams, params_unscreened: ModelParams,
-                      grid: BZGrid, k_index: int, detuning: float) -> float:
-    """Forward-kernel ratio V_int(k,k) / V_free(k,k) at matched detuning.
-
-    ``params_screened`` is driven at omega_ex - detuning, the
-    :func:`free_drive` of ``params_unscreened`` at gap(Gamma) - detuning. Both
-    kernels keep their laser-cavity detuning, so a shared delta_c cancels, as
-    do shared couplings (:func:`forward_enhancement`). The free twin takes the
-    filling of ``params_screened``.
-    """
+def enhancement_ratio(params: ModelParams, grid: BZGrid, k_index: int, detuning: float) -> float:
+    """Forward-kernel ratio V_int(k,k) / V_free(k,k) at matched detuning at the grid
+    point ``k_index``: :meth:`MatchedPair.enhancement` of ``params`` on its own band,
+    the model at omega_ex - detuning and its :func:`free_drive` at gap_min - detuning."""
     if detuning <= 0.0:
         raise ValueError(f"detuning must be positive, got {detuning!r}")
-    pair = matched_pair(params_screened, pair_band(params_screened, grid))
-    return forward_enhancement(pair.drives(detuning)[0], free_drive(params_unscreened, detuning),
-                               pair.band, grid.point(k_index))
+    pair = matched_pair(params, pair_band(params, grid))
+    return pair.enhancement(detuning, grid.point(k_index))
 
 
 def u12_sweep(params: ModelParams, grid: BZGrid, detuning: float, u12_values) -> ScanResult:
     """Forward kernel and excitonic enhancement at Gamma versus the interband repulsion.
 
-    The first row is the u12 = 0 baseline, the free kernel at the same
-    detuning; each enhancement is bitwise :func:`enhancement_ratio`, from one
-    solve per point on one band. A point that fails is a NaN row marked
-    ``converged = 0`` (:func:`~floqex.scan.solved`).
+    The first row is the u12 = 0 baseline, the free kernel of :func:`free_drive` at
+    the same detuning below the band edge; each enhancement is bitwise
+    :func:`enhancement_ratio`, from one solve per point on one band. A point that
+    fails is a NaN row marked ``converged = 0`` (:func:`~floqex.scan.solved`).
 
     Shallow lines are not grid-exact: the mesh row through Gamma converges as
     exp(-l sqrt(binding / |t21|)), so rows whose binding is below about
@@ -124,7 +115,7 @@ def u12_sweep(params: ModelParams, grid: BZGrid, detuning: float, u12_values) ->
 
     band = pair_band(params, grid)
     names = ("v_forward", "enhancement", "omega_ex", "converged")
-    v_base = interaction_kernel(free_drive(params, detuning), band, GAMMA)
+    v_base = interaction_kernel(free_drive(params, band, detuning), band, GAMMA)
     rows = [(0.0, v_base, 1.0, float("nan"), 1)]
     rows += [(u12, *solved(point, u12, width=len(names) - 1)) for u12 in map(float, u12_values)]
     return ScanResult.from_rows("u12", names, rows,

@@ -161,8 +161,8 @@ class Occupation:
     ``order[:count[i]]`` (along ``order`` every row's energies ascend), but the tie
     row ``row``, whose filled columns are the mask ``row_filled``.
     :meth:`minority_states` lists the fewer of the filled and the empty states
-    (:attr:`filled`); ``n_k`` (1.0 filled, 0.0 empty) is built only when first read,
-    and :meth:`row_occupancy` gives one row of it.
+    (:attr:`filled`); :meth:`occupancy` gives the occupancies of given rows, and
+    ``n_k`` (1.0 filled, 0.0 empty) those of the whole mesh, built when first read.
     """
 
     n_sites: int
@@ -185,19 +185,16 @@ class Occupation:
     @functools.cached_property
     def n_k(self) -> np.ndarray:
         """Read-only occupancies over the flat mesh (built on first access)."""
-        on = np.argsort(self.order) < self.count[:, None]  # each column's rank in its row
-        on[self.row] = self.row_filled
-        n_k = on.ravel().astype(float)
+        n_k = self.occupancy(np.arange(self.order.size)).ravel().astype(float)
         n_k.setflags(write=False)
         return n_k
 
-    def row_occupancy(self, i: int) -> np.ndarray:
-        """Occupancies of the l states of mesh row ``i``, a fresh array."""
-        if i == self.row:
-            return self.row_filled.astype(float)
-        n = np.zeros(self.order.size)
-        n[self.order[:self.count[i]]] = 1.0
-        return n
+    def occupancy(self, rows) -> np.ndarray:
+        """Whether each state of the mesh rows ``rows`` is filled: a fresh bool row of
+        length l for each row of an array, one row for a single row."""
+        on = np.argsort(self.order) < self.count[rows, None]  # each column's rank in its row
+        on[rows == self.row] = self.row_filled
+        return on
 
     def minority_states(self) -> tuple:
         """(rows, columns) of the minority states, row by row: ``order[:count[i]]`` or

@@ -128,12 +128,12 @@ class PairBand:
 
     ``params`` gives the band (eps21, t21) and ``shift`` its Hartree shift for
     the filling ``occ``. ``row_coeffs`` are B c_i (B = 2 t21, c = cos k) of the
-    rows i <= l/2 that stand for all l rows in :meth:`resolvent`: rows i and
-    l - i share their cosine, whose two roundings differ by about an ulp, and each
-    folded row takes their mean. The minority states of ``occ`` are
-    grouped by their exact gap value: the distinct, ascending ``gaps`` occur
-    ``counts`` times (held as floats), so a partial filling costs one term
-    per distinct gap rather than one per state.
+    rows i <= l/2 that stand for all l rows in :meth:`resolvent`, each counted
+    ``row_weights`` times: rows i and l - i share their cosine, whose two roundings
+    differ by about an ulp, and each folded row takes their mean. The minority
+    states of ``occ`` are grouped by their exact gap value: the distinct, ascending
+    ``gaps`` occur ``counts`` times (held as floats), so a partial filling costs one
+    term per distinct gap rather than one per state.
     """
 
     params: ModelParams
@@ -143,6 +143,7 @@ class PairBand:
     gap_min: float
     gap_max: float
     row_coeffs: np.ndarray
+    row_weights: np.ndarray
     gaps: np.ndarray
     counts: np.ndarray
 
@@ -268,8 +269,9 @@ class PairBand:
             # 1/D^2 is at most the largest |1/D|, at an end of the sorted gaps,
             # times |sum 1/D| (among them, unbounded); Im(1/D) = Im z |1/D|^2
             spread = np.where(mixed, np.inf, ends * abs(part)) if real else part.imag / z.imag
-        weights = _fold_weights(l)
+        weights = self.row_weights
         if skip is not None:
+            weights = weights.copy()
             np.subtract.at(weights, np.minimum(skip, l - skip), 1.0)
         means = self._row_means(col, real)
         means *= weights
@@ -303,14 +305,13 @@ class PairBand:
         for block in (direct[start:start + step] for start in range(0, direct.size, step)):
             d = gap_from_structure_factor(self.params, c[block, None] + c) - z
             d += self.shift
-            on = np.array([self.occ.row_occupancy(i) for i in block])
-            filled += np.divide(on, d, out=d).sum()
+            filled += np.divide(self.occ.occupancy(block), d, out=d).sum()
         return self._closed_form(z, real, counts, direct)[0] + filled / n
 
     def _row_means(self, col, real: bool):
         """Row means (1/l) sum_j 1/(A_i + B c_j) at each z of ``col`` (a scalar or a column)
         over the rows i <= l/2 (:attr:`row_coeffs`, weighted by the caller with
-        :func:`_fold_weights`), with rho^l by :func:`_power`. A real z takes the
+        :attr:`row_weights`), with rho^l by :func:`_power`. A real z takes the
         real root s where every A^2 - B^2 > 0. The steps run in place, so a block
         holds four arrays of its size."""
         b = 2.0 * self.params.t21
@@ -337,12 +338,13 @@ class PairBand:
 
 
 def _fold_weights(l: int) -> np.ndarray:
-    """Weights of the rows i <= l/2 that stand for all l rows: row l - i has the
-    cosine of row i, so every row counts twice but row 0 and, at even l, row l/2."""
+    """Read-only weights of the rows i <= l/2 that stand for all l rows: row l - i has
+    the cosine of row i, so every row counts twice but row 0 and, at even l, row l/2."""
     w = np.full(l // 2 + 1, 2.0)
     w[0] = 1.0
     if l % 2 == 0:
         w[-1] = 1.0
+    w.setflags(write=False)
     return w
 
 
@@ -383,7 +385,7 @@ def pair_band(params: ModelParams, grid: BZGrid, occ: Occupation | None = None) 
     b, half = 2.0 * params.t21 * grid.cos_k, np.arange(grid.l // 2 + 1)
     return PairBand(params=params, grid=grid, occ=occ, shift=hartree_shift(params, occ),
                     gap_min=gap_min, gap_max=gap_max, row_coeffs=0.5 * (b[half] + b[-half]),
-                    gaps=gaps, counts=counts.astype(float))
+                    row_weights=_fold_weights(grid.l), gaps=gaps, counts=counts.astype(float))
 
 
 def screening_factor(params: ModelParams, band: PairBand) -> float:
@@ -451,11 +453,12 @@ def solve_exciton_resonance(params: ModelParams, band: PairBand) -> ResonanceRep
 
     def closure(omega):
         # u12 R(omega), unguarded; bisection reads only the sign of u12 R - 1, which the closed
-        # form decides where |u12 R - 1| > u12 times its estimate, sparing the bracket top's rows
+        # form decides where |u12 R - 1| > u12 times its estimate, sparing the bracket top's rows;
+        # its value is complex where a row has A^2 < B^2 below the edge (odd l at t21 > 0)
         value, error = band._closed_form(omega, True)
         if not (error <= ROUNDING_TOL * abs(value) or abs(u12 * value - 1.0) > u12 * error):
             return u12 * band.resolvent(omega, guard=0.0)
-        return u12 * float(value)
+        return u12 * float(value.real)
 
     omega, residual, converged = solve_bound_state(closure, band.edge, params.u11, u12,
                                                    band.occ.nu)
@@ -490,7 +493,7 @@ def grpa_stark_equivalence(params: ModelParams, band: PairBand, k_index: int):
     """
     band = band.for_params(params)
     g2 = params.g_l * params.g_l
-    n_k = band.occ.row_occupancy(k_index // band.grid.l)[k_index % band.grid.l]
+    n_k = float(band.occ.occupancy(k_index // band.grid.l)[k_index % band.grid.l])
     d = shifted_detunings(params, band.grid.point(k_index), band.occ)
     t = grpa_tmatrix(params, band)
     bubble = g2 * (-n_k / d) * t

@@ -6,6 +6,7 @@ from floqex import (
     BZGrid,
     ModelParams,
     ResonantCavity,
+    band_gap,
     bare_detuning,
     enhancement_ratio,
     interaction_kernel,
@@ -13,6 +14,10 @@ from floqex import (
     pair_band,
     u12_sweep,
 )
+from floqex.cavity import matched_pair
+from floqex.cli import main
+from floqex.scan import parse_csv
+from floqex.screening import shifted_detunings
 
 GAMMA = (0.0, 0.0)
 
@@ -73,18 +78,16 @@ def test_enhancement_is_unity_for_free_model(grid64):
     free = ModelParams(u11=0.0, u12=0.0)
     with pytest.raises(Exception):
         # the interacting side needs an exciton; u12 = 0 cannot provide one
-        enhancement_ratio(free, free, grid64, grid64.gamma_index, 0.05)
+        enhancement_ratio(free, grid64, grid64.gamma_index, 0.05)
 
 
 def test_enhancement_requires_positive_detuning(grid64, params):
     with pytest.raises(ValueError):
-        enhancement_ratio(params, params.without_interactions(), grid64,
-                          grid64.gamma_index, 0.0)
+        enhancement_ratio(params, grid64, grid64.gamma_index, 0.0)
 
 
 def test_enhancement_above_one_and_decaying(grid128, params):
-    free = params.without_interactions()
-    ratios = [enhancement_ratio(params, free, grid128, grid128.gamma_index, d)
+    ratios = [enhancement_ratio(params, grid128, grid128.gamma_index, d)
               for d in (0.05, 0.1, 0.2, 0.35, 0.5)]
     assert all(r > 1.0 for r in ratios)
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -93,17 +96,14 @@ def test_enhancement_above_one_and_decaying(grid128, params):
 def test_enhancement_vanishes_for_flat_bands(grid64):
     # dispersionless exciton carries no momentum structure: same kernel as free model
     p = ModelParams(t1=-0.15, t2=-0.15)
-    ratio = enhancement_ratio(p, p.without_interactions(), grid64,
-                              grid64.gamma_index, 0.05)
+    ratio = enhancement_ratio(p, grid64, grid64.gamma_index, 0.05)
     assert ratio == pytest.approx(1.0, rel=1e-9)
 
 
 def test_enhancement_independent_of_cavity_detuning(grid64, params):
-    free = params.without_interactions()
-    a = enhancement_ratio(params, free, grid64, grid64.gamma_index, 0.05)
+    a = enhancement_ratio(params, grid64, grid64.gamma_index, 0.05)
     shifted = params.replace(omega_c=params.omega_l + 0.37)
-    b = enhancement_ratio(shifted, free.replace(omega_c=free.omega_l + 0.37),
-                          grid64, grid64.gamma_index, 0.05)
+    b = enhancement_ratio(shifted, grid64, grid64.gamma_index, 0.05)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -113,8 +113,7 @@ def test_u12_sweep_baseline_and_consistency(grid64, params):
     assert result.columns["enhancement"][0] == 1.0
     assert np.all(result.columns["converged"] == 1)
     # cross-operation consistency: the single row reproduces the direct call exactly
-    direct = enhancement_ratio(params.replace(u12=0.8), params.without_interactions(),
-                               grid64, grid64.gamma_index, 0.05)
+    direct = enhancement_ratio(params.replace(u12=0.8), grid64, grid64.gamma_index, 0.05)
     assert result.columns["enhancement"][1] == direct
 
 
@@ -124,8 +123,7 @@ def test_u12_sweep_rows_equal_enhancement_ratio_when_doped(grid64):
     result = u12_sweep(p, grid64, 0.05, values)
     assert np.all(result.columns["converged"] == 1)
     for u12, row in zip(values, result.columns["enhancement"][1:]):
-        assert row == enhancement_ratio(p.replace(u12=u12), p.without_interactions(),
-                                        grid64, grid64.gamma_index, 0.05)
+        assert row == enhancement_ratio(p.replace(u12=u12), grid64, grid64.gamma_index, 0.05)
 
 
 def test_u12_sweep_peak_position(grid128, params):
@@ -150,3 +148,39 @@ def test_u12_sweep_marks_failed_rows(grid128):
     assert conv[0] == 1  # free baseline never needs the solver
     assert np.all(conv[1:] == 0)
     assert np.all(np.isnan(result.columns["enhancement"][1:]))
+
+
+# ---------------------------------------------------------------------------
+# where each drive of a matched pair sits
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("l", [63, 64])
+@pytest.mark.parametrize("t1, t2", [(0.05, -0.15), (-0.15, -0.15), (-0.15, 0.05)])
+def test_free_twin_sits_below_the_band_edge(l, t1, t2):
+    # the twin has no Hartree shift, so its resonance is the smallest grid gap,
+    # which is gap(Gamma) only where the gap is least at Gamma (t21 <= 0)
+    p = ModelParams(t1=t1, t2=t2)
+    band = pair_band(p, BZGrid.square(l))
+    twin = matched_pair(p, band).drives(0.05)[1]
+    assert twin.u11 == twin.u12 == 0.0
+    assert twin.omega_l == band.gap_min - 0.05
+    if p.t21 <= 0.0:
+        assert twin.omega_l == float(band_gap(twin, GAMMA)) - 0.05
+
+
+def test_free_model_takes_its_hartree_shifted_edge(grid64):
+    p = ModelParams(u11=1.6, u12=0.0)
+    pair = matched_pair(p, pair_band(p, grid64), exciton_required=False)
+    assert pair.omega_ex == pair.band.edge
+    driven = pair.drives(0.03)[0]
+    path = grid64.point(grid64.path_y_gamma_m())
+    assert np.all(shifted_detunings(driven, path, pair.band.occ) > 0.0)
+
+
+def test_fig3b_with_the_gap_least_at_m_gives_finite_ratios(tmp_path):
+    assert main(["run", "fig3b", "--grid", "64", "--set", "t1=-0.15", "--set", "t2=0.05",
+                 "--out", str(tmp_path)]) == 0
+    _, data = parse_csv((tmp_path / "fig3b.csv").read_text())
+    assert np.isfinite(data).all()
+    assert np.all(data[:, 1:] > 0.0)
