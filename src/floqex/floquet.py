@@ -43,12 +43,15 @@ class EffectiveBand:
             arr.setflags(write=False)
 
 
-def effective_band(params: ModelParams, band: PairBand, k) -> EffectiveBand:
+def effective_band(params: ModelParams, band: PairBand, k, g_l=None) -> EffectiveBand:
     """Dressed band at the (kx, ky) pair ``k``; the k'-sum is ``band``'s.
 
-    The chemical potential (a constant) is omitted.
+    ``g_l``, a 1-D array of drive strengths, replaces params.g_l: one row per
+    strength, from one evaluation of the screened detunings, which do not depend
+    on it. The chemical potential (a constant) is omitted.
     """
-    g2 = params.g_l * params.g_l
+    g_l = params.g_l if g_l is None else np.asarray(g_l, dtype=float)[:, None]
+    g2 = g_l * g_l
     dets = screened_detunings(params, band, k)
     eps1 = dispersion(params, 1, k)
     stark = -g2 / dets.delta
@@ -56,13 +59,14 @@ def effective_band(params: ModelParams, band: PairBand, k) -> EffectiveBand:
     return EffectiveBand(energies=eps1 + stark + bs, stark=stark, bs=bs)
 
 
-def effective_hopping(params: ModelParams, band: PairBand) -> float:
+def effective_hopping(params: ModelParams, band: PairBand, g_l=None):
     """Hopping rate extracted from the dressed-band curvature at Gamma.
 
     Identifies eps(k) = 2*t*(cos kx + cos ky) + const and returns
     t = -(1/2) d^2 eps / dkx^2 at Gamma via a second-order central difference
     with the mesh spacing h = 2*pi/l, from the dressed band at the five
-    stencil points only.
+    stencil points only. With ``g_l``, a 1-D array of drive strengths, the
+    hopping at each of them (:func:`effective_band`).
     """
     grid = band.grid
     if grid.l < HOPPING_MIN_L:
@@ -70,12 +74,13 @@ def effective_hopping(params: ModelParams, band: PairBand) -> float:
     h = 2.0 * np.pi / grid.l
     stencil = [grid.index(*n) for n in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))]
     center, x_up, x_down, y_up, y_down = effective_band(
-        params, band, grid.point(np.array(stencil))).energies
+        params, band, grid.point(np.array(stencil)), g_l).energies.T
     curv_x = (x_up - 2.0 * center + x_down) / (h * h)
     curv_y = (y_up - 2.0 * center + y_down) / (h * h)
-    if abs(curv_x - curv_y) > _CURVATURE_SYMMETRY_TOL:
+    mismatch = np.max(np.abs(curv_x - curv_y))
+    if mismatch > _CURVATURE_SYMMETRY_TOL:
         raise ValueError(
-            f"kx/ky curvature mismatch {curv_x - curv_y:.3e} exceeds "
+            f"kx/ky curvature mismatch {mismatch:.3e} exceeds "
             f"{_CURVATURE_SYMMETRY_TOL}; band is not square-symmetric"
         )
     return -0.5 * curv_x
@@ -92,7 +97,8 @@ def tla_shifts(params: ModelParams, omega_ex: float):
     return g2 / (params.omega_l - omega_ex), g2 / (params.omega_l + omega_ex)
 
 
-def stark_bs_ratio(params: ModelParams, band: PairBand, k):
-    """Stark-to-Bloch-Siegert shift ratio |Delta_bs_k / Delta_k| at the (kx, ky) pair ``k``."""
-    dets = screened_detunings(params, band, k)
+def stark_bs_ratio(params: ModelParams, band: PairBand, k, omegas=None):
+    """Stark-to-Bloch-Siegert shift ratio |Delta_bs_k / Delta_k| at the (kx, ky) pair ``k``;
+    ``omegas`` as in :func:`~floqex.screening.screened_detunings`."""
+    dets = screened_detunings(params, band, k, omegas)
     return abs(dets.delta_bs / dets.delta)

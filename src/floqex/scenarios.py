@@ -3,10 +3,14 @@
 Each scenario builds one or more :class:`ScanResult` tables and writes
 ``<name>.csv`` / ``<name>.json`` / ``<name>.meta.json``. A scenario evaluates
 the per-k values only at the momenta it writes (Gamma/Y/M, the Y -> Gamma -> M
-path or the hopping stencil), so no scan builds an l x l field, and it runs its
-points in axis order in one thread. Every reduction is deterministic, so the
-files are byte-identical between runs; the ``workers`` option is accepted and
-has no effect.
+path or the hopping stencil), so no scan builds an l x l field. A drive axis is
+one array call: fig4's omega_l axis is one resolvent call per dispersion, fig2's
+detuning table one call over +-omega_l, and fig1b forms the stencil's screened
+detunings once per model, since they do not depend on g_l. Axes that need a
+solve per point (the interaction panels, the u12 sweep) run their points in
+axis order, all in one thread. Every reduction is deterministic, so the files
+are byte-identical between runs; the ``workers`` option is accepted and has no
+effect.
 """
 
 from __future__ import annotations
@@ -169,11 +173,10 @@ def _run_fig1b(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """Effective hopping vs drive strength for the interacting and free models."""
     gl_values = _axis(0.0, opts.gl_max, opts.gl_step)
     pair = matched_pair(params, pair_band(params, grid), exciton_required=False)
-    drives = pair.drives(opts.detuning)
-    rows = [(g_l, *(effective_hopping(p.replace(g_l=g_l), pair.band) for p in drives))
-            for g_l in gl_values]
-    return ScanResult.from_rows("g_l", ("t_eff", "t_eff_unscreened"), rows,
-                                metadata={"detuning": opts.detuning})
+    t_eff, t_free = (effective_hopping(p, pair.band, gl_values) for p in pair.drives(opts.detuning))
+    return ScanResult(axis_name="g_l", axis=gl_values,
+                      columns={"t_eff": t_eff, "t_eff_unscreened": t_free},
+                      metadata={"detuning": opts.detuning})
 
 
 @_scenario("fig2", divides_by=("g_l",), detuning=0.03,
@@ -191,20 +194,24 @@ def _run_fig2(params: ModelParams, opts: RunOptions, grid: BZGrid):
     omega_ex = solve_exciton_resonance(params, band).omega_ex
 
     def ratios(p, omega_ex, delta_ex):
-        """Stark/BS magnitude ratios at Gamma/Y/M plus the two-level comparator."""
-        p = p.with_laser(omega_ex - delta_ex)
-        st, bs = tla_shifts(p, omega_ex)
-        return (*stark_bs_ratio(p, band, points), abs(st / bs))
+        """Stark/BS magnitude ratios at Gamma/Y/M plus the two-level comparator, one
+        column each, at the detunings ``delta_ex`` (an array) below ``omega_ex``."""
+        drives = omega_ex - delta_ex
+        ratio = stark_bs_ratio(p, band, points, omegas=drives)
+        for w in drives[np.isnan(ratio).any(axis=1)]:  # refused: the scalar call raises
+            stark_bs_ratio(p.with_laser(w), band, points)
+        tla = [abs(st / bs) for st, bs in (tla_shifts(p.with_laser(w), omega_ex) for w in drives)]
+        return (*ratio.T, np.array(tla))
 
-    main = ScanResult.from_rows("delta_ex", _RATIO_COLUMNS,
-                                [(d, *ratios(params, omega_ex, d)) for d in det_axis],
-                                metadata={"omega_ex": omega_ex})
+    main = ScanResult(axis_name="delta_ex", axis=det_axis,
+                      columns=dict(zip(_RATIO_COLUMNS, ratios(params, omega_ex, det_axis))),
+                      metadata={"omega_ex": omega_ex})
 
     def interaction_rows(key, values):
         def point(value):
             p = params.replace(**{key: float(value)})
             w = solve_exciton_resonance(p, band).omega_ex
-            return (*ratios(p, w, opts.detuning), w)
+            return (*(column[0] for column in ratios(p, w, np.array([opts.detuning]))), w)
 
         names = (*_RATIO_COLUMNS, "omega_ex", "converged")
         rows = [(value, *solved(point, value, width=len(names) - 1)) for value in values]
@@ -254,20 +261,19 @@ def _run_fig4(params: ModelParams, opts: RunOptions, grid: BZGrid):
     """
     omega_axis = _axis(opts.omega_min, opts.omega_max, opts.omega_step)
     points = _symmetry_points(grid)
-    rows = []
+    blocks = []
     for t21 in opts.t21_values:
         p_t = params.replace(t1=params.t2 - t21)
         band = pair_band(p_t, grid)
         omega_ex, line = solved(lambda: (solve_exciton_resonance(p_t, band).omega_ex,), width=1)
-        for omega_l in omega_axis:
-            drive = p_t.with_laser(omega_l)
-            *delta, ok = solved(lambda: screened_detuning(drive, band, points),
-                                width=len(points[0]))
-            rows.append((omega_l, t21, *delta, omega_ex - omega_l, ok * line))
-    return ScanResult.from_rows(
-        "omega_l", ("t21", "delta_gamma", "delta_y", "delta_m", "delta_tla", "converged"), rows,
-        metadata={"t21_values": list(opts.t21_values)},
-    )
+        delta = screened_detuning(p_t, band, points, omegas=omega_axis)  # NaN rows: on the band
+        ok = ~np.isnan(delta).any(axis=1)
+        blocks.append((omega_axis, np.full(omega_axis.size, t21), *delta.T,
+                       omega_ex - omega_axis, ok.astype(int) * line))
+    axis, *columns = (np.concatenate(column) for column in zip(*blocks))
+    names = ("t21", "delta_gamma", "delta_y", "delta_m", "delta_tla", "converged")
+    return ScanResult(axis_name="omega_l", axis=axis, columns=dict(zip(names, columns)),
+                      metadata={"t21_values": list(opts.t21_values)})
 
 
 @_scenario("absorbance", omega_min=2.4, omega_max=5.0)

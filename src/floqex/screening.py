@@ -30,6 +30,7 @@ their Hartree shift (:meth:`PairBand.for_params`). Per-k values are taken at
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .lattice import (
     BZGrid,
     ModelParams,
     Occupation,
+    band_gap,
     bare_detuning,
     gap_from_structure_factor,
     gap_range,
@@ -54,19 +56,25 @@ RESONANCE_GUARD_EV = 1e-9
 ROUNDING_TOL = 1e-12
 _EPS = np.finfo(float).eps
 
-# Elements of one (z x mesh row) or (z x distinct gap) array of the closed form,
-# and never more than an eighth of the mesh, so that the four such arrays a pass
-# holds stay within half an l x l array: :meth:`PairBand.resolvent` evaluates
-# max(1, min(RESOLVENT_BLOCK, l^2 / 8) // max(l // 2 + 1, distinct gaps)) values
-# of z per pass. 2^13 ran fastest on a 2-vCPU Xeon VM: a block's arrays, about
-# 0.5 MB, stay in its 2 MB L2 cache, where 2^15 ran 1.8x slower at l = 512.
+# Elements of one (z x mesh row) array of the closed form, and of its one (z x distinct
+# gap) array, each never more than an eighth of the mesh, so that a pass (four row
+# arrays and the gap array) holds less than one l x l array of its kind:
+# :meth:`PairBand.resolvent` evaluates as many z per pass as fit both,
+# max(1, min(min(RESOLVENT_BLOCK, l^2 / 8) // (l // 2 + 1),
+# min(GAP_BLOCK, l^2 / 8) // distinct gaps)). On a 2-vCPU Xeon VM 2^13 ran fastest
+# for the rows: a block's four row arrays, about 0.5 MB, stay in its 2 MB L2 cache,
+# where 2^15 ran 1.8x slower at l = 512. The gap array is one streamed pass, whose cost
+# per z falls with the block: on a 2-vCPU AMD EPYC VM at l = 1024 and doping 0.05
+# (7,832 distinct gaps), a 291-point real axis took 7.7 ms with one z per pass (both
+# limits 2^13) and 2.5 ms at 2^17, and the 1301-point absorbance 68 ms and 42 ms.
 RESOLVENT_BLOCK = 2**13
+GAP_BLOCK = 2**17
 
 # Mesh points per block of the rows that :meth:`PairBand._direct_rows` sums, and never
 # more than an eighth of the mesh: a block's temporaries stay far below one l x l array.
 MESH_BLOCK = 2**16
 
-# A bisection whose final bracket is wider than this (eV) reports converged = False.
+# A solve whose final bracket is wider than this (eV) reports converged = False.
 BRACKET_TOL = 1e-10
 
 
@@ -102,10 +110,17 @@ def hartree_shift(params: ModelParams, occ: Occupation) -> float:
     return (-params.u11 + 2.0 * params.u12) * occ.nu
 
 
-def shifted_detunings(params, k, occ, bs: bool = False) -> np.ndarray | float:
-    """Hartree-shifted detuning D_k at ``k``; ``bs`` adds the 2*omega_l shift."""
-    d = bare_detuning(params, k)
-    d += 2.0 * params.omega_l if bs else 0.0
+def shifted_detunings(params, k, occ, bs: bool = False, omegas=None) -> np.ndarray | float:
+    """Hartree-shifted detuning D_k at ``k``; ``bs`` adds the 2*omega_l shift.
+
+    ``omegas``, a 1-D array of drive frequencies, replaces omega_l: D then has one
+    row per frequency, each bitwise D_k of ``params.with_laser(omega)``."""
+    if omegas is None:
+        omega, d = params.omega_l, bare_detuning(params, k)
+    else:
+        omega = np.asarray(omegas, dtype=float)[:, None]
+        d = band_gap(params, k) - omega
+    d += 2.0 * omega if bs else 0.0
     d += hartree_shift(params, occ)
     return d
 
@@ -165,9 +180,11 @@ class PairBand:
     def resolvent(self, z, guard: float = RESONANCE_GUARD_EV):
         """R(z) at a real or a complex ``z``, or at each element of an array of them.
 
-        A scalar gives a float or a complex as z is; an array gives an array of
-        its shape and kind. A complex z must have Im z != 0 (``ValueError``
-        otherwise): a real z is passed as a float.
+        A scalar gives a float or a complex as z is; a 1-D array gives an array of
+        its shape and kind, each element bitwise the scalar call's, except that an
+        element is NaN where the scalar call raises ``ResonantDenominator``, so one
+        call serves a whole drive axis. A complex z must have Im z != 0
+        (``ValueError`` otherwise): a real z is passed as a float.
 
         On mesh row i, gap_k + shift - z = A_i + B c_j with A_i = eps21 + shift
         - z + B c_i. Each row is a periodic trapezoidal rule with the closed form
@@ -188,9 +205,11 @@ class PairBand:
         band is refused when a grid point sits within ``guard`` of it
         (:meth:`_refuse_resonant`; ``guard = 0`` never refuses). An array of z
         runs through the closed form in blocks, as many z per pass as keep its
-        (z x row) and (z x distinct gap) arrays within :data:`RESOLVENT_BLOCK`
-        elements and an eighth of the mesh (one z at least); a z inside the
-        guarded band, or one whose states cancel, is then evaluated on its own.
+        (z x row) arrays within :data:`RESOLVENT_BLOCK` elements, its (z x distinct
+        gap) array within :data:`GAP_BLOCK` and both within an eighth of the mesh
+        (one z at least); a z inside the guarded band, or one whose states cancel,
+        is then evaluated on its own, and so is each z of a real block that took
+        the complex root s (odd l, next to the band), as it would alone.
         """
         z = np.asarray(z)
         real = not np.iscomplexobj(z)
@@ -212,16 +231,37 @@ class PairBand:
         alone = (lo <= zs) & (zs <= hi) if real else np.zeros(zs.size, bool)
         far = (~alone).nonzero()[0]
         out = np.empty_like(zs)
-        size = min(RESOLVENT_BLOCK, self.grid.n_sites // 8)
-        step = max(1, size // max(self.grid.l // 2 + 1, self.gaps.size))
+        cap = self.grid.n_sites // 8
+        step = max(1, min(min(RESOLVENT_BLOCK, cap) // (self.grid.l // 2 + 1),
+                          min(GAP_BLOCK, cap) // max(1, self.gaps.size)))
         for start in range(0, far.size, step):
             block = far[start:start + step]
             value, error = self._closed_form(zs[block], real)
             out[block] = value.real if real else value
             alone[block] = ~(error <= ROUNDING_TOL * abs(value))
+            alone[block] |= real and np.iscomplexobj(value)
         for i in alone.nonzero()[0]:
-            out[i] = self.resolvent(zs[i], guard)
+            try:
+                out[i] = self.resolvent(zs[i], guard)
+            except ResonantDenominator:
+                out[i] = np.nan
         return out
+
+    def closure(self, omega: float, u12: float) -> tuple:
+        """(u12 R(omega), u12 R'(omega)) at a real ``omega`` below the band, unguarded: the
+        ladder closure whose root is the exciton line, and its slope, from one pass.
+
+        Solving needs only the sign of u12 R - 1, which the closed form decides where
+        |u12 R - 1| exceeds u12 times its rounding estimate: that spares the direct
+        rows of a doped band near the bracket top, and elsewhere R is taken from
+        :meth:`resolvent`. The slope always comes from the closed form, and both are
+        the real parts of complex values where a row has A^2 < B^2 below the edge
+        (odd l at t21 > 0).
+        """
+        value, error, slope = self._closed_form(omega, True, slope=True)
+        if not (error <= ROUNDING_TOL * abs(value) or abs(u12 * value - 1.0) > u12 * error):
+            return u12 * self.resolvent(omega, guard=0.0), u12 * float(slope.real)
+        return u12 * float(value.real), u12 * float(slope.real)
 
     def _refuse_resonant(self, z: float, guard: float):
         """Raise ``ResonantDenominator`` if a grid point's |D| = |gap + shift - z| is
@@ -239,9 +279,10 @@ class PairBand:
             raise ResonantDenominator(f"a grid point sits within {guard} eV of the "
                                       "Hartree-shifted band resonance")
 
-    def _closed_form(self, z, real: bool, counts=None, skip=None):
+    def _closed_form(self, z, real: bool, counts=None, skip=None, slope=False):
         """(R(z) from the row sums and the grouped minority states, its rounding error)
-        at a scalar ``z`` or at each element of a 1-D array of them.
+        at a scalar ``z`` or at each element of a 1-D array of them; with ``slope`` a
+        third value, R'(z) = (1/N) sum_k n_k / D_k^2 from the same pass.
 
         ``counts`` replaces the groups' counts, and the mesh rows ``skip``, whose
         filled states :meth:`_direct_rows` sums, are left out of the row sums. The
@@ -252,19 +293,22 @@ class PairBand:
         col = z[:, None] if np.ndim(z) else z  # one row of the (z x row) arrays per z
         n, l = self.grid.n_sites, self.grid.l
         filled = self.occ.filled
-        part = spread = 0.0
+        counts = self.counts if counts is None else counts
+        part = spread = part_slope = 0.0
         if filled or self.gaps.size:
             inv = self.gaps - col
             inv += self.shift
             np.divide(1.0, inv, out=inv)  # in place: same bits as 1.0 / (gaps - z + shift)
+            if slope:  # each minority state adds count / D^2 to R'
+                part_slope = (inv * inv * counts).sum(axis=-1) / n
             if real and not filled:
                 ends = np.maximum(abs(inv[..., 0]), abs(inv[..., -1]))
                 mixed = np.signbit(inv[..., 0]) != np.signbit(inv[..., -1])
             # in place, then summed by numpy: no BLAS kernel picks the order of the sum
-            inv *= self.counts if counts is None else counts
+            inv *= counts
             part = inv.sum(axis=-1) / n
             if filled:
-                return part, np.zeros(np.shape(z))
+                return (part, np.zeros(np.shape(z)), *((part_slope,) if slope else ()))
             # the D of a real z outside the subtracted gaps have one sign, so sum
             # 1/D^2 is at most the largest |1/D|, at an end of the sorted gaps,
             # times |sum 1/D| (among them, unbounded); Im(1/D) = Im z |1/D|^2
@@ -273,10 +317,14 @@ class PairBand:
         if skip is not None:
             weights = weights.copy()
             np.subtract.at(weights, np.minimum(skip, l - skip), 1.0)
-        means = self._row_means(col, real)
+        if slope:
+            means, slopes = self._row_means(col, real, slope=True)
+            slopes *= weights
+            derivative = (slopes.sum(axis=-1) / l - part_slope,)
+        else:
+            means, derivative = self._row_means(col, real), ()
         means *= weights
-        value = means.sum(axis=-1) / l - part
-        return value, self._scale(z) * spread
+        return (means.sum(axis=-1) / l - part, self._scale(z) * spread, *derivative)
 
     def _scale(self, z):
         """eps * (|z| + the largest |gap + shift|): the rounding of one D_k relative to it."""
@@ -308,16 +356,21 @@ class PairBand:
             filled += np.divide(self.occ.occupancy(block), d, out=d).sum()
         return self._closed_form(z, real, counts, direct)[0] + filled / n
 
-    def _row_means(self, col, real: bool):
+    def _row_means(self, col, real: bool, slope=False):
         """Row means (1/l) sum_j 1/(A_i + B c_j) at each z of ``col`` (a scalar or a column)
         over the rows i <= l/2 (:attr:`row_coeffs`, weighted by the caller with
         :attr:`row_weights`), with rho^l by :func:`_power`. A real z takes the
         real root s where every A^2 - B^2 > 0. The steps run in place, so a block
-        holds four arrays of its size."""
+        holds four arrays of its size.
+
+        With ``slope`` the pair (means, their z-derivatives): with q = rho^l, the
+        mean (1 + q) / ((1 - q) s) has d/dA = -[2 l q + (1 - q^2) A/s] / ((1 - q) s)^2,
+        since d rho/dA = -rho/s and ds/dA = A/s, and A falls as z rises."""
         b = 2.0 * self.params.t21
         a = (self.params.eps21 + self.shift - col) + self.row_coeffs
         if b == 0.0:
-            return np.divide(1.0, a, out=a)
+            means = np.divide(1.0, a, out=a)
+            return (means, means * means) if slope else means
         s = a - b
         with np.errstate(over="ignore"):  # |A| above about 1.3e154: s = inf, mean 0
             s *= a + b
@@ -329,12 +382,18 @@ class PairBand:
             np.sqrt(s, out=s)
             # the root with Re(s conj(A)) >= 0, so that |rho| <= 1
             np.negative(s, out=s, where=s.real * a.real + s.imag * a.imag < 0.0)
+        if slope:
+            ratio = a / s
         rho = np.divide(-b, np.add(a, s, out=a), out=a)
         q = _power(rho, self.grid.l)
         den = 1.0 - q
         den *= s
+        if slope:
+            slopes = (1.0 - q * q) * ratio + (2.0 * self.grid.l) * q
+            slopes /= den * den
         q += 1.0
-        return np.divide(q, den, out=q)
+        means = np.divide(q, den, out=q)
+        return (means, slopes) if slope else means
 
 
 def _fold_weights(l: int) -> np.ndarray:
@@ -393,12 +452,18 @@ def screening_factor(params: ModelParams, band: PairBand) -> float:
     return 1.0 - params.u12 * band.for_params(params).resolvent(params.omega_l)
 
 
-def screened_detuning(params: ModelParams, band: PairBand, k, bs: bool = False):
+def screened_detuning(params: ModelParams, band: PairBand, k, bs: bool = False, omegas=None):
     """Screened detuning Delta_k = D_k (1 - u12 R(omega_l)) at the (kx, ky) pair ``k``;
-    with ``bs`` the counter-rotating D^bs_k (1 - u12 R(-omega_l))."""
+    with ``bs`` the counter-rotating D^bs_k (1 - u12 R(-omega_l)).
+
+    ``omegas``, a 1-D array of drive frequencies, replaces omega_l: one row per
+    frequency from one resolvent call, NaN where the scalar call would raise
+    ``ResonantDenominator`` (the drive sits on a band resonance)."""
     band = band.for_params(params)
-    d = shifted_detunings(params, k, band.occ, bs)
-    d *= 1.0 - params.u12 * band.resolvent(-params.omega_l if bs else params.omega_l)
+    d = shifted_detunings(params, k, band.occ, bs, omegas)
+    z = params.omega_l if omegas is None else np.asarray(omegas, dtype=float)
+    r = band.resolvent(-z if bs else z)
+    d *= 1.0 - params.u12 * (r if omegas is None else r[:, None])
     return d
 
 
@@ -407,60 +472,91 @@ def screened_detuning_bs(params: ModelParams, band: PairBand, k):
     return screened_detuning(params, band, k, bs=True)
 
 
-def screened_detunings(params: ModelParams, band: PairBand, k) -> ScreenedDetunings:
-    """Screened and counter-rotating detunings at the (kx, ky) pair ``k``."""
+def screened_detunings(params: ModelParams, band: PairBand, k, omegas=None) -> ScreenedDetunings:
+    """Screened and counter-rotating detunings at the (kx, ky) pair ``k``; with
+    ``omegas`` (as in :func:`screened_detuning`) both channels, one row per frequency,
+    from one resolvent call over +-omegas."""
     band = band.for_params(params)
-    return ScreenedDetunings(delta=screened_detuning(params, band, k),
-                             delta_bs=screened_detuning_bs(params, band, k))
+    if omegas is None:
+        return ScreenedDetunings(delta=screened_detuning(params, band, k),
+                                 delta_bs=screened_detuning_bs(params, band, k))
+    z = np.asarray(omegas, dtype=float)
+    r = band.resolvent(np.concatenate([z, -z]))[:, None]
+    delta, delta_bs = (shifted_detunings(params, k, band.occ, bs, z) for bs in (False, True))
+    delta *= 1.0 - params.u12 * r[:z.size]
+    delta_bs *= 1.0 - params.u12 * r[z.size:]
+    return ScreenedDetunings(delta=delta, delta_bs=delta_bs)
 
 
-def solve_bound_state(lhs, edge: float, u11: float, u12: float, nu: float):
-    """Bisect the ladder closure ``lhs(omega) = 1`` below the continuum ``edge``.
+def solve_bound_state(closure, edge: float, u11: float, u12: float, nu: float):
+    """Solve the ladder closure ``closure(omega) = 1`` below the continuum ``edge`` by
+    safeguarded Newton (Numerical Recipes, section 9.4), to floating-point resolution.
 
-    Returns (omega, residual, converged). The bracket top edge - 1e-9 must lie
-    on the far side of the root, lhs(top) >= 1. Bisection is iterated to
-    floating-point resolution (the bracket endpoints have poles just above, so
-    robustness beats speed); ``converged`` reports whether the final bracket is
-    narrower than :data:`BRACKET_TOL`.
+    ``closure(omega)`` gives (the closure, its slope). Returns (omega, residual,
+    converged). The bracket top edge - 1e-9 must lie on the far side of the root,
+    closure(top) >= 1. Below the edge the closure is increasing and convex, so
+    after bisecting until a midpoint lies above the root (the top sits next to
+    a pole), each Newton step lands at or above the root; once a step falls below
+    two ulps, a point a few ulps lower, moved down twice as far each time it is
+    still above, gives the bracket's other end. The slope steers only these steps:
+    every bracket end is set by the sign of closure - 1, and bisection of the last
+    few ulps ends on the adjacent floats across its change, the ones plain
+    bisection of the whole bracket reaches, in about a quarter of its closed-form
+    passes. ``converged`` reports whether the final bracket is narrower than
+    :data:`BRACKET_TOL`.
     """
     if u12 <= 0.0 or nu <= 0.0:
         raise NoResonance("a bound state requires u12 > 0 and a partially filled band")
     lo = edge - u11 - 5.0 * u12
     hi = edge - 1e-9
-    if lhs(hi) < 1.0:
+    values = {hi: closure(hi)}  # (closure, slope) at each omega taken
+
+    def below(omega) -> bool:
+        values[omega] = closure(omega)
+        return values[omega][0] < 1.0
+
+    if values[hi][0] < 1.0:
         raise NoResonance(
             "no sign change inside the bracket (u12 too small for a bound state "
             "on this grid)"
         )
-    # lhs(lo) < 1 always: every denominator is at least u11 + 5*u12 there.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    # closure(lo) < 1 always: every denominator is at least u11 + 5*u12 there.
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if not below(mid):
+            hi = mid
             break
-        if lhs(mid) < 1.0:
+        lo = mid
+    while True:  # Newton from above; a step out of the bracket leaves it to bisection
+        value, slope = values[hi]
+        omega = hi - (value - 1.0) / slope
+        if not lo < omega <= hi:
+            break
+        if hi - omega <= 2.0 * math.ulp(hi):
+            step = 4.0 * math.ulp(hi)
+            while lo < (omega := hi - step) and not below(omega):
+                hi, step = omega, 2.0 * step
+            lo = max(lo, omega)
+            break
+        if below(omega):
+            lo = omega
+            break
+        hi = omega
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if below(mid):
             lo = mid
         else:
             hi = mid
     omega = 0.5 * (lo + hi)
-    residual = abs(lhs(omega) - 1.0)
+    residual = abs((values.get(omega) or closure(omega))[0] - 1.0)
     return omega, residual, (hi - lo) <= BRACKET_TOL
 
 
 def solve_exciton_resonance(params: ModelParams, band: PairBand) -> ResonanceReport:
-    """Locate the exciton resonance: the unique F(omega) = 1 root below the edge."""
+    """Locate the exciton resonance: the unique F(omega) = 1 root below the edge, with
+    F and its slope from :meth:`PairBand.closure`."""
     band = band.for_params(params)
-    u12 = params.u12
-
-    def closure(omega):
-        # u12 R(omega), unguarded; bisection reads only the sign of u12 R - 1, which the closed
-        # form decides where |u12 R - 1| > u12 times its estimate, sparing the bracket top's rows;
-        # its value is complex where a row has A^2 < B^2 below the edge (odd l at t21 > 0)
-        value, error = band._closed_form(omega, True)
-        if not (error <= ROUNDING_TOL * abs(value) or abs(u12 * value - 1.0) > u12 * error):
-            return u12 * band.resolvent(omega, guard=0.0)
-        return u12 * float(value.real)
-
-    omega, residual, converged = solve_bound_state(closure, band.edge, params.u11, u12,
+    omega, residual, converged = solve_bound_state(lambda w: band.closure(w, params.u12),
+                                                   band.edge, params.u11, params.u12,
                                                    band.occ.nu)
     return ResonanceReport(
         omega_ex=omega,

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import importlib
 import json
 import math
@@ -715,6 +716,36 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "resonance", "--out", str(tmp_path), "--grid", "64",
                  "--set", "u12 = 0"]) == 3
     assert "solver error" in capsys.readouterr().err
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    # main() is called in-process (here, and by benchmark harnesses), so it leaves
+    # the heap alone; the entry of the process freezes it before exit, which still
+    # runs exit handlers, prints every written path to a pipe and keeps the exit codes
+    assert main(["run", "resonance", "--grid", "16", "--out", str(tmp_path / "in")]) == 0
+    assert gc.get_freeze_count() == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(floqex.__file__).parents[1])}
+    script = ("import atexit, gc, sys\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+              "from floqex.cli import entry\n"
+              "sys.argv = ['floqex', *sys.argv[1:]]\n"
+              "entry()\n")
+    for launch in (["-m", "floqex.cli"], ["-c", script]):
+        for sets, code in (([], 0), (["doping = 2"], 2), (["u12 = 0"], 3)):
+            out = tmp_path / f"{launch[0]}-{code}"
+            run = subprocess.run([sys.executable, *launch, "run", "resonance", "--grid", "16",
+                                  *(a for s in sets for a in ("--set", s)), "--out", str(out)],
+                                 env=env, capture_output=True, text=True)
+            assert run.returncode == code, run.stderr
+            lines = run.stdout.splitlines()
+            if launch[0] == "-c":
+                assert lines.pop() == "frozen True"
+            if code:
+                assert lines == [] and run.stderr.startswith(("config error", "solver error"))
+            else:
+                expected = [out / f"resonance.{ext}" for ext in ("csv", "json", "meta.json")]
+                assert lines == list(map(str, expected))
+                assert all(Path(line).stat().st_size for line in lines)
 
 
 def test_cli_config_file(tmp_path):
