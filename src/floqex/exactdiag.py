@@ -118,18 +118,14 @@ def oracle_exciton_eigen(system: SmallSystem) -> float:
 
 def bound_state_root(system: SmallSystem) -> float:
     """Root of the ladder closure on the system's momenta (cross-check), from the
-    solver of the lattice, given the literal sums S and S' = (u12/N) sum 1/D^2."""
+    solver of the lattice given the literal sum S."""
     p = system.params
     shift = -p.u11 + 2.0 * p.u12
     ones = np.ones(system.n_k)
-
-    def closure(w):
-        d = system.gaps - w + shift
-        return (ladder_sum(d, ones, p.u12, system.n_k, guard=0.0),
-                p.u12 / system.n_k * float(np.sum(1.0 / (d * d))))
-
-    omega, _, _ = solve_bound_state(closure, float(np.min(system.gaps)) + shift,
-                                    p.u11, p.u12, nu=1.0)
+    omega, _, _ = solve_bound_state(
+        lambda w: ladder_sum(system.gaps - w + shift, ones, p.u12, system.n_k, guard=0.0),
+        float(np.min(system.gaps)) + shift, p.u11, p.u12, nu=1.0,
+    )
     return omega
 
 

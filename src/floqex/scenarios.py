@@ -5,12 +5,12 @@ Each scenario builds one or more :class:`ScanResult` tables and writes
 the per-k values only at the momenta it writes (Gamma/Y/M, the Y -> Gamma -> M
 path or the hopping stencil), so no scan builds an l x l field. A drive axis is
 one array call: fig4's omega_l axis is one resolvent call per dispersion, fig2's
-detuning table one call over +-omega_l, and fig1b forms the stencil's screened
-detunings once per model, since they do not depend on g_l. Axes that need a
-solve per point (the interaction panels, the u12 sweep) run their points in
-axis order, all in one thread. Every reduction is deterministic, so the files
-are byte-identical between runs; the ``workers`` option is accepted and has no
-effect.
+detuning table one per channel (at omega_l and at -omega_l), and fig1b forms the
+stencil's screened detunings once per model, since they do not depend on g_l.
+Axes that need a solve per point (the interaction panels, the u12 sweep) run
+their points in axis order, all in one thread. Every reduction is deterministic,
+so the files are byte-identical between runs; the ``workers`` option is accepted
+and has no effect.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .cavity import matched_pair, u12_sweep
 from .config import RunOptions
-from .exceptions import ConfigError, FloqexError, NoPeak
+from .exceptions import ConfigError, FloqexError, NoPeak, ResonantDenominator
 from .floquet import (
     HOPPING_MIN_L,
     TLA_GUARD_EV,
@@ -35,7 +35,12 @@ from .floquet import (
 )
 from .lattice import BZGrid, ModelParams
 from .scan import ScanResult, solved
-from .screening import pair_band, screened_detuning, solve_exciton_resonance
+from .screening import (
+    RESONANCE_GUARD_EV,
+    pair_band,
+    screened_detuning,
+    solve_exciton_resonance,
+)
 from .spectra import absorbance, peak_location
 
 SCENARIOS = {}
@@ -65,7 +70,8 @@ def _scenario(name, grid=256, min_l=1, divides_by=(), **defaults):
     ``divides_by`` names couplings whose square the observable is divided by or
     scales as; a square that is zero, subnormal or infinite would make every value
     0/0, noise, 0 or nan, so it is refused. ``defaults`` fill the options left
-    ``None``. A table holding +-inf is refused; each table records its ``grid_l``.
+    ``None``. A table holding +-inf is refused, and so is one holding a NaN unless
+    its ``converged`` column marks its unsolved rows; each table records its ``grid_l``.
     """
     def register(fn):
         def run(params: ModelParams, opts: RunOptions) -> list:
@@ -81,9 +87,12 @@ def _scenario(name, grid=256, min_l=1, divides_by=(), **defaults):
             tables = fn(params, opts, bz)
             tables = [(name, tables)] if isinstance(tables, ScanResult) else tables
             for table, result in tables:
+                marked = "converged" in result.columns  # its NaN rows are unsolved points
                 for column, values in result.columns.items():
                     if np.isinf(values).any():
                         raise FloqexError(f"table {table}: column {column} holds an infinite value")
+                    if not marked and np.isnan(values).any():
+                        raise FloqexError(f"table {table}: column {column} holds a NaN value")
                 if bz is not None:
                     result.metadata["grid_l"] = bz.l
             return tables
@@ -198,8 +207,11 @@ def _run_fig2(params: ModelParams, opts: RunOptions, grid: BZGrid):
         column each, at the detunings ``delta_ex`` (an array) below ``omega_ex``."""
         drives = omega_ex - delta_ex
         ratio = stark_bs_ratio(p, band, points, omegas=drives)
-        for w in drives[np.isnan(ratio).any(axis=1)]:  # refused: the scalar call raises
-            stark_bs_ratio(p.with_laser(w), band, points)
+        refused = drives[np.isnan(ratio).any(axis=1)].tolist()  # NaN where a drive was refused
+        if refused:
+            raise ResonantDenominator(f"fig2's drive omega_l = {refused[0]!r} eV sits on the band: "
+                                      f"a grid point lies within {RESONANCE_GUARD_EV} eV of its "
+                                      "Hartree-shifted resonance")
         tla = [abs(st / bs) for st, bs in (tla_shifts(p.with_laser(w), omega_ex) for w in drives)]
         return (*ratio.T, np.array(tla))
 

@@ -247,21 +247,20 @@ class PairBand:
                 out[i] = np.nan
         return out
 
-    def closure(self, omega: float, u12: float) -> tuple:
-        """(u12 R(omega), u12 R'(omega)) at a real ``omega`` below the band, unguarded: the
-        ladder closure whose root is the exciton line, and its slope, from one pass.
+    def closure(self, omega: float, u12: float) -> float:
+        """u12 R(omega) at a real ``omega`` below the band, unguarded: the ladder closure
+        whose root is the exciton line.
 
         Solving needs only the sign of u12 R - 1, which the closed form decides where
         |u12 R - 1| exceeds u12 times its rounding estimate: that spares the direct
         rows of a doped band near the bracket top, and elsewhere R is taken from
-        :meth:`resolvent`. The slope always comes from the closed form, and both are
-        the real parts of complex values where a row has A^2 < B^2 below the edge
-        (odd l at t21 > 0).
+        :meth:`resolvent`. The value is the real part of a complex one where a row
+        has A^2 < B^2 below the edge (odd l at t21 > 0).
         """
-        value, error, slope = self._closed_form(omega, True, slope=True)
+        value, error = self._closed_form(omega, True)
         if not (error <= ROUNDING_TOL * abs(value) or abs(u12 * value - 1.0) > u12 * error):
-            return u12 * self.resolvent(omega, guard=0.0), u12 * float(slope.real)
-        return u12 * float(value.real), u12 * float(slope.real)
+            return u12 * self.resolvent(omega, guard=0.0)
+        return u12 * float(value.real)
 
     def _refuse_resonant(self, z: float, guard: float):
         """Raise ``ResonantDenominator`` if a grid point's |D| = |gap + shift - z| is
@@ -279,10 +278,9 @@ class PairBand:
             raise ResonantDenominator(f"a grid point sits within {guard} eV of the "
                                       "Hartree-shifted band resonance")
 
-    def _closed_form(self, z, real: bool, counts=None, skip=None, slope=False):
+    def _closed_form(self, z, real: bool, counts=None, skip=None):
         """(R(z) from the row sums and the grouped minority states, its rounding error)
-        at a scalar ``z`` or at each element of a 1-D array of them; with ``slope`` a
-        third value, R'(z) = (1/N) sum_k n_k / D_k^2 from the same pass.
+        at a scalar ``z`` or at each element of a 1-D array of them.
 
         ``counts`` replaces the groups' counts, and the mesh rows ``skip``, whose
         filled states :meth:`_direct_rows` sums, are left out of the row sums. The
@@ -293,22 +291,19 @@ class PairBand:
         col = z[:, None] if np.ndim(z) else z  # one row of the (z x row) arrays per z
         n, l = self.grid.n_sites, self.grid.l
         filled = self.occ.filled
-        counts = self.counts if counts is None else counts
-        part = spread = part_slope = 0.0
+        part = spread = 0.0
         if filled or self.gaps.size:
             inv = self.gaps - col
             inv += self.shift
             np.divide(1.0, inv, out=inv)  # in place: same bits as 1.0 / (gaps - z + shift)
-            if slope:  # each minority state adds count / D^2 to R'
-                part_slope = (inv * inv * counts).sum(axis=-1) / n
             if real and not filled:
                 ends = np.maximum(abs(inv[..., 0]), abs(inv[..., -1]))
                 mixed = np.signbit(inv[..., 0]) != np.signbit(inv[..., -1])
             # in place, then summed by numpy: no BLAS kernel picks the order of the sum
-            inv *= counts
+            inv *= self.counts if counts is None else counts
             part = inv.sum(axis=-1) / n
             if filled:
-                return (part, np.zeros(np.shape(z)), *((part_slope,) if slope else ()))
+                return part, np.zeros(np.shape(z))
             # the D of a real z outside the subtracted gaps have one sign, so sum
             # 1/D^2 is at most the largest |1/D|, at an end of the sorted gaps,
             # times |sum 1/D| (among them, unbounded); Im(1/D) = Im z |1/D|^2
@@ -317,14 +312,9 @@ class PairBand:
         if skip is not None:
             weights = weights.copy()
             np.subtract.at(weights, np.minimum(skip, l - skip), 1.0)
-        if slope:
-            means, slopes = self._row_means(col, real, slope=True)
-            slopes *= weights
-            derivative = (slopes.sum(axis=-1) / l - part_slope,)
-        else:
-            means, derivative = self._row_means(col, real), ()
+        means = self._row_means(col, real)
         means *= weights
-        return (means.sum(axis=-1) / l - part, self._scale(z) * spread, *derivative)
+        return means.sum(axis=-1) / l - part, self._scale(z) * spread
 
     def _scale(self, z):
         """eps * (|z| + the largest |gap + shift|): the rounding of one D_k relative to it."""
@@ -356,21 +346,16 @@ class PairBand:
             filled += np.divide(self.occ.occupancy(block), d, out=d).sum()
         return self._closed_form(z, real, counts, direct)[0] + filled / n
 
-    def _row_means(self, col, real: bool, slope=False):
+    def _row_means(self, col, real: bool):
         """Row means (1/l) sum_j 1/(A_i + B c_j) at each z of ``col`` (a scalar or a column)
         over the rows i <= l/2 (:attr:`row_coeffs`, weighted by the caller with
         :attr:`row_weights`), with rho^l by :func:`_power`. A real z takes the
         real root s where every A^2 - B^2 > 0. The steps run in place, so a block
-        holds four arrays of its size.
-
-        With ``slope`` the pair (means, their z-derivatives): with q = rho^l, the
-        mean (1 + q) / ((1 - q) s) has d/dA = -[2 l q + (1 - q^2) A/s] / ((1 - q) s)^2,
-        since d rho/dA = -rho/s and ds/dA = A/s, and A falls as z rises."""
+        holds four arrays of its size."""
         b = 2.0 * self.params.t21
         a = (self.params.eps21 + self.shift - col) + self.row_coeffs
         if b == 0.0:
-            means = np.divide(1.0, a, out=a)
-            return (means, means * means) if slope else means
+            return np.divide(1.0, a, out=a)
         s = a - b
         with np.errstate(over="ignore"):  # |A| above about 1.3e154: s = inf, mean 0
             s *= a + b
@@ -382,18 +367,12 @@ class PairBand:
             np.sqrt(s, out=s)
             # the root with Re(s conj(A)) >= 0, so that |rho| <= 1
             np.negative(s, out=s, where=s.real * a.real + s.imag * a.imag < 0.0)
-        if slope:
-            ratio = a / s
         rho = np.divide(-b, np.add(a, s, out=a), out=a)
         q = _power(rho, self.grid.l)
         den = 1.0 - q
         den *= s
-        if slope:
-            slopes = (1.0 - q * q) * ratio + (2.0 * self.grid.l) * q
-            slopes /= den * den
         q += 1.0
-        means = np.divide(q, den, out=q)
-        return (means, slopes) if slope else means
+        return np.divide(q, den, out=q)
 
 
 def _fold_weights(l: int) -> np.ndarray:
@@ -473,62 +452,61 @@ def screened_detuning_bs(params: ModelParams, band: PairBand, k):
 
 
 def screened_detunings(params: ModelParams, band: PairBand, k, omegas=None) -> ScreenedDetunings:
-    """Screened and counter-rotating detunings at the (kx, ky) pair ``k``; with
-    ``omegas`` (as in :func:`screened_detuning`) both channels, one row per frequency,
-    from one resolvent call over +-omegas."""
+    """Both channels of :func:`screened_detuning` at the (kx, ky) pair ``k``; with
+    ``omegas`` one row per frequency in each."""
     band = band.for_params(params)
-    if omegas is None:
-        return ScreenedDetunings(delta=screened_detuning(params, band, k),
-                                 delta_bs=screened_detuning_bs(params, band, k))
-    z = np.asarray(omegas, dtype=float)
-    r = band.resolvent(np.concatenate([z, -z]))[:, None]
-    delta, delta_bs = (shifted_detunings(params, k, band.occ, bs, z) for bs in (False, True))
-    delta *= 1.0 - params.u12 * r[:z.size]
-    delta_bs *= 1.0 - params.u12 * r[z.size:]
-    return ScreenedDetunings(delta=delta, delta_bs=delta_bs)
+    return ScreenedDetunings(delta=screened_detuning(params, band, k, omegas=omegas),
+                             delta_bs=screened_detuning(params, band, k, bs=True, omegas=omegas))
 
 
 def solve_bound_state(closure, edge: float, u11: float, u12: float, nu: float):
     """Solve the ladder closure ``closure(omega) = 1`` below the continuum ``edge`` by
-    safeguarded Newton (Numerical Recipes, section 9.4), to floating-point resolution.
+    secant steps from above (Numerical Recipes, section 9.4), to floating-point
+    resolution.
 
-    ``closure(omega)`` gives (the closure, its slope). Returns (omega, residual,
-    converged). The bracket top edge - 1e-9 must lie on the far side of the root,
-    closure(top) >= 1. Below the edge the closure is increasing and convex, so
-    after bisecting until a midpoint lies above the root (the top sits next to
-    a pole), each Newton step lands at or above the root; once a step falls below
-    two ulps, a point a few ulps lower, moved down twice as far each time it is
-    still above, gives the bracket's other end. The slope steers only these steps:
-    every bracket end is set by the sign of closure - 1, and bisection of the last
-    few ulps ends on the adjacent floats across its change, the ones plain
-    bisection of the whole bracket reaches, in about a quarter of its closed-form
+    Returns (omega, residual, converged). The bracket top edge - 1e-9 must lie below
+    the edge (from |edge| of about 2^24 eV it rounds onto it, which is refused before
+    any closure call) and on the far side of the root, closure(top) >= 1. Below the
+    edge the closure is increasing and convex, so after bisecting until a midpoint
+    lies above the root (the top sits next to a pole), the secant through the two
+    nearest points taken above it, the top and that midpoint first, lands at or above
+    the root; once a step falls below two ulps, a point a few ulps lower, moved down
+    twice as far each time it is still above, gives the bracket's other end. A step
+    out of the bracket, or values not strictly falling toward the root, leave the
+    rest to bisection. Every bracket end is set by the sign of closure - 1, and
+    bisection of the last few ulps ends on the adjacent floats across its change, the
+    ones plain bisection of the whole bracket reaches, in under a third of its
     passes. ``converged`` reports whether the final bracket is narrower than
     :data:`BRACKET_TOL`.
     """
     if u12 <= 0.0 or nu <= 0.0:
         raise NoResonance("a bound state requires u12 > 0 and a partially filled band")
-    lo = edge - u11 - 5.0 * u12
     hi = edge - 1e-9
-    values = {hi: closure(hi)}  # (closure, slope) at each omega taken
+    if not hi < edge:
+        raise NoResonance(f"the bracket top edge - 1e-9 rounds onto the continuum edge "
+                          f"{edge} eV (from |edge| of about 2^24 eV), so no line below it "
+                          "can be resolved")
+    lo = edge - u11 - 5.0 * u12
+    values = {hi: closure(hi)}  # the closure at each omega taken
 
     def below(omega) -> bool:
         values[omega] = closure(omega)
-        return values[omega][0] < 1.0
+        return values[omega] < 1.0
 
-    if values[hi][0] < 1.0:
+    if values[hi] < 1.0:
         raise NoResonance(
             "no sign change inside the bracket (u12 too small for a bound state "
             "on this grid)"
         )
+    far = hi  # the point above the root taken before hi
     # closure(lo) < 1 always: every denominator is at least u11 + 5*u12 there.
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if not below(mid):
             hi = mid
             break
         lo = mid
-    while True:  # Newton from above; a step out of the bracket leaves it to bisection
-        value, slope = values[hi]
-        omega = hi - (value - 1.0) / slope
+    while values[far] > values[hi]:  # secant from above, through (far, hi)
+        omega = hi - (values[hi] - 1.0) * (far - hi) / (values[far] - values[hi])
         if not lo < omega <= hi:
             break
         if hi - omega <= 2.0 * math.ulp(hi):
@@ -540,20 +518,20 @@ def solve_bound_state(closure, edge: float, u11: float, u12: float, nu: float):
         if below(omega):
             lo = omega
             break
-        hi = omega
+        far, hi = hi, omega
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if below(mid):
             lo = mid
         else:
             hi = mid
     omega = 0.5 * (lo + hi)
-    residual = abs((values.get(omega) or closure(omega))[0] - 1.0)
+    residual = abs((values[omega] if omega in values else closure(omega)) - 1.0)
     return omega, residual, (hi - lo) <= BRACKET_TOL
 
 
 def solve_exciton_resonance(params: ModelParams, band: PairBand) -> ResonanceReport:
     """Locate the exciton resonance: the unique F(omega) = 1 root below the edge, with
-    F and its slope from :meth:`PairBand.closure`."""
+    F from :meth:`PairBand.closure`."""
     band = band.for_params(params)
     omega, residual, converged = solve_bound_state(lambda w: band.closure(w, params.u12),
                                                    band.edge, params.u11, params.u12,

@@ -162,10 +162,14 @@ def test_non_finite_absorbance_exits_3_without_output(tmp_path, capsys, gamma):
     ("fig1a", ["g_l=1.3e154"], "change_screened"),
     ("fig2", ["g_l=1e153"], "ratio_tla"),
     ("fig3c", ["g_l=1e150", "g_c=1e150"], "v_forward"),
+    ("fig1b", ["gl_max=1e153", "gl_step=1e153"], "t_eff_unscreened"),
+    ("fig1b", ["gl_max=1e154", "gl_step=1e154"], "t_eff"),
 ])
 def test_infinite_table_exits_3_without_output(tmp_path, scenario, sets, column):
     # couplings inside the g**2 bound still overflow a shift: the table is refused
-    # before any file is written, after numpy's own overflow warning
+    # before any file is written, after numpy's own overflow warning; fig1b's last
+    # drive gives an infinite curvature at 1e153 and inf - inf = NaN at 1e154, which
+    # a table without a converged column refuses as well
     out = tmp_path / scenario
     env = {**os.environ, "PYTHONPATH": str(Path(floqex.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-m", "floqex.cli", "run", scenario, "--grid", "16",
@@ -181,6 +185,35 @@ def test_infinite_table_exits_3_without_output(tmp_path, scenario, sets, column)
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(FloqexError, match=f"{scenario}: column {column}"):
             scenarios.SCENARIOS[scenario](params, opts)
+
+
+@pytest.mark.parametrize("eps21, code", [("1e7", 0), ("1e16", 3), ("1e17", 3), ("1e300", 3)])
+def test_resonance_whose_bracket_collapses_exits_3(tmp_path, capsys, eps21, code):
+    # from |edge| of about 2^24 eV the bracket top edge - 1e-9 rounds onto the edge:
+    # refused before any closure call, so no warning and no line written at the edge
+    out = tmp_path / "resonance"
+    assert main(["run", "resonance", "--grid", "16", "--set", f"eps21={eps21}",
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("solver error") and "2^24" in err and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert err == "" and (out / "resonance.csv").exists()
+
+
+def test_fig2_main_table_on_a_band_resonance_exits_3(tmp_path, capsys):
+    # det_min = omega_ex - edge drives the first point onto the continuum edge, where a
+    # grid point sits: the NaN row of the one array call is refused
+    params = ModelParams()
+    band = pair_band(params, BZGrid.square(16))
+    det_min = solve_exciton_resonance(params, band).omega_ex - band.edge
+    out = tmp_path / "fig2"
+    assert main(["run", "fig2", "--grid", "16", "--set", f"det_min={det_min!r}",
+                 "--set", "det_max=0.1", "--set", "det_step=0.05", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scenario, sets", [
